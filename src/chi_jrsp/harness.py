@@ -5,8 +5,9 @@ delta[0] == 0, optional "shares": (N-1) x 8 reals) or are drawn from a seeded
 generator. Reports are rendered as JSON ("structured") or as a tab-delimited
 table ("table"); identical config and seed produce byte-identical output.
 
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal oracle
-failure (no correction found, which signals a transcription bug).
+Exit codes: 0 pass, 1 verification failure, 2 input error (including an
+unwritable output path), 3 internal oracle failure (no correction found,
+which signals a transcription bug).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ COMPOSE_TOL = 1e-12
 
 
 class ProfileError(ValueError):
-    """Malformed or inconsistent protocol inputs."""
+    """Malformed or inconsistent protocol inputs, or an unwritable output path."""
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,11 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out_path).write_text(text)
+    except OSError as exc:
+        raise ProfileError(f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
@@ -380,26 +384,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chi-jrsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, inputs=True):
         p.add_argument("--senders", type=int, default=2, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--profile", metavar="PATH")
-        group.add_argument("--random", action="store_true", help="draw a seeded random profile (default)")
+        if inputs:
+            p.add_argument("--seed", type=int, default=0, metavar="S")
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--profile", metavar="PATH")
+            group.add_argument("--random", action="store_true", help="draw a seeded random profile (default)")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--format", choices=("structured", "table"), default="structured")
 
     verify = sub.add_parser("verify", help="run a verification campaign")
     common(verify)
-    verify.add_argument("--exhaustive", action="store_true", help="enumerate every outcome branch")
-    verify.add_argument("--trials", type=int, default=1, metavar="T", help="sampled-mode branch count")
+    mode = verify.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", help="enumerate every outcome branch")
+    # No default here, so that argparse sees any --trials, even "--trials 1".
+    mode.add_argument("--trials", type=int, metavar="T", help="sampled-mode branch count (default 1)")
 
     run = sub.add_parser("run", help="run a single protocol execution")
     common(run)
     run.add_argument("--force-outcome", metavar="K:J1[,J2,...]", help="run this branch instead of sampling")
 
     table = sub.add_parser("table", help="emit the verified correction table")
-    common(table)
+    common(table, inputs=False)
 
     return parser
 
@@ -408,12 +415,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         force = parse_force(args.force_outcome) if getattr(args, "force_outcome", None) else None
+        trials = getattr(args, "trials", None)
         config = RunConfig(
             senders=args.senders,
             mode="exhaustive" if getattr(args, "exhaustive", False) else "sampled",
-            trials=getattr(args, "trials", 1),
-            seed=args.seed,
-            profile_path=args.profile,
+            trials=1 if trials is None else trials,
+            seed=getattr(args, "seed", 0),
+            profile_path=getattr(args, "profile", None),
             out_path=args.out,
             fmt=args.format,
             force=force,

@@ -9,6 +9,13 @@ receiver applies a Pauli correction on his three qubits and expands onto the
 four-qubit chi-type support with an ancilla and three CNOTs. Every one of the
 8**N joint outcomes succeeds with certainty, at 3N classical bits per run.
 
+The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
+every measurement: measuring a triple in basis row b multiplies it entrywise
+by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...), and every branch, forced,
+enumerated or sampled, is computed from that form by `_collapse_branches`.
+The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
+
 Corrections are not taken from a closed form: a brute-force oracle searches
 all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
 state onto the compressed target, so the runners double as verification.
@@ -23,13 +30,14 @@ import numpy as np
 
 from . import bases
 from .bases import AmplitudeProfile, PhaseProfile, PhaseShares
-from .qstate import (
+
+# fidelity_up_to_phase stays importable here: perfbench/tracer.py wraps it.
+from .qstate import (  # noqa: F401
     PAULI_I,
     PAULI_X,
     PAULI_Z,
     StateVector,
     apply_cnot,
-    apply_single,
     basis_state,
     fidelity_up_to_phase,
     measure_in_basis,
@@ -50,15 +58,19 @@ _OP_MATRIX = {
 }
 
 # All 64 correction triples in search order, with their 8x8 matrices on the
-# receiver's triple (first receiver qubit most significant).
+# receiver's triple (first receiver qubit most significant). Each matrix is a
+# signed permutation, applied as (P v)[m] == _TRIPLE_SIGN[t, m] * v[_TRIPLE_PERM[t, m]].
 _TRIPLES = tuple(itertools.product(CORRECTION_OPS, repeat=3))
-_TRIPLE_MATRIX = {
-    t: np.kron(np.kron(_OP_MATRIX[t[0]], _OP_MATRIX[t[1]]), _OP_MATRIX[t[2]]) for t in _TRIPLES
-}
+_TRIPLE_MATRIX = np.array([np.kron(np.kron(_OP_MATRIX[a], _OP_MATRIX[b]), _OP_MATRIX[c]) for a, b, c in _TRIPLES])
+_TRIPLE_PERM = np.abs(_TRIPLE_MATRIX).argmax(axis=2)
+_TRIPLE_SIGN = np.take_along_axis(_TRIPLE_MATRIX, _TRIPLE_PERM[..., None], axis=2)[..., 0].real
 
 # Indices of the eight even-parity four-qubit kets, in target order: the
 # fourth bit of each ket is the parity of the first three.
 CHI_SUPPORT = (0, 3, 5, 6, 9, 10, 12, 15)
+
+# Amplitude of each of the channel's eight terms.
+_CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
 
 CorrectionTriple = tuple[str, str, str]
 
@@ -168,7 +180,8 @@ def parity_expand(state3: StateVector) -> StateVector:
     """Append an ancilla |0> and CNOT it from qubits 2, 1, 0 in turn.
 
     Maps |abc> to |abc, a xor b xor c>, carrying a three-qubit state onto
-    the even-parity four-qubit support.
+    the even-parity four-qubit support. This is the dense circuit; the
+    runners place amplitudes on CHI_SUPPORT directly (`_expand_parity`).
     """
     if state3.n_qubits != 3:
         raise ValueError(f"parity_expand needs a 3-qubit state, got {state3.n_qubits}")
@@ -176,6 +189,13 @@ def parity_expand(state3: StateVector) -> StateVector:
     for control in (2, 1, 0):
         full = apply_cnot(full, control, 3)
     return full
+
+
+def _expand_parity(states3: np.ndarray) -> np.ndarray:
+    """parity_expand over a batch: row m of each state goes to CHI_SUPPORT[m]."""
+    out = np.zeros((len(states3), 16), dtype=complex)
+    out[:, CHI_SUPPORT] = states3
+    return out
 
 
 def prepare_channel(layout: QubitLayout) -> StateVector:
@@ -193,8 +213,8 @@ def prepare_channel(layout: QubitLayout) -> StateVector:
             for g, bit in enumerate(group_bits):
                 if bit:
                     index |= 1 << (n - 1 - triple[g])
-        amps[index] = 1.0
-    return StateVector(amps / (2.0 * np.sqrt(2.0)))
+        amps[index] = _CHANNEL_AMPLITUDE
+    return StateVector(amps)
 
 
 def _bob_basis(k: int, l: int, phases: PhaseProfile | PhaseShares) -> bases.BasisSet:
@@ -209,60 +229,111 @@ def _composed_phase(phases: PhaseProfile | PhaseShares) -> PhaseProfile:
     return phases
 
 
-def _collapse_branch(
-    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int, bob_j
-) -> tuple[StateVector, float, list[MeasurementRecord]]:
-    """Force the branch (alice_k, bob_j) and return the receiver's collapsed
-    3-qubit state, the joint branch probability, and the step records.
+def _dense_branch(
+    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, outcome
+) -> tuple[StateVector, list[float]]:
+    """Test oracle: the receiver's collapsed state and each party's step
+    probability, simulated on the full 3(N+1)-qubit register.
 
     Parties measure in register order, so after each removal the next
     party's triple is always qubits (0, 1, 2) of what remains.
     """
-    bob_j = tuple(int(j) for j in bob_j)
-    n_senders = len(bob_j) + 1
-    if isinstance(phases, PhaseShares) and phases.n_senders != n_senders:
-        raise ValueError(
-            f"phase shares cover {phases.n_senders} senders, outcome lists {n_senders}"
-        )
-    layout = QubitLayout(n_senders)
-    state = prepare_channel(layout)
-
-    records = []
-    probability = 1.0
-    branch = measure_in_basis(state, (0, 1, 2), bases.amplitude_basis(x))[alice_k]
-    if branch.collapsed is None:
-        raise ValueError(f"branch k={alice_k} has negligible probability")
-    records.append(MeasurementRecord("alice", "amplitude", alice_k, branch.probability))
-    probability *= branch.probability
-    state = branch.collapsed
-
-    for l, j in enumerate(bob_j, start=1):
-        basis = _bob_basis(alice_k, l, phases)
-        branch = measure_in_basis(state, (0, 1, 2), basis)[j]
-        if branch.collapsed is None:
-            raise ValueError(f"branch j={j} for sender {l} has negligible probability")
-        records.append(MeasurementRecord(f"bob{l}", basis.label, j, branch.probability))
-        probability *= branch.probability
+    outcome = [int(d) for d in outcome]
+    sender_bases = [bases.amplitude_basis(x), *(_bob_basis(outcome[0], l, phases) for l in range(1, len(outcome)))]
+    state = prepare_channel(QubitLayout(len(outcome)))
+    steps = []
+    for basis, digit in zip(sender_bases, outcome):
+        branch = measure_in_basis(state, (0, 1, 2), basis)[digit]
+        steps.append(branch.probability)
         state = branch.collapsed
+    return state, steps
 
-    return state, probability, records
+
+def _sender_bases(
+    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int
+) -> tuple[np.ndarray, list[list[str]]]:
+    """Every party's measurement bases for one profile, as conjugated rows.
+
+    `rows[p, k, d]` is the conjugate of row d of party p's basis after the
+    announced outcome k, and `labels[p][k]` is that basis's label. The
+    magnitude sender (p = 0) measures first, so her basis ignores k.
+    """
+    if not 2 <= n_senders <= MAX_SENDERS:
+        raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
+    if isinstance(phases, PhaseShares) and phases.n_senders != n_senders:
+        raise ValueError(f"phase shares cover {phases.n_senders} senders, outcome lists {n_senders}")
+    sets = [[bases.amplitude_basis(x)] * 8]
+    sets.extend([_bob_basis(k, l, phases) for k in range(8)] for l in range(1, n_senders))
+    return np.array([[b.vectors for b in row] for row in sets]).conj(), [[b.label for b in row] for row in sets]
+
+
+def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver 8-vectors and per-party step probabilities for a batch of branches.
+
+    Row b of `outcomes` holds (k, j_1, ..., j_{n-1}) for the first n parties;
+    `rows` comes from `_sender_bases`. The state is renormalized after every
+    measurement, as the measurement leaves it, so `steps[b, p]` is party p's
+    outcome probability given the outcomes before it, and a prefix of the
+    senders leaves the state that the next sender measures.
+    """
+    k = outcomes[:, 0]
+    state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
+    steps = np.empty(outcomes.shape)
+    for p in range(outcomes.shape[1]):
+        state = rows[p, k, outcomes[:, p]] * state
+        steps[:, p] = np.sum(np.abs(state) ** 2, axis=1)
+        state /= np.sqrt(steps[:, p])[:, None]
+    return state, steps
+
+
+def _records(labels: list[list[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
+    return tuple(
+        MeasurementRecord(f"bob{p}" if p else "alice", labels[p][outcome[0]], digit, step)
+        for p, (digit, step) in enumerate(zip(outcome, steps))
+    )
+
+
+def _collapse_branch(
+    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int, bob_j
+) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
+    """Force the branch (alice_k, bob_j) and return the receiver's collapsed
+    3-qubit state, the joint branch probability, and the step records."""
+    outcome = [int(alice_k), *(int(j) for j in bob_j)]
+    rows, labels = _sender_bases(x, phases, len(outcome))
+    states, steps = _collapse_branches(rows, np.array([outcome]))
+    return StateVector(states[0]), float(np.prod(steps[0])), _records(labels, outcome, steps[0].tolist())
+
+
+def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
+    """For each row of `states`, the index into _TRIPLES of the first triple in
+    search order whose corrected state reaches fidelity 1 - FIDELITY_TOL
+    with `target3`."""
+    found = np.full(len(states), -1)
+    weights = _TRIPLE_SIGN * target3.conj()
+    for t in range(len(_TRIPLES)):
+        searching = found < 0
+        if not searching.any():
+            break
+        overlap = states[:, _TRIPLE_PERM[t]] @ weights[t]
+        found[searching & (np.abs(overlap) ** 2 >= 1.0 - FIDELITY_TOL)] = t
+    if np.any(found < 0):
+        raise NoCorrectionFound("no Pauli triple reaches the fidelity threshold")
+    return found
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
     """Brute-force the 64 per-qubit Pauli triples in deterministic order."""
-    tgt = target3.amps
-    for triple in _TRIPLES:
-        corrected = _TRIPLE_MATRIX[triple] @ collapsed.amps
-        if abs(np.vdot(tgt, corrected)) ** 2 >= 1.0 - FIDELITY_TOL:
-            return triple
-    raise NoCorrectionFound("no Pauli triple reaches the fidelity threshold")
+    return _TRIPLES[_search_corrections(collapsed.amps[None], target3.amps)[0]]
+
+
+def _apply_corrections(states: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Apply triple _TRIPLES[found[b]] to row b of `states`."""
+    return _TRIPLE_SIGN[found] * np.take_along_axis(states, _TRIPLE_PERM[found], axis=1)
 
 
 def _apply_correction(state3: StateVector, triple: CorrectionTriple) -> StateVector:
-    for qubit, name in enumerate(triple):
-        if name != "I":
-            state3 = apply_single(state3, qubit, _OP_MATRIX[name])
-    return state3
+    """Single-branch view of `_apply_corrections`."""
+    return StateVector(_apply_corrections(state3.amps[None], [_TRIPLES.index(triple)])[0])
 
 
 def derive_correction(
@@ -310,142 +381,48 @@ def build_correction_table(n_senders: int, outcomes=None, seed: int = 7042) -> C
     verification use two independently seeded generic profiles, so a table
     entry only survives if it is profile-independent.
     """
-    if not 2 <= n_senders <= MAX_SENDERS:
-        raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
     if outcomes is None:
         if n_senders > 3:
             raise ValueError("full enumeration is limited to 3 senders; pass an outcome subset")
         outcomes = itertools.product(range(8), repeat=n_senders)
+    keys = [tuple(int(d) for d in outcome) for outcome in outcomes]
+    if any(len(key) != n_senders for key in keys):
+        raise ValueError(f"every outcome must list {n_senders} digits")
+    grid = np.array(keys, dtype=np.intp).reshape(len(keys), n_senders)
 
     derive_x, derive_phases = _generic_inputs(n_senders, seed)
+    derived, _ = _collapse_branches(_sender_bases(derive_x, derive_phases, n_senders)[0], grid)
+    found = _search_corrections(derived, compressed_target(derive_x, _composed_phase(derive_phases)).amps)
+
     check_x, check_phases = _generic_inputs(n_senders, seed + 1)
+    checked, _ = _collapse_branches(_sender_bases(check_x, check_phases, n_senders)[0], grid)
     check_target = compressed_target(check_x, _composed_phase(check_phases))
-
-    entries: dict[tuple[int, ...], CorrectionTriple] = {}
-    fidelities: dict[tuple[int, ...], float] = {}
-    for outcome in outcomes:
-        outcome = tuple(int(d) for d in outcome)
-        k, bob_j = outcome[0], outcome[1:]
-        triple = derive_correction(k, bob_j, derive_x, derive_phases)
-        collapsed, _, _ = _collapse_branch(check_x, check_phases, k, bob_j)
-        fid = fidelity_up_to_phase(_apply_correction(collapsed, triple), check_target)
-        if fid < 1.0 - FIDELITY_TOL:
-            raise NoCorrectionFound(
-                f"correction {triple} for outcome {outcome} fails on a fresh profile (fidelity {fid!r})"
-            )
-        entries[outcome] = triple
-        fidelities[outcome] = fid
-    return CorrectionTable(n_senders=n_senders, entries=entries, fidelities=fidelities)
+    fidelities = np.abs(_apply_corrections(checked, found).conj() @ check_target.amps) ** 2
+    failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
+    if failed.size:
+        b = failed[0]
+        raise NoCorrectionFound(
+            f"correction {_TRIPLES[found[b]]} for outcome {keys[b]} fails on a fresh profile"
+            f" (fidelity {float(fidelities[b])!r})"
+        )
+    triples = [_TRIPLES[t] for t in found.tolist()]
+    return CorrectionTable(n_senders, dict(zip(keys, triples)), dict(zip(keys, fidelities.tolist())))
 
 
-def _finish_branch(
-    collapsed: StateVector,
-    probability: float,
-    records: list[MeasurementRecord],
-    outcome: Outcome,
-    target3: StateVector,
-    target4: StateVector,
-    channel_desc: str,
-) -> ProtocolTranscript:
-    triple = _search_correction(collapsed, target3)
-    final = parity_expand(_apply_correction(collapsed, triple))
-    return ProtocolTranscript(
-        channel=channel_desc,
-        outcome=outcome,
-        measurements=tuple(records),
-        classical_bits=3 * len(records),
-        correction=triple,
-        final_state=final,
-        fidelity=fidelity_up_to_phase(final, target4),
-        probability=probability,
-    )
+def _sampled_outcomes(rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw `trials` branches from the true joint outcome distribution.
 
-
-def _run_branch(
-    x: AmplitudeProfile,
-    phases: PhaseProfile | PhaseShares,
-    alice_k: int,
-    bob_j,
-    target3: StateVector,
-    target4: StateVector,
-    channel_desc: str,
-) -> ProtocolTranscript:
-    collapsed, probability, records = _collapse_branch(x, phases, alice_k, bob_j)
-    outcome = Outcome(alice_k, tuple(int(j) for j in bob_j))
-    return _finish_branch(collapsed, probability, records, outcome, target3, target4, channel_desc)
-
-
-def _exhaustive_transcripts(
-    x: AmplitudeProfile,
-    phases: PhaseProfile | PhaseShares,
-    n_senders: int,
-    target3: StateVector,
-    target4: StateVector,
-    channel_desc: str,
-) -> list[ProtocolTranscript]:
-    """All 8**n_senders branches, enumerated as a measurement tree.
-
-    Each measurement layer is evaluated once per parent branch instead of
-    once per leaf, which keeps the three-sender enumeration cheap. Output
-    order is outcome-lexicographic.
+    Each trial draws the magnitude sender's k, then each phase sender's j in
+    turn, from that party's probabilities given the outcomes drawn before it.
     """
-    out: list[ProtocolTranscript] = []
-
-    def walk(state: StateVector, k: int, js: tuple[int, ...], prob: float, records: list) -> None:
-        l = len(js) + 1
-        if l == n_senders:
-            out.append(_finish_branch(state, prob, records, Outcome(k, js), target3, target4, channel_desc))
-            return
-        basis = _bob_basis(k, l, phases)
-        for branch in measure_in_basis(state, (0, 1, 2), basis):
-            if branch.collapsed is None:
-                continue
-            record = MeasurementRecord(f"bob{l}", basis.label, branch.outcome, branch.probability)
-            walk(branch.collapsed, k, js + (branch.outcome,), prob * branch.probability, records + [record])
-
-    channel = prepare_channel(QubitLayout(n_senders))
-    for branch in measure_in_basis(channel, (0, 1, 2), bases.amplitude_basis(x)):
-        if branch.collapsed is None:
-            continue
-        record = MeasurementRecord("alice", "amplitude", branch.outcome, branch.probability)
-        walk(branch.collapsed, branch.outcome, (), branch.probability, [record])
-    return out
-
-
-def _sampled_transcripts(
-    x: AmplitudeProfile,
-    phases: PhaseProfile | PhaseShares,
-    n_senders: int,
-    rng: np.random.Generator,
-    trials: int,
-    target3: StateVector,
-    target4: StateVector,
-    channel_desc: str,
-) -> list[ProtocolTranscript]:
-    """Draw `trials` branches from the true joint outcome distribution."""
-
-    def pick(branches) -> int:
-        probs = np.array([b.probability for b in branches])
-        return int(rng.choice(8, p=probs / probs.sum()))
-
-    channel = prepare_channel(QubitLayout(n_senders))
-    alice_branches = measure_in_basis(channel, (0, 1, 2), bases.amplitude_basis(x))
-    out = []
-    for _ in range(trials):
-        k = pick(alice_branches)
-        branch = alice_branches[k]
-        records = [MeasurementRecord("alice", "amplitude", k, branch.probability)]
-        prob, state, js = branch.probability, branch.collapsed, ()
-        for l in range(1, n_senders):
-            basis = _bob_basis(k, l, phases)
-            branches = measure_in_basis(state, (0, 1, 2), basis)
-            j = pick(branches)
-            records.append(MeasurementRecord(f"bob{l}", basis.label, j, branches[j].probability))
-            prob *= branches[j].probability
-            state = branches[j].collapsed
-            js += (j,)
-        out.append(_finish_branch(state, prob, records, Outcome(k, js), target3, target4, channel_desc))
-    return out
+    outcomes = np.zeros((trials, n_senders), dtype=np.intp)
+    for row in outcomes:
+        for p in range(n_senders):
+            candidates = np.repeat(row[None, : p + 1], 8, axis=0)
+            candidates[:, p] = np.arange(8)
+            probs = _collapse_branches(rows, candidates)[1][:, p]
+            row[p] = rng.choice(8, p=probs / probs.sum())
+    return outcomes
 
 
 def _run_protocol(
@@ -457,23 +434,36 @@ def _run_protocol(
     trials: int,
     force: tuple[int, tuple[int, ...]] | None,
 ) -> list[ProtocolTranscript]:
-    channel_desc = f"3 x GHZ({n_senders + 1}) over {3 * (n_senders + 1)} qubits"
-    composed = _composed_phase(phases)
-    target3 = compressed_target(x, composed)
-    target4 = target_state(x, composed)
-
+    rows, labels = _sender_bases(x, phases, n_senders)
     if force is not None:
-        alice_k, bob_j = force
-        return [_run_branch(x, phases, alice_k, bob_j, target3, target4, channel_desc)]
-
-    if mode == "exhaustive":
+        outcomes = np.array([[force[0], *force[1]]], dtype=np.intp)
+        if outcomes.shape[1] != n_senders:
+            raise ValueError(f"forced outcome lists {outcomes.shape[1]} digits, expected {n_senders}")
+    elif mode == "exhaustive":
         if n_senders > 3:
             raise ValueError("exhaustive enumeration is limited to 3 senders")
-        return _exhaustive_transcripts(x, phases, n_senders, target3, target4, channel_desc)
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        return _sampled_transcripts(x, phases, n_senders, rng, trials, target3, target4, channel_desc)
-    raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+        outcomes = np.array(list(itertools.product(range(8), repeat=n_senders)), dtype=np.intp)
+    elif mode == "sampled":
+        outcomes = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+
+    composed = _composed_phase(phases)
+    states, steps = _collapse_branches(rows, outcomes)
+    found = _search_corrections(states, compressed_target(x, composed).amps)
+    finals = _expand_parity(_apply_corrections(states, found))
+    fidelities = np.abs(finals.conj() @ target_state(x, composed).amps) ** 2
+    channel = f"3 x GHZ({n_senders + 1}) over {3 * (n_senders + 1)} qubits"
+    probabilities = np.prod(steps, axis=1).tolist()
+    branches = zip(outcomes.tolist(), steps.tolist(), found.tolist(), finals, fidelities.tolist(), probabilities)
+    return [
+        ProtocolTranscript(
+            channel=channel, outcome=Outcome(o[0], tuple(o[1:])), measurements=_records(labels, o, step),
+            classical_bits=3 * n_senders, correction=_TRIPLES[t], final_state=StateVector(final),
+            fidelity=fidelity, probability=probability,
+        )
+        for o, step, t, final, fidelity, probability in branches
+    ]
 
 
 def run_two_sender(

@@ -1,0 +1,107 @@
+"""The reduced GHZ-diagonal engine against the dense statevector oracle.
+
+The runners compute every branch from the channel's 8-term diagonal
+(`_collapse_branches`), then correct and expand the receiver's 8-vectors
+batched. `_dense_branch` measures the full register with the dense engine,
+and `_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
+expansion. Both paths renormalize after every measurement, so states and
+step probabilities agree to rounding, entrywise and without any global
+phase alignment.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chi_jrsp.bases import (
+    AmplitudeProfile,
+    PhaseProfile,
+    PhaseShares,
+    random_amplitude_profile,
+    random_phase_profile,
+    random_phase_shares,
+)
+from chi_jrsp.protocol import (
+    _TRIPLES,
+    FIDELITY_TOL,
+    MAX_SENDERS,
+    _TRIPLE_MATRIX,
+    _apply_correction,
+    _apply_corrections,
+    _collapse_branches,
+    _composed_phase,
+    _dense_branch,
+    _expand_parity,
+    _search_corrections,
+    _sender_bases,
+    compressed_target,
+    parity_expand,
+)
+from chi_jrsp.qstate import StateVector, fidelity_up_to_phase
+
+ENGINE_TOL = 1e-15
+
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+PHASES = st.one_of(st.floats(-7.0, 7.0), st.floats(1e6 - 10.0, 1e6 + 10.0), st.floats(-1e6 - 10.0, -1e6 + 10.0))
+
+
+def dense_search(collapsed: StateVector, target3: StateVector):
+    """First triple in search order that reaches the threshold, as 8x8 matrices."""
+    for triple, matrix in zip(_TRIPLES, _TRIPLE_MATRIX):
+        if fidelity_up_to_phase(StateVector(matrix @ collapsed.amps), target3) >= 1.0 - FIDELITY_TOL:
+            return triple
+    return None
+
+
+def assert_matches_oracle(x, phases, outcomes):
+    rows, _ = _sender_bases(x, phases, outcomes.shape[1])
+    states, steps = _collapse_branches(rows, outcomes)
+    target3 = compressed_target(x, _composed_phase(phases))
+    found = _search_corrections(states, target3.amps)
+    for outcome, state, step, t in zip(outcomes, states, steps, found):
+        dense, dense_steps = _dense_branch(x, phases, outcome)
+        assert np.max(np.abs(state - dense.amps)) <= ENGINE_TOL
+        assert np.max(np.abs(step - dense_steps)) <= ENGINE_TOL
+        assert _TRIPLES[t] == dense_search(dense, target3)
+
+
+@st.composite
+def profiles(draw, n_senders):
+    magnitudes = draw(st.lists(MAGNITUDES, min_size=8, max_size=8).filter(any))
+    x = AmplitudeProfile(np.array(magnitudes) / np.linalg.norm(magnitudes))
+    rows = [[0.0, *draw(st.lists(PHASES, min_size=7, max_size=7))] for _ in range(n_senders - 1)]
+    phases = PhaseProfile(rows[0]) if n_senders == 2 and draw(st.booleans()) else PhaseShares(rows)
+    return x, phases
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_branches_match_dense_oracle(n_senders, data):
+    x, phases = data.draw(profiles(n_senders))
+    digits = st.lists(st.integers(0, 7), min_size=n_senders, max_size=n_senders)
+    outcomes = np.array(data.draw(st.lists(digits, min_size=1, max_size=2)))
+    assert_matches_oracle(x, phases, outcomes)
+
+
+@pytest.mark.parametrize("n_senders", [2, 3])
+def test_every_branch_matches_dense_oracle(n_senders):
+    rng = np.random.default_rng(40 + n_senders)
+    x = random_amplitude_profile(rng)
+    phases = random_phase_profile(rng) if n_senders == 2 else random_phase_shares(rng, n_senders)
+    assert_matches_oracle(x, phases, np.array(list(itertools.product(range(8), repeat=n_senders))))
+
+
+def test_batched_correction_and_expansion_match_dense_matrices():
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal((len(_TRIPLES), 8)) + 1j * rng.standard_normal((len(_TRIPLES), 8))
+    states = amps / np.linalg.norm(amps, axis=1)[:, None]
+    corrected = _apply_corrections(states, np.arange(len(_TRIPLES)))
+    expanded = _expand_parity(corrected)
+    for state, triple, matrix, row, row16 in zip(states, _TRIPLES, _TRIPLE_MATRIX, corrected, expanded):
+        assert np.array_equal(row, matrix @ state)
+        assert np.array_equal(row, _apply_correction(StateVector(state), triple).amps)
+        assert np.array_equal(row16, parity_expand(StateVector(row)).amps)

@@ -329,3 +329,32 @@ class TestMain:
 
     def test_table_four_senders_rejected(self, capsys):
         assert main(["table", "--senders", "4"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--profile", "p.json"], ["--random"]])
+    def test_table_rejects_input_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--senders", "2", *flag])
+        assert exc.value.code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("trials", ["99", "1"])
+    def test_exhaustive_excludes_trials(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--exhaustive", "--trials", trials])
+        assert exc.value.code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [["verify", "--exhaustive"], ["run"], ["table"]])
+    def test_unwritable_out_is_input_error(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+    def test_sampled_outcomes_pinned(self, capsys):
+        # The map from seed to drawn outcomes is part of the output contract.
+        assert main(["verify", "--senders", "5", "--trials", "20", "--seed", "7"]) == EXIT_PASS
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["outcome"] for b in doc["branches"]] == [
+            "57612", "60663", "22234", "47647", "11400", "43754", "31015", "12061", "27465", "50446",
+            "24032", "16374", "45513", "13071", "52651", "67741", "17417", "54331", "07342", "60200",
+        ]
+        assert main(["run", "--senders", "3", "--seed", "1"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["outcome"] == "471"
