@@ -2,74 +2,3 @@
 arbitrary four-qubit chi-type entangled states over GHZ channels."""
 
 __version__ = "0.1.0"
-
-from .bases import (
-    AmplitudeProfile,
-    PhaseProfile,
-    PhaseShares,
-    amplitude_basis,
-    compose_phases,
-    phase_basis,
-    share_basis,
-    validate_orthonormal,
-)
-from .protocol import (
-    CorrectionTable,
-    NoCorrectionFound,
-    Outcome,
-    ProtocolTranscript,
-    QubitLayout,
-    build_correction_table,
-    classical_cost,
-    derive_correction,
-    parity_expand,
-    prepare_channel,
-    run_n_sender,
-    run_two_sender,
-    target_state,
-)
-from .qstate import (
-    BasisSet,
-    MeasurementBranch,
-    StateVector,
-    apply_cnot,
-    apply_on_subset,
-    apply_single,
-    fidelity_up_to_phase,
-    measure_in_basis,
-    tensor,
-)
-
-__all__ = [
-    "__version__",
-    "AmplitudeProfile",
-    "PhaseProfile",
-    "PhaseShares",
-    "amplitude_basis",
-    "compose_phases",
-    "phase_basis",
-    "share_basis",
-    "validate_orthonormal",
-    "CorrectionTable",
-    "NoCorrectionFound",
-    "Outcome",
-    "ProtocolTranscript",
-    "QubitLayout",
-    "build_correction_table",
-    "classical_cost",
-    "derive_correction",
-    "parity_expand",
-    "prepare_channel",
-    "run_n_sender",
-    "run_two_sender",
-    "target_state",
-    "BasisSet",
-    "MeasurementBranch",
-    "StateVector",
-    "apply_cnot",
-    "apply_on_subset",
-    "apply_single",
-    "fidelity_up_to_phase",
-    "measure_in_basis",
-    "tensor",
-]

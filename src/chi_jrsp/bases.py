@@ -216,3 +216,13 @@ def random_phase_shares(rng: np.random.Generator, n_senders: int) -> PhaseShares
     rows = rng.uniform(0.0, 2.0 * np.pi, (n_senders - 1, 8))
     rows[:, 0] = 0.0
     return PhaseShares(rows)
+
+
+def random_inputs(n_senders: int, seed: int) -> tuple[AmplitudeProfile, PhaseProfile | PhaseShares]:
+    """Seeded profile for an n-sender run: the magnitudes, then the phase
+    profile (two senders) or one share row per phase sender (more)."""
+    rng = np.random.default_rng(seed)
+    x = random_amplitude_profile(rng)
+    if n_senders == 2:
+        return x, random_phase_profile(rng)
+    return x, random_phase_shares(rng, n_senders)

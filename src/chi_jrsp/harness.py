@@ -56,6 +56,8 @@ class RunConfig:
             raise ProfileError("exhaustive mode is only allowed for at most 3 senders")
         if self.trials < 1:
             raise ProfileError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ProfileError(f"seed must be non-negative, got {self.seed}")
         if self.fmt not in ("structured", "table"):
             raise ProfileError(f"format must be 'structured' or 'table', got {self.fmt!r}")
 
@@ -80,9 +82,11 @@ def _reals(obj, what: str) -> list[float]:
 def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfile, PhaseShares | None]:
     """Parse and validate a profile document for a run with `senders` senders."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"profile {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProfileError(f"profile {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -142,36 +146,21 @@ def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile, P
     """Profile from file or from the seeded generator, per the config."""
     if config.profile_path is not None:
         return load_profile(config.profile_path, config.senders)
-    rng = np.random.default_rng(config.seed)
-    x = bases.random_amplitude_profile(rng)
-    if config.senders == 2:
-        return x, bases.random_phase_profile(rng), None
-    shares = bases.random_phase_shares(rng, config.senders)
-    return x, bases.compose_phases(shares), shares
+    x, phases = bases.random_inputs(config.senders, config.seed)
+    if isinstance(phases, PhaseShares):
+        return x, bases.compose_phases(phases), phases
+    return x, phases, None
 
 
-def _collect_bases(
-    senders: int, x: AmplitudeProfile, delta: PhaseProfile, shares: PhaseShares | None
-) -> list:
-    out = [bases.amplitude_basis(x)]
-    if senders == 2 and shares is None:
-        out.extend(bases.phase_basis(k, delta) for k in range(8))
-    else:
-        for l in range(1, senders):
-            out.extend(bases.share_basis(k, l, shares) for k in range(8))
-    return out
+def _collect_bases(senders: int, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> list[bases.BasisSet]:
+    amplitude, *phase_senders = protocol.measurement_bases(x, phases, senders)
+    return [amplitude[0], *(basis for row in phase_senders for basis in row)]
 
 
 def _run_campaign(
-    config: RunConfig, x: AmplitudeProfile, delta: PhaseProfile, shares: PhaseShares | None
+    config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares
 ) -> list[ProtocolTranscript]:
-    if config.senders == 2 and shares is None:
-        return protocol.run_two_sender(
-            x, delta, mode=config.mode, seed=config.seed, trials=config.trials, force=config.force
-        )
-    return protocol.run_n_sender(
-        config.senders, x, shares, mode=config.mode, seed=config.seed, trials=config.trials, force=config.force
-    )
+    return protocol.run_protocol(x, phases, config.senders, config.mode, config.seed, config.trials, config.force)
 
 
 @dataclass
@@ -274,9 +263,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     """Run the configured campaign, write the report, return (status, report)."""
     x, delta, shares = resolve_inputs(config)
+    phases = delta if shares is None else shares
     basis_devs = {
-        b.label: bases.validate_orthonormal(b).max_deviation
-        for b in _collect_bases(config.senders, x, delta, shares)
+        b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(config.senders, x, phases)
     }
     if not all(dev <= bases.NORM_TOL for dev in basis_devs.values()):
         report = VerificationReport(
@@ -287,7 +276,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
         report.passed = False
         _write_output(render_report(report, config.fmt), config.out_path)
         return EXIT_VERIFY_FAIL, report
-    transcripts = _run_campaign(config, x, delta, shares)
+    transcripts = _run_campaign(config, x, phases)
     report = build_report(config, transcripts, basis_devs)
     _write_output(render_report(report, config.fmt), config.out_path)
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
@@ -331,7 +320,7 @@ def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
         )
     x, delta, shares = resolve_inputs(config)
     run_config = config if config.force is not None else replace(config, mode="sampled", trials=1)
-    transcript = _run_campaign(run_config, x, delta, shares)[0]
+    transcript = _run_campaign(run_config, x, delta if shares is None else shares)[0]
     _write_output(render_transcript(transcript, config.fmt), config.out_path)
     return EXIT_PASS, transcript
 

@@ -8,6 +8,9 @@ each phase sender measures in a basis conditioned on k and announces; the
 receiver applies a Pauli correction on his three qubits and expands onto the
 four-qubit chi-type support with an ancilla and three CNOTs. Every one of the
 8**N joint outcomes succeeds with certainty, at 3N classical bits per run.
+The two-sender protocol is the N = 2 case with one share row, so every path
+takes the phase input as a PhaseProfile or as PhaseShares, and
+`measurement_bases` alone turns it into bases.
 
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
@@ -71,6 +74,10 @@ CHI_SUPPORT = (0, 3, 5, 6, 9, 10, 12, 15)
 
 # Amplitude of each of the channel's eight terms.
 _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
+
+# build_correction_table derives its corrections on the profile of this
+# seed and checks them on the profile of the next one.
+_TABLE_SEED = 7042
 
 CorrectionTriple = tuple[str, str, str]
 
@@ -217,12 +224,6 @@ def prepare_channel(layout: QubitLayout) -> StateVector:
     return StateVector(amps)
 
 
-def _bob_basis(k: int, l: int, phases: PhaseProfile | PhaseShares) -> bases.BasisSet:
-    if isinstance(phases, PhaseShares):
-        return bases.share_basis(k, l, phases)
-    return bases.phase_basis(k, phases)
-
-
 def _composed_phase(phases: PhaseProfile | PhaseShares) -> PhaseProfile:
     if isinstance(phases, PhaseShares):
         return bases.compose_phases(phases)
@@ -239,31 +240,43 @@ def _dense_branch(
     party's triple is always qubits (0, 1, 2) of what remains.
     """
     outcome = [int(d) for d in outcome]
-    sender_bases = [bases.amplitude_basis(x), *(_bob_basis(outcome[0], l, phases) for l in range(1, len(outcome)))]
+    sets = measurement_bases(x, phases, len(outcome))
     state = prepare_channel(QubitLayout(len(outcome)))
     steps = []
-    for basis, digit in zip(sender_bases, outcome):
-        branch = measure_in_basis(state, (0, 1, 2), basis)[digit]
+    for p, digit in enumerate(outcome):
+        branch = measure_in_basis(state, (0, 1, 2), sets[p][outcome[0]])[digit]
         steps.append(branch.probability)
         state = branch.collapsed
     return state, steps
 
 
-def _sender_bases(
+def measurement_bases(
     x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int
-) -> tuple[np.ndarray, list[list[str]]]:
-    """Every party's measurement bases for one profile, as conjugated rows.
+) -> list[list[bases.BasisSet]]:
+    """Every party's measurement bases for one profile.
 
-    `rows[p, k, d]` is the conjugate of row d of party p's basis after the
-    announced outcome k, and `labels[p][k]` is that basis's label. The
-    magnitude sender (p = 0) measures first, so her basis ignores k.
+    `sets[p][k]` is party p's basis after the announced outcome k; the
+    magnitude sender (p = 0) measures first, so her basis ignores k. A
+    PhaseProfile serves the one phase sender of a two-sender run, and
+    PhaseShares give phase sender l its share row l.
     """
     if not 2 <= n_senders <= MAX_SENDERS:
         raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
-    if isinstance(phases, PhaseShares) and phases.n_senders != n_senders:
-        raise ValueError(f"phase shares cover {phases.n_senders} senders, outcome lists {n_senders}")
-    sets = [[bases.amplitude_basis(x)] * 8]
-    sets.extend([_bob_basis(k, l, phases) for k in range(8)] for l in range(1, n_senders))
+    if isinstance(phases, PhaseShares):
+        phase_sets = [[bases.share_basis(k, l, phases) for k in range(8)] for l in range(1, phases.n_senders)]
+    else:
+        phase_sets = [[bases.phase_basis(k, phases) for k in range(8)]]
+    if len(phase_sets) != n_senders - 1:
+        raise ValueError(f"the phase input covers {len(phase_sets) + 1} senders, expected {n_senders}")
+    return [[bases.amplitude_basis(x)] * 8, *phase_sets]
+
+
+def _sender_bases(
+    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int
+) -> tuple[np.ndarray, list[list[str]]]:
+    """`measurement_bases` as conjugated rows and labels: `rows[p, k, d]` is
+    the conjugate of row d of basis `sets[p][k]`, `labels[p][k]` its label."""
+    sets = measurement_bases(x, phases, n_senders)
     return np.array([[b.vectors for b in row] for row in sets]).conj(), [[b.label for b in row] for row in sets]
 
 
@@ -365,15 +378,7 @@ class CorrectionTable:
     fidelities: dict[tuple[int, ...], float]
 
 
-def _generic_inputs(n_senders: int, seed: int) -> tuple[AmplitudeProfile, PhaseProfile | PhaseShares]:
-    rng = np.random.default_rng(seed)
-    x = bases.random_amplitude_profile(rng)
-    if n_senders == 2:
-        return x, bases.random_phase_profile(rng)
-    return x, bases.random_phase_shares(rng, n_senders)
-
-
-def build_correction_table(n_senders: int, outcomes=None, seed: int = 7042) -> CorrectionTable:
+def build_correction_table(n_senders: int, outcomes=None) -> CorrectionTable:
     """Derive (and independently verify) corrections over outcome combinations.
 
     Enumerates all 8**n_senders outcomes for up to three senders; beyond
@@ -390,11 +395,11 @@ def build_correction_table(n_senders: int, outcomes=None, seed: int = 7042) -> C
         raise ValueError(f"every outcome must list {n_senders} digits")
     grid = np.array(keys, dtype=np.intp).reshape(len(keys), n_senders)
 
-    derive_x, derive_phases = _generic_inputs(n_senders, seed)
+    derive_x, derive_phases = bases.random_inputs(n_senders, _TABLE_SEED)
     derived, _ = _collapse_branches(_sender_bases(derive_x, derive_phases, n_senders)[0], grid)
     found = _search_corrections(derived, compressed_target(derive_x, _composed_phase(derive_phases)).amps)
 
-    check_x, check_phases = _generic_inputs(n_senders, seed + 1)
+    check_x, check_phases = bases.random_inputs(n_senders, _TABLE_SEED + 1)
     checked, _ = _collapse_branches(_sender_bases(check_x, check_phases, n_senders)[0], grid)
     check_target = compressed_target(check_x, _composed_phase(check_phases))
     fidelities = np.abs(_apply_corrections(checked, found).conj() @ check_target.amps) ** 2
@@ -425,7 +430,7 @@ def _sampled_outcomes(rows: np.ndarray, n_senders: int, rng: np.random.Generator
     return outcomes
 
 
-def _run_protocol(
+def run_protocol(
     x: AmplitudeProfile,
     phases: PhaseProfile | PhaseShares,
     n_senders: int,
@@ -434,6 +439,13 @@ def _run_protocol(
     trials: int,
     force: tuple[int, tuple[int, ...]] | None,
 ) -> list[ProtocolTranscript]:
+    """Run the protocol on `phases`: a PhaseProfile for two senders, or
+    PhaseShares with one row per phase sender for any sender count.
+
+    Exhaustive mode returns all 8**n_senders branches (up to three senders)
+    in outcome-lexicographic order; sampled mode draws `trials` branches
+    from the true distribution; `force` runs the one branch it names.
+    """
     rows, labels = _sender_bases(x, phases, n_senders)
     if force is not None:
         outcomes = np.array([[force[0], *force[1]]], dtype=np.intp)
@@ -474,13 +486,9 @@ def run_two_sender(
     trials: int = 1,
     force: tuple[int, tuple[int, ...]] | None = None,
 ) -> list[ProtocolTranscript]:
-    """Run the two-sender protocol.
-
-    Exhaustive mode returns all 64 branches in outcome-lexicographic order;
-    sampled mode draws `trials` branches from the true distribution. Every
-    branch carries probability 1/64 and final fidelity 1 up to tolerance.
-    """
-    return _run_protocol(x, delta, 2, mode, seed, trials, force)
+    """Run the two-sender protocol. Every branch carries probability 1/64
+    and final fidelity 1 up to tolerance."""
+    return run_protocol(x, delta, 2, mode, seed, trials, force)
 
 
 def run_n_sender(
@@ -493,9 +501,7 @@ def run_n_sender(
     force: tuple[int, tuple[int, ...]] | None = None,
 ) -> list[ProtocolTranscript]:
     """Run the N-sender protocol; the target phases are the composed shares."""
-    if shares.n_senders != n_senders:
-        raise ValueError(f"shares cover {shares.n_senders} senders, expected {n_senders}")
-    return _run_protocol(x, shares, n_senders, mode, seed, trials, force)
+    return run_protocol(x, shares, n_senders, mode, seed, trials, force)
 
 
 def classical_cost(n_senders: int) -> int:

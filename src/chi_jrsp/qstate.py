@@ -1,8 +1,9 @@
 """Dense statevector engine.
 
-Pure-state simulation over a register of qubits: tensor construction, gate
-application, joint projective measurement of qubit triples in arbitrary
-orthonormal bases, and phase-insensitive fidelity.
+Pure-state simulation over a register of qubits: tensor construction, the
+CNOT gate, joint projective measurement of qubit triples in arbitrary
+orthonormal bases, and phase-insensitive fidelity. It is the test oracle for
+the reduced engine in `protocol`.
 
 Index convention is most-significant-first: the basis ket |q0 q1 ... q_{n-1}>
 maps to the integer index sum_i q_i * 2**(n-1-i), so q0 is the leftmost ket
@@ -141,16 +142,6 @@ class MeasurementBranch:
     collapsed: StateVector | None
 
 
-def _require_unitary(gate: np.ndarray, dim: int) -> np.ndarray:
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (dim, dim):
-        raise ValueError(f"gate must be {dim}x{dim}, got {gate.shape}")
-    dev = np.max(np.abs(gate @ gate.conj().T - np.eye(dim)))
-    if dev > NORM_TOL:
-        raise ValueError(f"gate is not unitary (deviation {dev:g})")
-    return gate
-
-
 def _require_qubits(state: StateVector, qubits, *, count: int) -> tuple[int, ...]:
     qubits = tuple(int(q) for q in qubits)
     if len(qubits) != count:
@@ -168,18 +159,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amps, b.amps))
 
 
-def apply_single(state: StateVector, qubit: int, gate: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit, identity on the rest."""
-    (qubit,) = _require_qubits(state, (qubit,), count=1)
-    gate = _require_unitary(gate, 2)
-    n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
-    psi = np.moveaxis(psi, qubit, 0).reshape(2, -1)
-    out = gate @ psi
-    out = np.moveaxis(out.reshape([2] * n), 0, qubit)
-    return StateVector(out.reshape(-1))
-
-
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip `target` on components where `control` is 1."""
     control, target = _require_qubits(state, (control, target), count=2)
@@ -192,22 +171,6 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     sel11[control], sel11[target] = 1, 1
     out[tuple(sel10)] = psi[tuple(sel11)]
     out[tuple(sel11)] = psi[tuple(sel10)]
-    return StateVector(out.reshape(-1))
-
-
-def apply_on_subset(state: StateVector, qubits, gate: np.ndarray) -> StateVector:
-    """Apply an 8x8 unitary to an ordered qubit triple, identity elsewhere.
-
-    The first index of `qubits` is the most significant bit of the gate's
-    8-dimensional input space.
-    """
-    qubits = _require_qubits(state, qubits, count=3)
-    gate = _require_unitary(gate, 8)
-    n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
-    psi = np.moveaxis(psi, qubits, (0, 1, 2)).reshape(8, -1)
-    out = gate @ psi
-    out = np.moveaxis(out.reshape([2] * n), (0, 1, 2), qubits)
     return StateVector(out.reshape(-1))
 
 

@@ -358,3 +358,14 @@ class TestMain:
         ]
         assert main(["run", "--senders", "3", "--seed", "1"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["outcome"] == "471"
+
+    @pytest.mark.parametrize("argv", [["verify", "--seed", "-1"], ["run", "--seed", "-5"]])
+    def test_negative_seed_is_input_error(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+    def test_non_utf8_profile_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["verify", "--profile", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: profile {path} is not UTF-8 text")

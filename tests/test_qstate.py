@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from chi_jrsp.qstate import (
-    PAULI_X,
-    PAULI_Z,
     BasisSet,
     StateVector,
     apply_cnot,
-    apply_on_subset,
-    apply_single,
     basis_state,
     fidelity_up_to_phase,
     ghz_state,
@@ -89,45 +85,6 @@ class TestTensor:
         assert np.allclose(out.amps[nonzero], INV_2SQRT2)
 
 
-class TestApplySingle:
-    def test_x_flips(self):
-        assert np.allclose(apply_single(basis_state(1, 0), 0, PAULI_X).amps, [0, 1])
-
-    def test_z_on_plus(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2))
-        out = apply_single(plus, 0, PAULI_Z)
-        assert np.allclose(out.amps, np.array([1, -1]) / np.sqrt(2))
-
-    def test_z_on_last_qubit_clears_alternating_signs(self):
-        # A state with sign (-1)**(last bit) on every ket is mapped to the
-        # all-positive state by Z on the least significant qubit.
-        rng = np.random.default_rng(3)
-        x = np.abs(rng.standard_normal(8))
-        x /= np.linalg.norm(x)
-        phi = rng.uniform(0, 2 * np.pi, 8)
-        phi[0] = 0.0
-        signs = np.array([1, -1, 1, -1, 1, -1, 1, -1])
-        v = StateVector(signs * x * np.exp(1j * phi))
-        out = apply_single(v, 2, PAULI_Z)
-        assert np.allclose(out.amps, x * np.exp(1j * phi), atol=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_single(basis_state(2, 0), 2, PAULI_X)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            apply_single(basis_state(1, 0), 0, np.array([[1, 0], [0, 2]]))
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            s = random_state(rng, 5)
-            q = int(rng.integers(5))
-            out = apply_single(s, q, random_unitary(rng, 2))
-            assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
-
-
 class TestApplyCnot:
     def test_flips_target_when_control_set(self):
         assert np.allclose(apply_cnot(basis_state(2, 2), 0, 1).amps, [0, 0, 0, 1])
@@ -151,42 +108,6 @@ class TestApplyCnot:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             apply_cnot(basis_state(2, 0), 0, 2)
-
-
-class TestApplyOnSubset:
-    def test_identity(self):
-        rng = np.random.default_rng(5)
-        s = random_state(rng, 4)
-        out = apply_on_subset(s, (1, 2, 3), np.eye(8))
-        assert np.allclose(out.amps, s.amps)
-
-    def test_bit_reversal_permutation(self):
-        perm = np.zeros((8, 8))
-        for m in range(8):
-            rev = ket_index(ket_bits(m, 3)[::-1])
-            perm[rev, m] = 1.0
-        out = apply_on_subset(basis_state(3, 0b011), (0, 1, 2), perm)
-        assert np.allclose(out.amps, basis_state(3, 0b110).amps)
-
-    def test_rotation_places_matrix_column(self):
-        rng = np.random.default_rng(7)
-        g = random_unitary(rng, 8)
-        out = apply_on_subset(basis_state(3, 0), (0, 1, 2), g)
-        assert np.allclose(out.amps, g[:, 0])
-
-    def test_matches_three_singles(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            s = random_state(rng, 5)
-            qubits = tuple(rng.permutation(5)[:3])
-            u1, u2, u3 = (random_unitary(rng, 2) for _ in range(3))
-            joint = apply_on_subset(s, qubits, np.kron(np.kron(u1, u2), u3))
-            seq = apply_single(apply_single(apply_single(s, qubits[0], u1), qubits[1], u2), qubits[2], u3)
-            assert np.max(np.abs(joint.amps - seq.amps)) <= 1e-12
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ValueError):
-            apply_on_subset(basis_state(4, 0), (0, 0, 1), np.eye(8))
 
 
 def embed(vector8, qubits, rest: StateVector, n: int) -> StateVector:
