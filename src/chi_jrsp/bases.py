@@ -53,7 +53,8 @@ PHASE_ARG_INDEX = (
 
 @dataclass(frozen=True)
 class AmplitudeProfile:
-    """Eight real magnitudes with sum of squares 1."""
+    """Eight real magnitudes with sum of squares 1, judged by the Gram check
+    of the basis they build (its diagonal is the sum of squares)."""
 
     x: np.ndarray
 
@@ -63,11 +64,11 @@ class AmplitudeProfile:
             raise ValueError(f"amplitude profile needs 8 entries, got {x.size}")
         if not np.all(np.isfinite(x)):
             raise ValueError("amplitude profile entries must be finite")
-        total = float(np.sum(x**2))
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"amplitude profile not normalized: sum of squares {total!r}")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
+        dev = gram_deviation(amplitude_basis_matrix(self).astype(complex))
+        if dev > NORM_TOL:
+            raise ValueError(f"amplitude profile not normalized: basis Gram deviation {dev!r}")
 
 
 @dataclass(frozen=True)

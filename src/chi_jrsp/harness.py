@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bases, protocol
 from .bases import AmplitudeProfile, PhaseProfile, PhaseShares
-from .protocol import FIDELITY_TOL, NoCorrectionFound, ProtocolTranscript
+from .protocol import FIDELITY_TOL, Branches, NoCorrectionFound, ProtocolTranscript
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -74,20 +74,27 @@ class RunConfig:
 
 
 def _reals(obj, what: str) -> list[float]:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+    # Every number in a profile parses as a float, so booleans fail here.
+    if not isinstance(obj, list) or not all(isinstance(v, float) for v in obj):
         raise ProfileError(f"{what} must be a list of reals")
-    return [float(v) for v in obj]
+    if len(obj) != 8:
+        raise ProfileError(f"{what} must have 8 entries, got {len(obj)}")
+    return obj
 
 
 def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfile, PhaseShares | None]:
-    """Parse and validate a profile document for a run with `senders` senders."""
+    """Parse and validate a profile document for a run with `senders` senders.
+
+    Integers parse as floats, so one beyond float range reads as inf (rejected
+    as non-finite) and none meets int's digit limit.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except OSError as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ProfileError(f"profile {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"profile {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProfileError("profile document must be a JSON object")
@@ -96,38 +103,20 @@ def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfil
         raise ProfileError(f"unknown profile fields: {sorted(unknown)}")
     if "x" not in doc:
         raise ProfileError("profile is missing field 'x'")
+    if "shares" in doc and (not isinstance(doc["shares"], list) or not doc["shares"]):
+        raise ProfileError("'shares' must be a non-empty list of rows")
 
     x_vals = _reals(doc["x"], "'x'")
-    if len(x_vals) != 8:
-        raise ProfileError(f"'x' must have 8 entries, got {len(x_vals)}")
+    d_vals = _reals(doc["delta"], "'delta'") if "delta" in doc else None
+    rows = [_reals(row, "'shares' row") for row in doc["shares"]] if "shares" in doc else None
     try:
         x = AmplitudeProfile(x_vals)
+        delta = None if d_vals is None else PhaseProfile(d_vals)
+        shares = None if rows is None else PhaseShares(rows)
     except ValueError as exc:
         raise ProfileError(str(exc)) from exc
-
-    delta = None
-    if "delta" in doc:
-        d_vals = _reals(doc["delta"], "'delta'")
-        if len(d_vals) != 8:
-            raise ProfileError(f"'delta' must have 8 entries, got {len(d_vals)}")
-        try:
-            delta = PhaseProfile(d_vals)
-        except ValueError as exc:
-            raise ProfileError(str(exc)) from exc
-
-    shares = None
-    if "shares" in doc:
-        rows = doc["shares"]
-        if not isinstance(rows, list) or not rows:
-            raise ProfileError("'shares' must be a non-empty list of rows")
-        try:
-            shares = PhaseShares([_reals(row, "'shares' row") for row in rows])
-        except ValueError as exc:
-            raise ProfileError(str(exc)) from exc
-        if shares.n_senders != senders:
-            raise ProfileError(
-                f"'shares' has {shares.shares.shape[0]} rows, expected {senders - 1} for {senders} senders"
-            )
+    if shares is not None and shares.n_senders != senders:
+        raise ProfileError(f"'shares' has {len(rows)} rows, expected {senders - 1} for {senders} senders")
 
     if shares is not None:
         composed = bases.compose_phases(shares)
@@ -142,14 +131,13 @@ def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfil
     return x, delta, shares
 
 
-def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile, PhaseShares | None]:
-    """Profile from file or from the seeded generator, per the config."""
-    if config.profile_path is not None:
-        return load_profile(config.profile_path, config.senders)
-    x, phases = bases.random_inputs(config.senders, config.seed)
-    if isinstance(phases, PhaseShares):
-        return x, bases.compose_phases(phases), phases
-    return x, phases, None
+def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile | PhaseShares]:
+    """Magnitudes and phase input (the shares when there are any), from the
+    profile file or from the seeded generator, per the config."""
+    if config.profile_path is None:
+        return bases.random_inputs(config.senders, config.seed)
+    x, delta, shares = load_profile(config.profile_path, config.senders)
+    return x, delta if shares is None else shares
 
 
 def _collect_bases(senders: int, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> list[bases.BasisSet]:
@@ -157,79 +145,64 @@ def _collect_bases(senders: int, x: AmplitudeProfile, phases: PhaseProfile | Pha
     return [amplitude[0], *(basis for row in phase_senders for basis in row)]
 
 
-def _run_campaign(
-    config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares
-) -> list[ProtocolTranscript]:
-    return protocol.run_protocol(x, phases, config.senders, config.mode, config.seed, config.trials, config.force)
+def _run_campaign(config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> Branches:
+    return protocol.run_branches(x, phases, config.senders, config.mode, config.seed, config.trials, config.force)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    config: dict
+    """A verify report; fields in output order."""
+
     engine_version: str
-    branches: list[dict]
+    config: dict
     basis_validation: dict[str, float]
-    aggregates: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    passed: bool = False
+    aggregates: dict
+    checks: dict
+    passed: bool
+    branches: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "engine_version": self.engine_version,
-            "config": self.config,
-            "basis_validation": self.basis_validation,
-            "aggregates": self.aggregates,
-            "checks": self.checks,
-            "passed": self.passed,
-            "branches": self.branches,
-        }
+        return dict(vars(self))
 
 
-def _branch_row(t: ProtocolTranscript) -> dict:
-    return {
-        "outcome": t.outcome.digits(),
-        "probability": t.probability,
-        "correction": list(t.correction),
-        "fidelity": t.fidelity,
-        "classical_bits": t.classical_bits,
-    }
-
-
-def build_report(config: RunConfig, transcripts: list[ProtocolTranscript], basis_devs: dict[str, float]) -> VerificationReport:
-    rows = [_branch_row(t) for t in transcripts]
+def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches | None) -> VerificationReport:
+    """The report of one campaign; `run` is None when a basis failed
+    validation and no branch was run."""
+    head = (__version__, config.echo(), basis_devs)
+    if run is None:
+        return VerificationReport(*head, {"branch_count": 0}, {"bases_pass": False}, False, [])
     n = config.senders
+    bits = 3 * run.outcomes.shape[1]
+    branches = zip(run.outcomes.tolist(), run.probabilities.tolist(), run.corrections, run.fidelities.tolist())
+    rows = [
+        {"outcome": "".join(map(str, o)), "probability": p, "correction": list(c), "fidelity": f, "classical_bits": bits}
+        for o, p, c, f in branches
+    ]
     min_fid = min(r["fidelity"] for r in rows)
     prob_sum = sum(r["probability"] for r in rows)
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
     fid_pass = min_fid >= 1.0 - FIDELITY_TOL
-    bits_pass = all(r["classical_bits"] == protocol.classical_cost(n) for r in rows)
+    bits_pass = bits == protocol.classical_cost(n)
     if config.mode == "exhaustive":
         rule = "sum-to-one"
         prob_pass = abs(prob_sum - 1.0) <= FIDELITY_TOL
     else:
         rule = "uniform-branch"
         prob_pass = all(abs(r["probability"] - 8.0**-n) <= FIDELITY_TOL for r in rows)
-    report = VerificationReport(
-        config=config.echo(),
-        engine_version=__version__,
-        branches=rows,
-        basis_validation=basis_devs,
-    )
-    report.aggregates = {
+    aggregates = {
         "branch_count": len(rows),
         "min_fidelity": min_fid,
         "probability_sum": prob_sum,
         "classical_bits_per_run": protocol.classical_cost(n),
     }
-    report.checks = {
+    checks = {
         "fidelity_pass": fid_pass,
         "probability_rule": rule,
         "probability_pass": prob_pass,
         "bases_pass": bases_pass,
         "bits_pass": bits_pass,
     }
-    report.passed = fid_pass and prob_pass and bases_pass and bits_pass
-    return report
+    return VerificationReport(*head, aggregates, checks, fid_pass and prob_pass and bases_pass and bits_pass, rows)
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
@@ -262,22 +235,12 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     """Run the configured campaign, write the report, return (status, report)."""
-    x, delta, shares = resolve_inputs(config)
-    phases = delta if shares is None else shares
+    x, phases = resolve_inputs(config)
     basis_devs = {
         b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(config.senders, x, phases)
     }
-    if not all(dev <= bases.NORM_TOL for dev in basis_devs.values()):
-        report = VerificationReport(
-            config=config.echo(), engine_version=__version__, branches=[], basis_validation=basis_devs
-        )
-        report.aggregates = {"branch_count": 0}
-        report.checks = {"bases_pass": False}
-        report.passed = False
-        _write_output(render_report(report, config.fmt), config.out_path)
-        return EXIT_VERIFY_FAIL, report
-    transcripts = _run_campaign(config, x, phases)
-    report = build_report(config, transcripts, basis_devs)
+    bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
+    report = build_report(config, basis_devs, _run_campaign(config, x, phases) if bases_pass else None)
     _write_output(render_report(report, config.fmt), config.out_path)
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
 
@@ -318,9 +281,8 @@ def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
         raise ProfileError(
             f"forced outcome lists {len(config.force[1])} phase-sender digits, expected {config.senders - 1}"
         )
-    x, delta, shares = resolve_inputs(config)
-    run_config = config if config.force is not None else replace(config, mode="sampled", trials=1)
-    transcript = _run_campaign(run_config, x, delta if shares is None else shares)[0]
+    x, phases = resolve_inputs(config)
+    transcript = protocol.run_protocol(x, phases, config.senders, "sampled", config.seed, 1, config.force)[0]
     _write_output(render_transcript(transcript, config.fmt), config.out_path)
     return EXIT_PASS, transcript
 

@@ -17,7 +17,9 @@ every measurement: measuring a triple in basis row b multiplies it entrywise
 by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
 normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...), and every branch, forced,
 enumerated or sampled, is computed from that form by `_collapse_branches`.
-The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
+`run_branches` returns a run as one batched `Branches` record, which verify
+reports from; `run_protocol` turns it into per-branch transcripts. The dense
+chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
 
 Corrections are not taken from a closed form: a brute-force oracle searches
 all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
@@ -169,6 +171,22 @@ class ProtocolTranscript:
     final_state: StateVector
     fidelity: float
     probability: float
+
+
+@dataclass(frozen=True)
+class Branches:
+    """Every branch of one run as arrays; row b of each array is branch b."""
+
+    labels: list[list[str]]  # labels[p][k]: party p's basis after the announced outcome k
+    outcomes: np.ndarray  # (B, N) announced digits k, j_1, ..., j_{N-1}
+    steps: np.ndarray  # (B, N) each party's outcome probability given the outcomes before it
+    corrections: list[CorrectionTriple]
+    finals: np.ndarray  # (B, 16) corrected, parity-expanded receiver states
+    fidelities: np.ndarray  # (B,) fidelity of each final state with the target
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return np.prod(self.steps, axis=1)
 
 
 def target_state(x: AmplitudeProfile, delta: PhaseProfile) -> StateVector:
@@ -418,19 +436,23 @@ def _sampled_outcomes(rows: np.ndarray, n_senders: int, rng: np.random.Generator
     """Draw `trials` branches from the true joint outcome distribution.
 
     Each trial draws the magnitude sender's k, then each phase sender's j in
-    turn, from that party's probabilities given the outcomes drawn before it.
+    turn, from that party's probabilities given the outcomes drawn before it:
+    the row norms of `rows[p, k] * state`, where `state` is the receiver's
+    8-vector after the draws so far. The magnitude sender's rows are the
+    same for every k, so `rows[0, 0]` serves before k is drawn.
     """
     outcomes = np.zeros((trials, n_senders), dtype=np.intp)
     for row in outcomes:
+        state = np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
         for p in range(n_senders):
-            candidates = np.repeat(row[None, : p + 1], 8, axis=0)
-            candidates[:, p] = np.arange(8)
-            probs = _collapse_branches(rows, candidates)[1][:, p]
+            branches = rows[p, row[0]] * state
+            probs = np.sum(np.abs(branches) ** 2, axis=1)
             row[p] = rng.choice(8, p=probs / probs.sum())
+            state = branches[row[p]] / np.sqrt(probs[row[p]])
     return outcomes
 
 
-def run_protocol(
+def run_branches(
     x: AmplitudeProfile,
     phases: PhaseProfile | PhaseShares,
     n_senders: int,
@@ -438,11 +460,11 @@ def run_protocol(
     seed: int | None,
     trials: int,
     force: tuple[int, tuple[int, ...]] | None,
-) -> list[ProtocolTranscript]:
+) -> Branches:
     """Run the protocol on `phases`: a PhaseProfile for two senders, or
     PhaseShares with one row per phase sender for any sender count.
 
-    Exhaustive mode returns all 8**n_senders branches (up to three senders)
+    Exhaustive mode computes all 8**n_senders branches (up to three senders)
     in outcome-lexicographic order; sampled mode draws `trials` branches
     from the true distribution; `force` runs the one branch it names.
     """
@@ -465,16 +487,30 @@ def run_protocol(
     found = _search_corrections(states, compressed_target(x, composed).amps)
     finals = _expand_parity(_apply_corrections(states, found))
     fidelities = np.abs(finals.conj() @ target_state(x, composed).amps) ** 2
+    return Branches(labels, outcomes, steps, [_TRIPLES[t] for t in found.tolist()], finals, fidelities)
+
+
+def run_protocol(
+    x: AmplitudeProfile,
+    phases: PhaseProfile | PhaseShares,
+    n_senders: int,
+    mode: str,
+    seed: int | None,
+    trials: int,
+    force: tuple[int, tuple[int, ...]] | None,
+) -> list[ProtocolTranscript]:
+    """`run_branches` as one transcript per branch."""
+    run = run_branches(x, phases, n_senders, mode, seed, trials, force)
     channel = f"3 x GHZ({n_senders + 1}) over {3 * (n_senders + 1)} qubits"
-    probabilities = np.prod(steps, axis=1).tolist()
-    branches = zip(outcomes.tolist(), steps.tolist(), found.tolist(), finals, fidelities.tolist(), probabilities)
+    branches = zip(run.outcomes.tolist(), run.steps.tolist(), run.corrections, run.finals,
+                   run.fidelities.tolist(), run.probabilities.tolist())
     return [
         ProtocolTranscript(
-            channel=channel, outcome=Outcome(o[0], tuple(o[1:])), measurements=_records(labels, o, step),
-            classical_bits=3 * n_senders, correction=_TRIPLES[t], final_state=StateVector(final),
+            channel=channel, outcome=Outcome(o[0], tuple(o[1:])), measurements=_records(run.labels, o, step),
+            classical_bits=3 * n_senders, correction=correction, final_state=StateVector(final),
             fidelity=fidelity, probability=probability,
         )
-        for o, step, t, final, fidelity, probability in branches
+        for o, step, correction, final, fidelity, probability in branches
     ]
 
 

@@ -52,17 +52,16 @@ class StateVector:
 
     __slots__ = ("n_qubits", "amps")
 
-    def __init__(self, amps, *, check: bool = True):
+    def __init__(self, amps):
         amps = np.array(amps, dtype=complex).reshape(-1)
         n = amps.size.bit_length() - 1
         if amps.size != 2**n:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
-        if check:
-            if not np.all(np.isfinite(amps.view(float))):
-                raise ValueError("amplitudes must be finite")
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > NORM_TOL:
-                raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        if not np.all(np.isfinite(amps.view(float))):
+            raise ValueError("amplitudes must be finite")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amps", amps)

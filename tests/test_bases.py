@@ -37,6 +37,12 @@ class TestProfiles:
         with pytest.raises(ValueError):
             AmplitudeProfile([0.5] * 8)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_amplitude_profile_rejects_overflowing_magnitudes(self):
+        # Finite entries whose squares overflow: the basis's Gram matrix is inf.
+        with pytest.raises(ValueError, match="not normalized"):
+            AmplitudeProfile([1e200] * 8)
+
     def test_amplitude_profile_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             AmplitudeProfile([1.0])

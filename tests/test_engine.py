@@ -2,7 +2,7 @@
 
 The runners compute every branch from the channel's 8-term diagonal
 (`_collapse_branches`), then correct and expand the receiver's 8-vectors
-batched. `_dense_branch` measures the full register with the dense engine,
+batched; the sampler walks each trial once, carrying the receiver's 8-vector. `_dense_branch` measures the full register with the dense engine,
 and `_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
 expansion. Both paths renormalize after every measurement, so states and
 step probabilities agree to rounding, entrywise and without any global
@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chi_jrsp import protocol
 from chi_jrsp.bases import (
     AmplitudeProfile,
     PhaseProfile,
     PhaseShares,
     random_amplitude_profile,
+    random_inputs,
     random_phase_profile,
     random_phase_shares,
 )
@@ -35,6 +37,7 @@ from chi_jrsp.protocol import (
     _composed_phase,
     _dense_branch,
     _expand_parity,
+    _sampled_outcomes,
     _search_corrections,
     _sender_bases,
     compressed_target,
@@ -105,3 +108,73 @@ def test_batched_correction_and_expansion_match_dense_matrices():
         assert np.array_equal(row, matrix @ state)
         assert np.array_equal(row, _apply_correction(StateVector(state), triple).amps)
         assert np.array_equal(row16, parity_expand(StateVector(row)).amps)
+
+
+def replaying_sampler(rows, n_senders, rng, trials):
+    """Reference sampler: each party's conditional probabilities come from
+    re-running `_collapse_branches` from the channel on 8 copies of the drawn
+    prefix, one per candidate digit."""
+    outcomes = np.zeros((trials, n_senders), dtype=np.intp)
+    for row in outcomes:
+        for p in range(n_senders):
+            candidates = np.repeat(row[None, : p + 1], 8, axis=0)
+            candidates[:, p] = np.arange(8)
+            probs = _collapse_branches(rows, candidates)[1][:, p]
+            row[p] = rng.choice(8, p=probs / probs.sum())
+    return outcomes
+
+
+class RecordingRng:
+    """A seeded generator that keeps every probability vector it draws from."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.probs = []
+
+    def choice(self, a, p):
+        self.probs.append(p.copy())
+        return self.rng.choice(a, p=p)
+
+
+def assert_sampler_matches_reference(rows, n_senders, seed, trials):
+    rng, reference_rng = RecordingRng(seed), RecordingRng(seed)
+    drawn = _sampled_outcomes(rows, n_senders, rng, trials)
+    expected = replaying_sampler(rows, n_senders, reference_rng, trials)
+    assert np.array_equal(drawn, expected)
+    assert np.array_equal(np.array(rng.probs), np.array(reference_rng.probs))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_sampler_matches_replaying_reference(n_senders):
+    for seed in range(25):
+        x, phases = random_inputs(n_senders, seed)
+        assert_sampler_matches_reference(_sender_bases(x, phases, n_senders)[0], n_senders, seed, trials=20)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_replaying_reference_on_random_profiles(n_senders, data, seed):
+    x, phases = data.draw(profiles(n_senders))
+    assert_sampler_matches_reference(_sender_bases(x, phases, n_senders)[0], n_senders, seed, trials=10)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_sampler_matches_replaying_reference_on_skewed_rows(n_senders):
+    # Orthonormal bases make every conditional probability 1/8, so the draws
+    # barely depend on the walk; arbitrary rows make every step count. Only
+    # the magnitude sender's rows must not depend on k.
+    gen = np.random.default_rng(n_senders)
+    for seed in range(20):
+        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+        rows[0] = rows[0, 0]
+        assert_sampler_matches_reference(rows, n_senders, seed, trials=20)
+
+
+def test_sampler_walks_each_trial_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler replayed a prefix")
+
+    rows, _ = _sender_bases(*random_inputs(5, 0), 5)
+    monkeypatch.setattr(protocol, "_collapse_branches", refuse)
+    assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10).shape == (10, 5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chi_jrsp.bases as bases_mod
-from chi_jrsp import harness
+from chi_jrsp import harness, protocol
 from chi_jrsp.harness import (
     EXIT_INPUT_ERROR,
     EXIT_PASS,
@@ -123,7 +123,7 @@ class TestRunConfig:
         a = resolve_inputs(config)
         b = resolve_inputs(config)
         assert np.array_equal(a[0].x, b[0].x)
-        assert np.array_equal(a[2].shares, b[2].shares)
+        assert np.array_equal(a[1].shares, b[1].shares)
 
 
 class TestCmdVerify:
@@ -207,6 +207,39 @@ class TestCmdVerify:
         assert status == EXIT_VERIFY_FAIL
         assert not report.passed
         assert report.basis_validation["amplitude"] >= 1e-7
+
+    def test_basis_failure_report(self, tmp_path, monkeypatch):
+        # No branch runs when a basis fails: the report says so and nothing more.
+        real = bases_mod.amplitude_basis
+
+        def perturbed(profile):
+            v = real(profile).vectors.copy()
+            v[0, 0] += 1e-6
+            return BasisSet(v, label="amplitude", check=False)
+
+        monkeypatch.setattr(bases_mod, "amplitude_basis", perturbed)
+        out = tmp_path / "bad.tsv"
+        config = RunConfig(senders=2, mode="exhaustive", seed=1, out_path=str(out), fmt="table")
+        status, report = cmd_verify(config)
+        assert status == EXIT_VERIFY_FAIL
+        assert report.aggregates == {"branch_count": 0}
+        assert report.checks == {"bases_pass": False}
+        assert report.branches == []
+        assert list(report.to_dict()) == [
+            "engine_version", "config", "basis_validation", "aggregates", "checks", "passed", "branches",
+        ]
+        lines = out.read_text().splitlines()
+        assert "# check.bases_pass\tFalse" in lines
+        assert "# aggregate.branch_count\t0" in lines
+        assert lines[-1] == "outcome\tprobability\tcorrection\tfidelity\tclassical_bits"
+
+    def test_verify_builds_no_transcripts(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a ProtocolTranscript")
+
+        monkeypatch.setattr(protocol, "ProtocolTranscript", refuse)
+        assert main(["verify", "--senders", "3", "--exhaustive", "--seed", "4"]) == EXIT_PASS
+        assert main(["verify", "--senders", "5", "--trials", "20", "--seed", "4"]) == EXIT_PASS
 
 
 class TestCmdRun:
@@ -363,6 +396,31 @@ class TestMain:
     def test_negative_seed_is_input_error(self, argv, capsys):
         assert main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": [1' + "0" * 400 + ', 0, 0, 0, 0, 0, 0, 0], "delta": [0, 0, 0, 0, 0, 0, 0, 0]}',
+            '{"x": [' + "1" * 5000 + ', 0, 0, 0, 0, 0, 0, 0], "delta": [0, 0, 0, 0, 0, 0, 0, 0]}',
+            "[" * 200000,
+        ],
+        ids=["beyond-float-range", "beyond-int-digit-limit", "nested-200000-deep"],
+    )
+    def test_malformed_number_or_nesting_is_input_error(self, text, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        assert main(["verify", "--profile", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_profile_at_normalization_edge_is_input_error(self, command, tmp_path, capsys):
+        # The sum of squares is within 1e-12 of 1, but the amplitude basis
+        # these magnitudes build fails its Gram check (deviation 1.00009e-12).
+        x = bases_mod.random_amplitude_profile(np.random.default_rng(6)).x * np.sqrt(1 + 0.9999e-12)
+        assert abs(np.sum(x**2) - 1.0) <= 1e-12
+        path = write_profile(tmp_path, {"x": x.tolist(), "delta": valid_doc()["delta"]})
+        assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
 
     def test_non_utf8_profile_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
