@@ -54,7 +54,7 @@ PHASE_ARG_INDEX = (
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """Eight real magnitudes with sum of squares 1, judged by the Gram check
-    of the basis they build (its diagonal is the sum of squares)."""
+    of the amplitude basis they build (its diagonal is the sum of squares)."""
 
     x: np.ndarray
 
@@ -66,9 +66,10 @@ class AmplitudeProfile:
             raise ValueError("amplitude profile entries must be finite")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
-        dev = gram_deviation(amplitude_basis_matrix(self).astype(complex))
-        if dev > NORM_TOL:
-            raise ValueError(f"amplitude profile not normalized: basis Gram deviation {dev!r}")
+        try:
+            amplitude_basis(self)
+        except ValueError as exc:
+            raise ValueError(f"amplitude profile not normalized: {exc}") from None
 
 
 @dataclass(frozen=True)

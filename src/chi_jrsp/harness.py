@@ -13,6 +13,7 @@ which signals a transcription bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -98,27 +99,26 @@ def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfil
         raise ProfileError(f"profile {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProfileError("profile document must be a JSON object")
-    unknown = set(doc) - {"x", "delta", "shares"}
-    if unknown:
+    if unknown := set(doc) - {"x", "delta", "shares"}:
         raise ProfileError(f"unknown profile fields: {sorted(unknown)}")
     if "x" not in doc:
         raise ProfileError("profile is missing field 'x'")
-    if "shares" in doc and (not isinstance(doc["shares"], list) or not doc["shares"]):
-        raise ProfileError("'shares' must be a non-empty list of rows")
 
-    x_vals = _reals(doc["x"], "'x'")
-    d_vals = _reals(doc["delta"], "'delta'") if "delta" in doc else None
-    rows = [_reals(row, "'shares' row") for row in doc["shares"]] if "shares" in doc else None
+    # Fields are checked in order, 'x' first; every ValueError becomes a ProfileError.
     try:
-        x = AmplitudeProfile(x_vals)
-        delta = None if d_vals is None else PhaseProfile(d_vals)
-        shares = None if rows is None else PhaseShares(rows)
+        x = AmplitudeProfile(_reals(doc["x"], "'x'"))
+        delta = PhaseProfile(_reals(doc["delta"], "'delta'")) if "delta" in doc else None
+        shares = None
+        if "shares" in doc:
+            rows = doc["shares"]
+            if not isinstance(rows, list) or not rows:
+                raise ProfileError("'shares' must be a non-empty list of rows")
+            shares = PhaseShares([_reals(row, "'shares' row") for row in rows])
     except ValueError as exc:
         raise ProfileError(str(exc)) from exc
-    if shares is not None and shares.n_senders != senders:
-        raise ProfileError(f"'shares' has {len(rows)} rows, expected {senders - 1} for {senders} senders")
-
     if shares is not None:
+        if shares.n_senders != senders:
+            raise ProfileError(f"'shares' has {len(rows)} rows, expected {senders - 1} for {senders} senders")
         composed = bases.compose_phases(shares)
         if delta is not None and np.max(np.abs(composed.delta - delta.delta)) > COMPOSE_TOL:
             raise ProfileError("'shares' do not compose to 'delta'")
@@ -215,11 +215,11 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     lines.extend(f"# check.{k}\t{v}" for k, v in report.checks.items())
     lines.append(f"# passed\t{report.passed}")
     lines.append("outcome\tprobability\tcorrection\tfidelity\tclassical_bits")
-    for row in report.branches:
-        lines.append(
-            f"{row['outcome']}\t{row['probability']!r}\t{' '.join(row['correction'])}"
-            f"\t{row['fidelity']!r}\t{row['classical_bits']}"
-        )
+    lines.extend(
+        f"{row['outcome']}\t{row['probability']!r}\t{' '.join(row['correction'])}"
+        f"\t{row['fidelity']!r}\t{row['classical_bits']}"
+        for row in report.branches
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -264,8 +264,7 @@ def transcript_to_dict(t: ProtocolTranscript) -> dict:
 def render_transcript(t: ProtocolTranscript, fmt: str) -> str:
     if fmt == "structured":
         return json.dumps(transcript_to_dict(t), indent=2) + "\n"
-    lines = [f"# channel\t{t.channel}"]
-    lines.append("party\tbasis\toutcome\tprobability")
+    lines = [f"# channel\t{t.channel}", "party\tbasis\toutcome\tprobability"]
     for m in t.measurements:
         lines.append(f"{m.party}\t{m.basis}\t{m.outcome}\t{m.probability!r}")
     lines.append(f"# classical_bits\t{t.classical_bits}")
@@ -304,8 +303,7 @@ def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     lines = ["outcome\tcorrection\tfidelity"]
-    for key in keys:
-        lines.append(f"{''.join(map(str, key))}\t{' '.join(table.entries[key])}\t{table.fidelities[key]!r}")
+    lines.extend(f"{''.join(map(str, key))}\t{' '.join(table.entries[key])}\t{table.fidelities[key]!r}" for key in keys)
     return "\n".join(lines) + "\n"
 
 
@@ -331,6 +329,7 @@ def parse_force(text: str) -> tuple[int, tuple[int, ...]]:
     return k, js
 
 
+@functools.cache  # built once per process: building costs about ten parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chi-jrsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -121,9 +121,10 @@ class BasisSet:
 
 
 def gram_deviation(vectors: np.ndarray) -> float:
-    """Max entrywise deviation of the Gram matrix from the identity."""
-    gram = vectors @ vectors.conj().T
-    return float(np.max(np.abs(gram - np.eye(vectors.shape[0]))))
+    """Max entrywise deviation of the Gram matrix from the identity; inf, not NaN, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max(np.abs(vectors @ vectors.conj().T - np.eye(vectors.shape[0])))
+    return float(dev) if np.isfinite(dev) else np.inf
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,13 @@ class TestProfiles:
         with pytest.raises(ValueError):
             AmplitudeProfile([0.5] * 8)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-    def test_amplitude_profile_rejects_overflowing_magnitudes(self):
-        # Finite entries whose squares overflow: the basis's Gram matrix is inf.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [[1e200] * 8, [1e200, 1e200, 0, 0, 0, 0, 0, 0]])
+    def test_amplitude_profile_rejects_overflowing_magnitudes(self, x):
+        # Finite entries whose products overflow: the basis's Gram matrix
+        # holds inf and, from inf - inf, NaN, neither of which may pass.
         with pytest.raises(ValueError, match="not normalized"):
-            AmplitudeProfile([1e200] * 8)
+            AmplitudeProfile(x)
 
     def test_amplitude_profile_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -422,6 +422,34 @@ class TestMain:
         assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_overflowing_magnitudes_are_input_error(self, command, tmp_path, capsys):
+        # The Gram matrix of these magnitudes holds inf and NaN; with warnings
+        # as errors, an overflow warning on the way would fail the test too.
+        path = write_profile(tmp_path, {"x": [1e200, 1e200, 0, 0, 0, 0, 0, 0], "delta": valid_doc()["delta"]})
+        assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
+
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"x": [0.5] * 8, "delta": [1.0] * 8}, "error: amplitude profile not normalized"),
+            ({"delta": [1.0] * 8}, "error: phase profile entry 0 must be exactly 0"),
+        ],
+        ids=["x-first", "delta-before-shares"],
+    )
+    def test_fields_are_checked_in_order(self, fields, message, tmp_path, capsys):
+        path = write_profile(tmp_path, {**valid_doc(), **fields, "shares": [[0.0, 1.0]]})
+        assert main(["verify", "--profile", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_repeated_calls_share_no_parser_state(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--exhaustive", "--seed", "3", "--format", "table", "--out", str(out)]) == EXIT_PASS
+        assert main(["verify", "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["config"] == RunConfig().echo()
+
     def test_non_utf8_profile_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
         path.write_bytes(b"\xff\xfe")
