@@ -7,7 +7,8 @@ table ("table"); identical config and seed produce byte-identical output.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (including an
 unwritable output path), 3 internal oracle failure (no correction found,
-which signals a transcription bug).
+which signals a transcription bug), 4 internal error (any other exception,
+reported as one `internal error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_ORACLE_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 COMPOSE_TOL = 1e-12
 
@@ -140,13 +142,17 @@ def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile | 
     return x, delta if shares is None else shares
 
 
-def _collect_bases(senders: int, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> list[bases.BasisSet]:
-    amplitude, *phase_senders = protocol.measurement_bases(x, phases, senders)
+def _collect_bases(sets: list[list[bases.BasisSet]]) -> list[bases.BasisSet]:
+    """Each distinct basis of `measurement_bases` once: the magnitude
+    sender's, then every phase sender's eight."""
+    amplitude, *phase_senders = sets
     return [amplitude[0], *(basis for row in phase_senders for basis in row)]
 
 
-def _run_campaign(config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> Branches:
-    return protocol.run_branches(x, phases, config.senders, config.mode, config.seed, config.trials, config.force)
+def _run_campaign(
+    config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: list[list[bases.BasisSet]]
+) -> Branches:
+    return protocol.run_branches(x, phases, sets, config.mode, config.seed, config.trials, config.force)
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,10 @@ def _write_output(text: str, out_path: str | None) -> None:
 def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     """Run the configured campaign, write the report, return (status, report)."""
     x, phases = resolve_inputs(config)
-    basis_devs = {
-        b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(config.senders, x, phases)
-    }
+    sets = protocol.measurement_bases(x, phases, config.senders)
+    basis_devs = {b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(sets)}
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
-    report = build_report(config, basis_devs, _run_campaign(config, x, phases) if bases_pass else None)
+    report = build_report(config, basis_devs, _run_campaign(config, x, phases, sets) if bases_pass else None)
     _write_output(render_report(report, config.fmt), config.out_path)
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
 
@@ -389,6 +394,9 @@ def main(argv=None) -> int:
     except NoCorrectionFound as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_ERROR
+    except Exception as exc:  # any other failure is a defect, never "verification failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def cli_entry() -> None:

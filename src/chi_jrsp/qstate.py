@@ -97,21 +97,22 @@ class BasisSet:
     Rows of `vectors` are the basis vectors. Pairwise inner products must
     satisfy |<v_p|v_q> - delta_pq| <= NORM_TOL unless check=False, which
     exists so that validation tooling can inspect defective candidates.
+    `deviation` is the Gram deviation, computed once here, check or not.
     """
 
-    __slots__ = ("vectors", "label")
+    __slots__ = ("vectors", "label", "deviation")
 
     def __init__(self, vectors, label: str = "", *, check: bool = True):
         vectors = np.array(vectors, dtype=complex)
         if vectors.shape != (8, 8):
             raise ValueError(f"basis must be 8 vectors of dimension 8, got {vectors.shape}")
-        if check:
-            dev = gram_deviation(vectors)
-            if dev > NORM_TOL:
-                raise ValueError(f"basis {label or '<unnamed>'} not orthonormal: deviation {dev:g}")
+        dev = gram_deviation(vectors)
+        if check and dev > NORM_TOL:
+            raise ValueError(f"basis {label or '<unnamed>'} not orthonormal: deviation {dev:g}")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "deviation", dev)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisSet is immutable")
@@ -183,9 +184,8 @@ def measure_in_basis(state: StateVector, qubits, basis: BasisSet) -> list[Measur
     probabilities sum to 1 within NORM_TOL.
     """
     qubits = _require_qubits(state, qubits, count=3)
-    dev = gram_deviation(basis.vectors)
-    if dev > NORM_TOL:
-        raise ValueError(f"measurement basis not orthonormal: deviation {dev:g}")
+    if basis.deviation > NORM_TOL:
+        raise ValueError(f"measurement basis not orthonormal: deviation {basis.deviation:g}")
     n = state.n_qubits
     psi = state.amps.reshape([2] * n)
     psi = np.moveaxis(psi, qubits, (0, 1, 2)).reshape(8, -1)

@@ -2,11 +2,12 @@
 
 The runners compute every branch from the channel's 8-term diagonal
 (`_collapse_branches`), then correct and expand the receiver's 8-vectors
-batched; the sampler walks each trial once, carrying the receiver's 8-vector. `_dense_branch` measures the full register with the dense engine,
-and `_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
-expansion. Both paths renormalize after every measurement, so states and
-step probabilities agree to rounding, entrywise and without any global
-phase alignment.
+batched; the sampler draws every trial of a chunk at once, each trial
+carrying the receiver's 8-vector. `_dense_branch` measures the full
+register with the dense engine, and `_TRIPLE_MATRIX` and `parity_expand`
+are the dense correction and expansion. Both paths renormalize after
+every measurement, so states and step probabilities agree to rounding,
+entrywise and without any global phase alignment.
 """
 
 import itertools
@@ -33,14 +34,15 @@ from chi_jrsp.protocol import (
     _TRIPLE_MATRIX,
     _apply_correction,
     _apply_corrections,
+    _basis_rows,
     _collapse_branches,
     _composed_phase,
     _dense_branch,
     _expand_parity,
     _sampled_outcomes,
     _search_corrections,
-    _sender_bases,
     compressed_target,
+    measurement_bases,
     parity_expand,
 )
 from chi_jrsp.qstate import StateVector, fidelity_up_to_phase
@@ -59,8 +61,12 @@ def dense_search(collapsed: StateVector, target3: StateVector):
     return None
 
 
+def sender_rows(x, phases, n_senders):
+    return _basis_rows(measurement_bases(x, phases, n_senders))[0]
+
+
 def assert_matches_oracle(x, phases, outcomes):
-    rows, _ = _sender_bases(x, phases, outcomes.shape[1])
+    rows = sender_rows(x, phases, outcomes.shape[1])
     states, steps = _collapse_branches(rows, outcomes)
     target3 = compressed_target(x, _composed_phase(phases))
     found = _search_corrections(states, target3.amps)
@@ -124,31 +130,56 @@ def replaying_sampler(rows, n_senders, rng, trials):
     return outcomes
 
 
-class RecordingRng:
-    """A seeded generator that keeps every probability vector it draws from."""
+class BoundaryRng:
+    """Stands in for the generator with uniforms placed on CDF entries.
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.probs = []
+    `choice(8, p=q)` does what `Generator.choice` does with one uniform u:
+    it returns the number of entries of cumsum(q) / cumsum(q)[-1] that are
+    <= u. Here u is not drawn: it is CDF entry c, or the double just below
+    it, cycling over c and the two placements. Driven by the reference
+    sampler, it records the uniforms of the reference path; `random(shape)`
+    then serves those uniforms, in order, to the sampler under test. A draw
+    sits exactly on a CDF step, so a probability vector that differs from
+    the reference's in the last ulp moves that step past u or back, and
+    flips the draw.
+    """
+
+    def __init__(self):
+        self.uniforms = []
+        self.served = 0
 
     def choice(self, a, p):
-        self.probs.append(p.copy())
-        return self.rng.choice(a, p=p)
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        n = len(self.uniforms)
+        u = cdf[n % 7] if n // 7 % 2 else np.nextafter(cdf[n % 7], 0.0)
+        self.uniforms.append(u)
+        return np.searchsorted(cdf, u, side="right")
+
+    def random(self, shape):
+        count = int(np.prod(shape))
+        u = np.array(self.uniforms[self.served : self.served + count]).reshape(shape)
+        self.served += count
+        return u
 
 
 def assert_sampler_matches_reference(rows, n_senders, seed, trials):
-    rng, reference_rng = RecordingRng(seed), RecordingRng(seed)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     drawn = _sampled_outcomes(rows, n_senders, rng, trials)
-    expected = replaying_sampler(rows, n_senders, reference_rng, trials)
-    assert np.array_equal(drawn, expected)
-    assert np.array_equal(np.array(rng.probs), np.array(reference_rng.probs))
+    assert np.array_equal(drawn, replaying_sampler(rows, n_senders, reference_rng, trials))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    boundary = BoundaryRng()
+    expected = replaying_sampler(rows, n_senders, boundary, trials)
+    assert np.array_equal(_sampled_outcomes(rows, n_senders, boundary, trials), expected)
+    assert boundary.served == trials * n_senders
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_sampler_matches_replaying_reference(n_senders):
     for seed in range(25):
         x, phases = random_inputs(n_senders, seed)
-        assert_sampler_matches_reference(_sender_bases(x, phases, n_senders)[0], n_senders, seed, trials=20)
+        assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=20)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -156,7 +187,7 @@ def test_sampler_matches_replaying_reference(n_senders):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_sampler_matches_replaying_reference_on_random_profiles(n_senders, data, seed):
     x, phases = data.draw(profiles(n_senders))
-    assert_sampler_matches_reference(_sender_bases(x, phases, n_senders)[0], n_senders, seed, trials=10)
+    assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=10)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -175,6 +206,28 @@ def test_sampler_walks_each_trial_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sampler replayed a prefix")
 
-    rows, _ = _sender_bases(*random_inputs(5, 0), 5)
+    rows = sender_rows(*random_inputs(5, 0), 5)
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
     assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10).shape == (10, 5)
+
+
+@pytest.mark.parametrize("n_senders", [2, 5])
+def test_sampler_draws_do_not_depend_on_chunk_size(n_senders, monkeypatch):
+    # 20 trials in chunks of 7 are three chunks, the last one short.
+    gen = np.random.default_rng(10 + n_senders)
+    rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+    rows[0] = rows[0, 0]
+    whole = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 7)
+    assert np.array_equal(_sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20), whole)
+    assert_sampler_matches_reference(rows, n_senders, seed=3, trials=20)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sampler_rejects_non_finite_probabilities():
+    # All-zero rows give 0/0 probabilities, which Generator.choice rejects.
+    rows = np.zeros((3, 8, 8, 8), dtype=complex)
+    with pytest.raises(ValueError):
+        replaying_sampler(rows, 3, np.random.default_rng(0), 4)
+    with pytest.raises(ValueError):
+        _sampled_outcomes(rows, 3, np.random.default_rng(0), 4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import chi_jrsp.bases as bases_mod
 from chi_jrsp import harness, protocol
 from chi_jrsp.harness import (
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_PASS,
     EXIT_VERIFY_FAIL,
     ProfileError,
@@ -391,6 +393,33 @@ class TestMain:
         ]
         assert main(["run", "--senders", "3", "--seed", "1"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["outcome"] == "471"
+
+    @pytest.mark.parametrize(
+        ("senders", "digest"),
+        [
+            (2, "3c5ac91877f984ad53827a6499758da01bc65dd95ac8302521447a755ae5a125"),
+            (3, "090f64ef8e02ae7adbddee53d92b467c24a5ab0adc270e8486658dae0dc1222e"),
+            (4, "2016bf0b205a085fee5dfac8cfd1545aca0a187731a0c0d3ec88387303f43d5c"),
+            (5, "3514344df62b3def49ea71ec6ca4b1449e0abb78d6e34d66f59f9443cbd3805d"),
+        ],
+    )
+    def test_sampled_report_bytes_pinned(self, senders, digest, capsys):
+        # sha256 of the whole report as the trial-by-trial sampler wrote it;
+        # 2000 trials take the batched sampler over a chunk boundary.
+        argv = ["verify", "--senders", str(senders), "--trials", "2000", "--seed", "7"]
+        assert main(argv) == EXIT_PASS
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [["verify", "--senders", "3", "--trials", "5"], ["run"]])
+    def test_unexpected_exception_is_internal_error(self, argv, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(protocol, "_sampled_outcomes", broken)
+        assert main(argv) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: sampler broke\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["verify", "--seed", "-1"], ["run", "--seed", "-5"]])
     def test_negative_seed_is_input_error(self, argv, capsys):
