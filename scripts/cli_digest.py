@@ -1,4 +1,4 @@
-"""Print the exit code and stdout digest of a fixed set of 448 CLI commands.
+"""Print the exit code and stdout digest of a fixed set of 452 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
 versions of the package and `diff` the outputs to check that a change keeps
@@ -13,6 +13,8 @@ paths echoed in the reports are the same on every run. Stderr is discarded.
 The set:
 - `verify --exhaustive`, N = 2, 3, seeds 0-39 (80);
 - `verify --trials 30` and `run`, N = 2..5, seeds 0-39 (320);
+- `verify --trials 20000 --seed 7`, N = 2..5 (4), which takes the sampler
+  over many chunks and the renderer over many rows;
 - the table format of `verify --exhaustive`, `verify --trials 30` and `run`
   at seed 7 (10);
 - `table`, N = 2, 3, in both formats (4);
@@ -61,6 +63,7 @@ def commands() -> list[list[str]]:
     for n in range(2, 6):
         out += [["verify", "--senders", str(n), "--trials", "30", "--seed", str(s)] for s in range(40)]
         out += [["run", "--senders", str(n), "--seed", str(s)] for s in range(40)]
+    out += [["verify", "--senders", str(n), "--trials", "20000", "--seed", "7"] for n in range(2, 6)]
     out += [["verify", "--senders", str(n), "--exhaustive", "--seed", "7", "--format", "table"] for n in (2, 3)]
     for n in range(2, 6):
         out.append(["verify", "--senders", str(n), "--trials", "30", "--seed", "7", "--format", "table"])

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__, bases, protocol
 from .bases import AmplitudeProfile, PhaseProfile, PhaseShares
-from .protocol import FIDELITY_TOL, Branches, NoCorrectionFound, ProtocolTranscript
+from .protocol import FIDELITY_TOL, Branches, CorrectionTriple, NoCorrectionFound, ProtocolTranscript
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -157,7 +159,9 @@ def _run_campaign(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A verify report; fields in output order."""
+    """A verify report: the head, `engine_version` to `passed`, in output
+    order, then the branch rows as columns. Row b of each column is branch b,
+    and every row announces `classical_bits` bits."""
 
     engine_version: str
     config: dict
@@ -165,10 +169,40 @@ class VerificationReport:
     aggregates: dict
     checks: dict
     passed: bool
-    branches: list[dict]
+    outcomes: list[str]
+    probabilities: list[float]
+    corrections: list[CorrectionTriple]
+    fidelities: list[float]
+    classical_bits: int
+
+    def head(self) -> dict:
+        """The fields before the branch rows, in output order."""
+        return {
+            "engine_version": self.engine_version,
+            "config": self.config,
+            "basis_validation": self.basis_validation,
+            "aggregates": self.aggregates,
+            "checks": self.checks,
+            "passed": self.passed,
+        }
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        """The report as one document, the branch rows as dicts; its
+        `json.dumps(..., indent=2)` is the structured report."""
+        rows = zip(self.outcomes, self.probabilities, self.corrections, self.fidelities)
+        bits = self.classical_bits
+        branches = [
+            {"outcome": o, "probability": p, "correction": list(c), "fidelity": f, "classical_bits": bits}
+            for o, p, c, f in rows
+        ]
+        return {**self.head(), "branches": branches}
+
+
+def _outcome_strings(outcomes: np.ndarray) -> list[str]:
+    """Each row of announced digits (each in 0..7) as its digit string: the
+    row's base-8 index in octal, zero-padded to the row's length."""
+    n = outcomes.shape[1]
+    return list(map(f"%0{n}o".__mod__, (outcomes @ 8 ** np.arange(n - 1, -1, -1)).tolist()))
 
 
 def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches | None) -> VerificationReport:
@@ -176,16 +210,13 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches 
     validation and no branch was run."""
     head = (__version__, config.echo(), basis_devs)
     if run is None:
-        return VerificationReport(*head, {"branch_count": 0}, {"bases_pass": False}, False, [])
+        return VerificationReport(*head, {"branch_count": 0}, {"bases_pass": False}, False, [], [], [], [], 0)
     n = config.senders
     bits = 3 * run.outcomes.shape[1]
-    branches = zip(run.outcomes.tolist(), run.probabilities.tolist(), run.corrections, run.fidelities.tolist())
-    rows = [
-        {"outcome": "".join(map(str, o)), "probability": p, "correction": list(c), "fidelity": f, "classical_bits": bits}
-        for o, p, c, f in branches
-    ]
-    min_fid = min(r["fidelity"] for r in rows)
-    prob_sum = sum(r["probability"] for r in rows)
+    probabilities = run.probabilities.tolist()
+    fidelities = run.fidelities.tolist()
+    min_fid = min(fidelities)
+    prob_sum = sum(probabilities)
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
     fid_pass = min_fid >= 1.0 - FIDELITY_TOL
     bits_pass = bits == protocol.classical_cost(n)
@@ -194,9 +225,9 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches 
         prob_pass = abs(prob_sum - 1.0) <= FIDELITY_TOL
     else:
         rule = "uniform-branch"
-        prob_pass = all(abs(r["probability"] - 8.0**-n) <= FIDELITY_TOL for r in rows)
+        prob_pass = all(abs(p - 8.0**-n) <= FIDELITY_TOL for p in probabilities)
     aggregates = {
-        "branch_count": len(rows),
+        "branch_count": len(probabilities),
         "min_fidelity": min_fid,
         "probability_sum": prob_sum,
         "classical_bits_per_run": protocol.classical_cost(n),
@@ -208,12 +239,55 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches 
         "bases_pass": bases_pass,
         "bits_pass": bits_pass,
     }
-    return VerificationReport(*head, aggregates, checks, fid_pass and prob_pass and bases_pass and bits_pass, rows)
+    passed = fid_pass and prob_pass and bases_pass and bits_pass
+    columns = (_outcome_strings(run.outcomes), probabilities, run.corrections, fidelities, bits)
+    return VerificationReport(*head, aggregates, checks, passed, *columns)
+
+
+# The structured renderers write the bytes of json.dumps(..., indent=2): the
+# head through json.dumps itself, the rows through one %-template per row,
+# filled with JSON text. Rows sit at depth 2 of the document; outcomes are
+# digit strings and corrections triples over CORRECTION_OPS.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CORRECTION = {
+    triple: "[\n" + ",\n".join(f"        {json.dumps(op)}" for op in triple) + "\n      ]"
+    for triple in itertools.product(protocol.CORRECTION_OPS, repeat=3)
+}
+_JSON_BRANCH_ROW = (
+    '    {\n      "outcome": "%s",\n      "probability": %s,\n      "correction": %s,\n'
+    '      "fidelity": %s,\n      "classical_bits": %s\n    }'
+)
+_JSON_ENTRY_ROW = '    {\n      "outcome": "%s",\n      "correction": %s,\n      "fidelity": %s\n    }'
+
+
+def _float_texts(values: list[float], spelling: dict[str, str]) -> list[str]:
+    """Each value as float.__repr__ writes it, or as `spelling` respells that
+    text. Computed once per distinct bit pattern, so 0.0 and -0.0 stay apart:
+    the rows of one campaign share a few probabilities and fidelities. (A
+    dict, not np.unique, whose first call adds about 0.4 MiB of RSS.)"""
+    patterns = np.array(values, dtype=float).view(np.uint64).tolist()
+    distinct = dict(zip(patterns, values))
+    texts = {p: spelling.get(text, text) for p, text in zip(distinct, map(float.__repr__, distinct.values()))}
+    return list(map(texts.__getitem__, patterns))
+
+
+def _json_document(head: dict, key: str, rows: Iterable[str]) -> str:
+    """`json.dumps({**head, key: [...]}, indent=2) + "\n"`, with the list's
+    items already rendered as `rows`; `head` must not be empty."""
+    body = ",\n".join(rows)
+    items = f"[\n{body}\n  ]" if body else "[]"
+    return f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: {items}\n}}\n"
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
+    bits = itertools.repeat(report.classical_bits)
     if fmt == "structured":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
+        rows = zip(
+            report.outcomes, _float_texts(report.probabilities, _JSON_NONFINITE),
+            map(_JSON_CORRECTION.__getitem__, report.corrections), _float_texts(report.fidelities, _JSON_NONFINITE),
+            bits,
+        )
+        return _json_document(report.head(), "branches", map(_JSON_BRANCH_ROW.__mod__, rows))
     lines = [f"# engine_version\t{report.engine_version}"]
     lines.extend(f"# config.{k}\t{v}" for k, v in report.config.items())
     lines.extend(f"# basis.{k}\t{v!r}" for k, v in report.basis_validation.items())
@@ -221,11 +295,11 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     lines.extend(f"# check.{k}\t{v}" for k, v in report.checks.items())
     lines.append(f"# passed\t{report.passed}")
     lines.append("outcome\tprobability\tcorrection\tfidelity\tclassical_bits")
-    lines.extend(
-        f"{row['outcome']}\t{row['probability']!r}\t{' '.join(row['correction'])}"
-        f"\t{row['fidelity']!r}\t{row['classical_bits']}"
-        for row in report.branches
+    rows = zip(
+        report.outcomes, _float_texts(report.probabilities, {}), map(" ".join, report.corrections),
+        _float_texts(report.fidelities, {}), bits,
     )
+    lines.extend(map("%s\t%s\t%s\t%s\t%s".__mod__, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -293,23 +367,15 @@ def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
 
 def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
     keys = sorted(table.entries)
+    outcomes = map(("%d" * table.n_senders).__mod__, keys)
+    corrections = map(table.entries.__getitem__, keys)
+    fidelities = [table.fidelities[key] for key in keys]
     if fmt == "structured":
-        doc = {
-            "engine_version": __version__,
-            "senders": table.n_senders,
-            "entries": [
-                {
-                    "outcome": "".join(map(str, key)),
-                    "correction": list(table.entries[key]),
-                    "fidelity": table.fidelities[key],
-                }
-                for key in keys
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    lines = ["outcome\tcorrection\tfidelity"]
-    lines.extend(f"{''.join(map(str, key))}\t{' '.join(table.entries[key])}\t{table.fidelities[key]!r}" for key in keys)
-    return "\n".join(lines) + "\n"
+        head = {"engine_version": __version__, "senders": table.n_senders}
+        rows = zip(outcomes, map(_JSON_CORRECTION.__getitem__, corrections), _float_texts(fidelities, _JSON_NONFINITE))
+        return _json_document(head, "entries", map(_JSON_ENTRY_ROW.__mod__, rows))
+    rows = zip(outcomes, map(" ".join, corrections), _float_texts(fidelities, {}))
+    return "\n".join(["outcome\tcorrection\tfidelity", *map("%s\t%s\t%s".__mod__, rows)]) + "\n"
 
 
 def cmd_table(config: RunConfig) -> tuple[int, protocol.CorrectionTable]:

@@ -384,6 +384,11 @@ def derive_correction(
     return _search_correction(collapsed, target3)
 
 
+def _all_outcomes(n_senders: int) -> np.ndarray:
+    """All 8**n_senders outcome rows (k, j_1, ..., j_{N-1}) in lexicographic order."""
+    return np.indices((8,) * n_senders).reshape(n_senders, -1).T
+
+
 @dataclass(frozen=True)
 class CorrectionTable:
     """Corrections for every enumerated outcome, with verification fidelities.
@@ -409,11 +414,15 @@ def build_correction_table(n_senders: int, outcomes=None) -> CorrectionTable:
     if outcomes is None:
         if n_senders > 3:
             raise ValueError("full enumeration is limited to 3 senders; pass an outcome subset")
-        outcomes = itertools.product(range(8), repeat=n_senders)
-    keys = [tuple(int(d) for d in outcome) for outcome in outcomes]
-    if any(len(key) != n_senders for key in keys):
-        raise ValueError(f"every outcome must list {n_senders} digits")
-    grid = np.array(keys, dtype=np.intp).reshape(len(keys), n_senders)
+        grid = _all_outcomes(n_senders)
+    else:
+        outcomes = list(outcomes)
+        if any(len(outcome) != n_senders for outcome in outcomes):
+            raise ValueError(f"every outcome must list {n_senders} digits")
+        grid = np.array(outcomes, dtype=np.intp).reshape(len(outcomes), n_senders)
+        if np.any((grid < 0) | (grid > 7)):
+            raise ValueError("outcome digits must be in 0..7")
+    keys = list(map(tuple, grid.tolist()))
 
     derive_x, derive_phases = bases.random_inputs(n_senders, _TABLE_SEED)
     derived, _ = _collapse_branches(_basis_rows(measurement_bases(derive_x, derive_phases, n_senders))[0], grid)
@@ -495,7 +504,7 @@ def run_branches(
     elif mode == "exhaustive":
         if n_senders > 3:
             raise ValueError("exhaustive enumeration is limited to 3 senders")
-        outcomes = np.array(list(itertools.product(range(8), repeat=n_senders)), dtype=np.intp)
+        outcomes = _all_outcomes(n_senders)
     elif mode == "sampled":
         outcomes = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     else:

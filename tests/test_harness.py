@@ -226,7 +226,8 @@ class TestCmdVerify:
         assert status == EXIT_VERIFY_FAIL
         assert report.aggregates == {"branch_count": 0}
         assert report.checks == {"bases_pass": False}
-        assert report.branches == []
+        assert (report.outcomes, report.probabilities, report.corrections, report.fidelities) == ([], [], [], [])
+        assert report.to_dict()["branches"] == []
         assert list(report.to_dict()) == [
             "engine_version", "config", "basis_validation", "aggregates", "checks", "passed", "branches",
         ]
@@ -408,6 +409,27 @@ class TestMain:
         # 2000 trials take the batched sampler over a chunk boundary.
         argv = ["verify", "--senders", str(senders), "--trials", "2000", "--seed", "7"]
         assert main(argv) == EXIT_PASS
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (
+                "verify --senders 3 --exhaustive --seed 7",
+                "fde3ff8422678fffaa35bd565f9d0b621554189c8c4bf8110ec30d77cff16fbc",
+            ),
+            (
+                "verify --senders 2 --exhaustive --seed 7 --format table",
+                "ed7aaadb4275a8f84846a4a6a3e0a45e8828600393de347fcab3611b5b2a06cc",
+            ),
+            ("table --senders 3", "9ad082bdcd9e3b2cdea165fca7ebe5ab29eabeeb2289ad58d06ed75f202d5591"),
+            ("table --senders 3 --format table", "f9abfc046c9ec7d33397caaa7f6c706fff907e872e41c9b700210a17ded60c76"),
+        ],
+    )
+    def test_report_and_table_bytes_pinned(self, argv, digest, capsys):
+        # sha256 of stdout as json.dumps(..., indent=2) of the whole document
+        # and the table lines written row by row from row dicts produced it.
+        assert main(argv.split()) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [["verify", "--senders", "3", "--trials", "5"], ["run"]])

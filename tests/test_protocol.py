@@ -285,6 +285,15 @@ class TestCorrectionTable:
         assert table.entries[(0, 0, 0, 0)] == ("I", "I", "I")
         assert table.entries[(0, 1, 0, 0)] == ("I", "I", "Z")
 
+    @pytest.mark.parametrize(
+        ("outcome", "message"),
+        [((0, 1, 2), "every outcome must list 2 digits"), ((0, -1), "must be in 0..7"), ((8, 0), "must be in 0..7")],
+    )
+    def test_subset_outcome_rejected(self, outcome, message):
+        # A negative digit would index the bases from the end and make an entry.
+        with pytest.raises(ValueError, match=message):
+            build_correction_table(2, outcomes=[(0, 0), outcome])
+
     def test_deterministic(self):
         a = build_correction_table(2)
         b = build_correction_table(2)
