@@ -1,4 +1,4 @@
-"""Print the exit code and stdout digest of a fixed set of 452 CLI commands.
+"""Print the exit code and stdout digest of a fixed set of 461 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
 versions of the package and `diff` the outputs to check that a change keeps
@@ -18,7 +18,7 @@ The set:
 - the table format of `verify --exhaustive`, `verify --trials 30` and `run`
   at seed 7 (10);
 - `table`, N = 2, 3, in both formats (4);
-- forced runs at N = 2, 3, 5 (9);
+- forced runs at N = 2, 3, 5, in both formats (18);
 - four profile documents, each under `verify --exhaustive`,
   `verify --trials 30` and `run` (12);
 - input errors (9);
@@ -70,7 +70,10 @@ def commands() -> list[list[str]]:
         out.append(["run", "--senders", str(n), "--seed", "7", "--format", "table"])
     out += [["table", "--senders", str(n), "--format", fmt] for n in (2, 3) for fmt in ("structured", "table")]
     forced = {2: ("1:2", "0:0", "7:7"), 3: ("1:2,3", "0:0,0", "7:7,7"), 5: ("1:2,3,4,5", "0:0,0,0,0", "7:7,7,7,7")}
-    out += [["run", "--senders", str(n), "--force-outcome", o] for n, outcomes in forced.items() for o in outcomes]
+    for fmt in ([], ["--format", "table"]):
+        out += [
+            ["run", "--senders", str(n), "--force-outcome", o, *fmt] for n, outcomes in forced.items() for o in outcomes
+        ]
     for name, (n, _) in PROFILES.items():
         common = ["--senders", str(n), "--profile", name]
         out += [["verify", *common, "--exhaustive"], ["verify", *common, "--trials", "30", "--seed", "3"],

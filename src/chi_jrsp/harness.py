@@ -63,6 +63,10 @@ class RunConfig:
             raise ProfileError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
             raise ProfileError(f"seed must be non-negative, got {self.seed}")
+        if self.force is not None and len(self.force[1]) != self.senders - 1:
+            raise ProfileError(
+                f"forced outcome lists {len(self.force[1])} phase-sender digits, expected {self.senders - 1}"
+            )
         if self.fmt not in ("structured", "table"):
             raise ProfileError(f"format must be 'structured' or 'table', got {self.fmt!r}")
 
@@ -324,10 +328,15 @@ def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
 
 
+def _channel(t: ProtocolTranscript) -> str:
+    parties = len(t.outcome) + 1
+    return f"3 x GHZ({parties}) over {3 * parties} qubits"
+
+
 def transcript_to_dict(t: ProtocolTranscript) -> dict:
     return {
-        "channel": t.channel,
-        "outcome": t.outcome.digits(),
+        "channel": _channel(t),
+        "outcome": "".join(map(str, t.outcome)),
         "measurements": [
             {"party": m.party, "basis": m.basis, "outcome": m.outcome, "probability": m.probability}
             for m in t.measurements
@@ -343,7 +352,7 @@ def transcript_to_dict(t: ProtocolTranscript) -> dict:
 def render_transcript(t: ProtocolTranscript, fmt: str) -> str:
     if fmt == "structured":
         return json.dumps(transcript_to_dict(t), indent=2) + "\n"
-    lines = [f"# channel\t{t.channel}", "party\tbasis\toutcome\tprobability"]
+    lines = [f"# channel\t{_channel(t)}", "party\tbasis\toutcome\tprobability"]
     for m in t.measurements:
         lines.append(f"{m.party}\t{m.basis}\t{m.outcome}\t{m.probability!r}")
     lines.append(f"# classical_bits\t{t.classical_bits}")
@@ -355,12 +364,9 @@ def render_transcript(t: ProtocolTranscript, fmt: str) -> str:
 
 def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
     """One protocol execution (sampled, or forced via config.force)."""
-    if config.force is not None and len(config.force[1]) != config.senders - 1:
-        raise ProfileError(
-            f"forced outcome lists {len(config.force[1])} phase-sender digits, expected {config.senders - 1}"
-        )
     x, phases = resolve_inputs(config)
-    transcript = protocol.run_protocol(x, phases, config.senders, "sampled", config.seed, 1, config.force)[0]
+    sets = protocol.measurement_bases(x, phases, config.senders)
+    transcript = protocol.transcripts(_run_campaign(config, x, phases, sets))[0]
     _write_output(render_transcript(transcript, config.fmt), config.out_path)
     return EXIT_PASS, transcript
 

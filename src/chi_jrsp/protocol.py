@@ -18,8 +18,9 @@ by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
 normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...), and every branch, forced,
 enumerated or sampled, is computed from that form by `_collapse_branches`.
 `run_branches` returns a run as one batched `Branches` record, which verify
-reports from; `run_protocol` turns it into per-branch transcripts. The dense
-chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
+reports from; `transcripts` reads it as one transcript per branch, the row
+view that `run_two_sender`, `run_n_sender` and the `run` command share. The
+dense chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
 
 Corrections are not taken from a closed form: a brute-force oracle searches
 all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
@@ -94,64 +95,6 @@ class NoCorrectionFound(Exception):
 
 
 @dataclass(frozen=True)
-class QubitLayout:
-    """Qubit numbering for n_senders senders plus the receiver.
-
-    The register is party-major: the magnitude sender holds qubits 0..2,
-    phase sender l holds 3l..3l+2, and the receiver holds the last three.
-    Within each party's triple, position g is that party's qubit in GHZ
-    group g, so group g occupies qubits {3p + g : p over parties}.
-    """
-
-    n_senders: int
-
-    def __post_init__(self):
-        if not 2 <= self.n_senders <= MAX_SENDERS:
-            raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {self.n_senders}")
-
-    @property
-    def n_parties(self) -> int:
-        return self.n_senders + 1
-
-    @property
-    def total_qubits(self) -> int:
-        return 3 * self.n_parties
-
-    @property
-    def alice_triple(self) -> tuple[int, int, int]:
-        return (0, 1, 2)
-
-    def bob_triple(self, l: int) -> tuple[int, int, int]:
-        """Triple of phase sender l, 1-based (l = 1 .. n_senders - 1)."""
-        if not 1 <= l <= self.n_senders - 1:
-            raise ValueError(f"sender index {l} out of range 1..{self.n_senders - 1}")
-        return (3 * l, 3 * l + 1, 3 * l + 2)
-
-    @property
-    def charlie_triple(self) -> tuple[int, int, int]:
-        n = self.n_senders
-        return (3 * n, 3 * n + 1, 3 * n + 2)
-
-    def party_triples(self) -> list[tuple[int, int, int]]:
-        """Every party's triple in register order: senders first, receiver last."""
-        bobs = (self.bob_triple(l) for l in range(1, self.n_senders))
-        return [self.alice_triple, *bobs, self.charlie_triple]
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Announced measurement outcomes: the magnitude sender's k, then each
-    phase sender's j in sender order."""
-
-    alice_k: int
-    bob_j: tuple[int, ...]
-
-    def digits(self) -> str:
-        """Base-8 digit string, magnitude sender's digit first."""
-        return "".join(str(d) for d in (self.alice_k, *self.bob_j))
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     party: str
     basis: str
@@ -161,15 +104,15 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Full record of one protocol branch.
+    """One branch of a `Branches` record, as the `run` command reports it.
 
-    `probability` is the joint probability of the announced outcomes and
-    equals the product of the per-record probabilities. `classical_bits` is
-    3 bits per announcing party, 3N in total.
+    `outcome` is the announced digits (k, j_1, ..., j_{N-1}), with one
+    measurement record per digit. `probability` is the joint probability of
+    the announced outcomes and equals the product of the per-record
+    probabilities. `classical_bits` is 3 bits per announcing party, 3N in total.
     """
 
-    channel: str
-    outcome: Outcome
+    outcome: tuple[int, ...]
     measurements: tuple[MeasurementRecord, ...]
     classical_bits: int
     correction: CorrectionTriple
@@ -228,22 +171,19 @@ def _expand_parity(states3: np.ndarray) -> np.ndarray:
     return out
 
 
-def prepare_channel(layout: QubitLayout) -> StateVector:
-    """Product of three GHZ states, one qubit per party each, per the layout.
+def prepare_channel(n_senders: int) -> StateVector:
+    """Product of three GHZ states, one qubit of each per party.
 
-    Eight nonzero amplitudes of 1/(2 sqrt 2): every GHZ group is jointly
-    all-0 or all-1 across its parties.
+    The register is party-major over the n_senders senders and the
+    receiver: party p (the magnitude sender first, the receiver last) holds
+    qubits 3p..3p+2, and qubit 3p+g is in GHZ group g. Eight nonzero
+    amplitudes of 1/(2 sqrt 2): every GHZ group is jointly all-0 or all-1
+    across its parties, so the group bits m, repeated once per party, give
+    index m * (2**n - 1) // 7 on the n = 3(n_senders + 1) qubits.
     """
-    n = layout.total_qubits
+    n = 3 * (n_senders + 1)
     amps = np.zeros(2**n, dtype=complex)
-    for m in range(8):
-        group_bits = ((m >> 2) & 1, (m >> 1) & 1, m & 1)
-        index = 0
-        for triple in layout.party_triples():
-            for g, bit in enumerate(group_bits):
-                if bit:
-                    index |= 1 << (n - 1 - triple[g])
-        amps[index] = _CHANNEL_AMPLITUDE
+    amps[np.arange(8) * (2**n - 1) // 7] = _CHANNEL_AMPLITUDE
     return StateVector(amps)
 
 
@@ -264,7 +204,7 @@ def _dense_branch(
     """
     outcome = [int(d) for d in outcome]
     sets = measurement_bases(x, phases, len(outcome))
-    state = prepare_channel(QubitLayout(len(outcome)))
+    state = prepare_channel(len(outcome))
     steps = []
     for p, digit in enumerate(outcome):
         branch = measure_in_basis(state, (0, 1, 2), sets[p][outcome[0]])[digit]
@@ -518,25 +458,15 @@ def run_branches(
     return Branches(labels, outcomes, steps, [_TRIPLES[t] for t in found.tolist()], finals, fidelities)
 
 
-def run_protocol(
-    x: AmplitudeProfile,
-    phases: PhaseProfile | PhaseShares,
-    n_senders: int,
-    mode: str,
-    seed: int | None,
-    trials: int,
-    force: tuple[int, tuple[int, ...]] | None,
-) -> list[ProtocolTranscript]:
-    """`run_branches` as one transcript per branch."""
-    run = run_branches(x, phases, measurement_bases(x, phases, n_senders), mode, seed, trials, force)
-    channel = f"3 x GHZ({n_senders + 1}) over {3 * (n_senders + 1)} qubits"
+def transcripts(run: Branches) -> list[ProtocolTranscript]:
+    """One transcript per branch of `run`, in its branch order."""
+    bits = 3 * run.outcomes.shape[1]
     branches = zip(run.outcomes.tolist(), run.steps.tolist(), run.corrections, run.finals,
                    run.fidelities.tolist(), run.probabilities.tolist())
     return [
         ProtocolTranscript(
-            channel=channel, outcome=Outcome(o[0], tuple(o[1:])), measurements=_records(run.labels, o, step),
-            classical_bits=3 * n_senders, correction=correction, final_state=StateVector(final),
-            fidelity=fidelity, probability=probability,
+            outcome=tuple(o), measurements=_records(run.labels, o, step), classical_bits=bits,
+            correction=correction, final_state=StateVector(final), fidelity=fidelity, probability=probability,
         )
         for o, step, correction, final, fidelity, probability in branches
     ]
@@ -552,7 +482,7 @@ def run_two_sender(
 ) -> list[ProtocolTranscript]:
     """Run the two-sender protocol. Every branch carries probability 1/64
     and final fidelity 1 up to tolerance."""
-    return run_protocol(x, delta, 2, mode, seed, trials, force)
+    return transcripts(run_branches(x, delta, measurement_bases(x, delta, 2), mode, seed, trials, force))
 
 
 def run_n_sender(
@@ -565,7 +495,7 @@ def run_n_sender(
     force: tuple[int, tuple[int, ...]] | None = None,
 ) -> list[ProtocolTranscript]:
     """Run the N-sender protocol; the target phases are the composed shares."""
-    return run_protocol(x, shares, n_senders, mode, seed, trials, force)
+    return transcripts(run_branches(x, shares, measurement_bases(x, shares, n_senders), mode, seed, trials, force))
 
 
 def classical_cost(n_senders: int) -> int:

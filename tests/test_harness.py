@@ -424,11 +424,25 @@ class TestMain:
             ),
             ("table --senders 3", "9ad082bdcd9e3b2cdea165fca7ebe5ab29eabeeb2289ad58d06ed75f202d5591"),
             ("table --senders 3 --format table", "f9abfc046c9ec7d33397caaa7f6c706fff907e872e41c9b700210a17ded60c76"),
+            ("run --senders 3 --seed 7", "ae4be3ca48b6017b0ed6092c84a59af6faa0f9904b41b62609141c053ff0fdee"),
+            (
+                "run --senders 3 --seed 7 --format table",
+                "3058d82e900ed18d581eedfde37f99731c9c03516fd173a6e6447996448b3ffa",
+            ),
+            (
+                "run --senders 5 --force-outcome 1:2,3,4,5",
+                "67a52b7ad7ccdfb06a92afaf6c0146fe2b7d1d444482750e408476745ff01085",
+            ),
+            (
+                "run --senders 5 --force-outcome 1:2,3,4,5 --format table",
+                "197ce6c32eed4c4c82b419712ef3b50915f0554fefd9760c15089ff975cb0d48",
+            ),
         ],
     )
     def test_report_and_table_bytes_pinned(self, argv, digest, capsys):
         # sha256 of stdout as json.dumps(..., indent=2) of the whole document
-        # and the table lines written row by row from row dicts produced it.
+        # and the table lines written row by row from row dicts produced it;
+        # for `run`, as it was written before `run` shared `verify`'s path.
         assert main(argv.split()) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -14,14 +14,13 @@ from chi_jrsp.bases import (
 from chi_jrsp.protocol import (
     CHI_SUPPORT,
     NoCorrectionFound,
-    Outcome,
-    QubitLayout,
     _collapse_branch,
     _search_correction,
     build_correction_table,
     classical_cost,
     compressed_target,
     derive_correction,
+    measurement_bases,
     parity_expand,
     prepare_channel,
     run_n_sender,
@@ -47,28 +46,6 @@ def aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     return float(np.max(np.abs(a - b * phase)))
-
-
-class TestQubitLayout:
-    def test_party_major_triples(self):
-        layout = QubitLayout(3)
-        assert layout.total_qubits == 12
-        assert layout.alice_triple == (0, 1, 2)
-        assert layout.bob_triple(1) == (3, 4, 5)
-        assert layout.bob_triple(2) == (6, 7, 8)
-        assert layout.charlie_triple == (9, 10, 11)
-
-    def test_triples_partition_register(self):
-        layout = QubitLayout(4)
-        triples = [layout.alice_triple, *(layout.bob_triple(l) for l in (1, 2, 3)), layout.charlie_triple]
-        flat = [q for t in triples for q in t]
-        assert sorted(flat) == list(range(layout.total_qubits))
-
-    def test_sender_bounds(self):
-        with pytest.raises(ValueError):
-            QubitLayout(1)
-        with pytest.raises(ValueError):
-            QubitLayout(6)
 
 
 class TestTargetState:
@@ -144,34 +121,43 @@ class TestPrepareChannel:
         return sorted(out)
 
     def test_two_sender_indices(self):
-        channel = prepare_channel(QubitLayout(2))
+        channel = prepare_channel(2)
         nonzero = np.flatnonzero(np.abs(channel.amps) > 1e-15)
         assert nonzero.tolist() == [0, 73, 146, 219, 292, 365, 438, 511]
         assert nonzero.tolist() == self.expected_indices(2)
         assert np.allclose(channel.amps[nonzero], INV_2SQRT2)
 
-    def test_three_sender_channel(self):
-        channel = prepare_channel(QubitLayout(3))
-        assert channel.n_qubits == 12
+    @pytest.mark.parametrize("n_senders", [2, 3, 4, 5])
+    def test_channel_indices(self, n_senders):
+        channel = prepare_channel(n_senders)
+        assert channel.n_qubits == 3 * (n_senders + 1)
         nonzero = np.flatnonzero(np.abs(channel.amps) > 1e-15)
-        assert nonzero.tolist() == self.expected_indices(3)
+        assert nonzero.tolist() == self.expected_indices(n_senders)
         assert np.allclose(channel.amps[nonzero], INV_2SQRT2)
 
     def test_groups_jointly_zero_or_one(self):
-        layout = QubitLayout(2)
-        channel = prepare_channel(layout)
+        channel = prepare_channel(2)
         for idx in np.flatnonzero(np.abs(channel.amps) > 1e-15):
-            bits = ket_bits(int(idx), layout.total_qubits)
+            bits = ket_bits(int(idx), channel.n_qubits)
             for g in range(3):
-                group = {bits[3 * p + g] for p in range(layout.n_parties)}
+                group = {bits[3 * p + g] for p in range(3)}
                 assert len(group) == 1
 
     def test_alice_outcomes_uniform(self):
         x, _ = seeded_inputs(1)
-        channel = prepare_channel(QubitLayout(2))
+        channel = prepare_channel(2)
         branches = measure_in_basis(channel, (0, 1, 2), amplitude_basis(x))
         for branch in branches:
             assert branch.probability == pytest.approx(1 / 8, abs=TOL)
+
+
+class TestMeasurementBases:
+    def test_sender_bounds(self):
+        x, delta = seeded_inputs(0)
+        with pytest.raises(ValueError, match="n_senders must be in 2..5"):
+            measurement_bases(x, delta, 1)
+        with pytest.raises(ValueError, match="n_senders must be in 2..5"):
+            measurement_bases(x, delta, 6)
 
 
 class TestWorkedCollapse:
@@ -316,7 +302,7 @@ class TestRunTwoSender:
 
     def test_outcome_order_lexicographic(self):
         x, delta = seeded_inputs(9)
-        digits = [t.outcome.digits() for t in run_two_sender(x, delta)]
+        digits = ["".join(map(str, t.outcome)) for t in run_two_sender(x, delta)]
         assert digits == sorted(digits)
         assert digits[:3] == ["00", "01", "02"]
 
@@ -344,7 +330,7 @@ class TestRunTwoSender:
     def test_forced_branch(self):
         x, delta = seeded_inputs(13)
         (t,) = run_two_sender(x, delta, force=(1, (2,)))
-        assert t.outcome == Outcome(1, (2,))
+        assert t.outcome == (1, 2)
         assert t.correction == ("Z", "Z", "X")
         assert t.fidelity >= 1 - TOL
 
