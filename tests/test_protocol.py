@@ -48,6 +48,18 @@ def aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b * phase)))
 
 
+class TestQubitLayout:
+    def test_party_major_triples(self):
+        # Party p (Alice, Bob_1, Bob_2, Charlie for N = 3) holds qubits
+        # 3p..3p+2, and each of those triples carries the same group bits.
+        channel = prepare_channel(3)
+        assert channel.n_qubits == 12
+        triples = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+        for idx in np.flatnonzero(np.abs(channel.amps) > 1e-15):
+            bits = ket_bits(int(idx), channel.n_qubits)
+            assert len({tuple(bits[q] for q in t) for t in triples}) == 1
+
+
 class TestTargetState:
     def test_degenerate_profile(self):
         x = AmplitudeProfile([1, 0, 0, 0, 0, 0, 0, 0])
@@ -125,6 +137,13 @@ class TestPrepareChannel:
         nonzero = np.flatnonzero(np.abs(channel.amps) > 1e-15)
         assert nonzero.tolist() == [0, 73, 146, 219, 292, 365, 438, 511]
         assert nonzero.tolist() == self.expected_indices(2)
+        assert np.allclose(channel.amps[nonzero], INV_2SQRT2)
+
+    def test_three_sender_channel(self):
+        channel = prepare_channel(3)
+        assert channel.n_qubits == 12
+        nonzero = np.flatnonzero(np.abs(channel.amps) > 1e-15)
+        assert nonzero.tolist() == self.expected_indices(3)
         assert np.allclose(channel.amps[nonzero], INV_2SQRT2)
 
     @pytest.mark.parametrize("n_senders", [2, 3, 4, 5])
