@@ -4,6 +4,7 @@ Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
 versions of the package and `diff` the outputs to check that a change keeps
 stdout and exit codes byte-identical:
 
+    PYTHONPATH=<checkout of the parent commit>/src python3 scripts/cli_digest.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digest.py > after.txt
 
 The commands run in-process through `chi_jrsp.harness.main`, from a
@@ -23,7 +24,8 @@ The set:
   `verify --trials 30` and `run` (12);
 - input errors (9);
 - the report of a failed basis validation, with the amplitude basis
-  perturbed by 1e-6, N = 2, 3, in both formats (4).
+  perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
+  runs, and the report lists all 64 or 512 of them with `bases_pass` false.
 """
 
 from __future__ import annotations

@@ -57,12 +57,14 @@ class RunConfig:
             raise ProfileError(f"senders must be in 2..{protocol.MAX_SENDERS}, got {self.senders}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ProfileError(f"mode must be 'exhaustive' or 'sampled', got {self.mode!r}")
-        if self.mode == "exhaustive" and self.senders > 3:
-            raise ProfileError("exhaustive mode is only allowed for at most 3 senders")
+        if self.mode == "exhaustive" and self.senders > protocol.MAX_ENUMERATED_SENDERS:
+            raise ProfileError(f"exhaustive mode is only allowed for at most {protocol.MAX_ENUMERATED_SENDERS} senders")
         if self.trials < 1:
             raise ProfileError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
             raise ProfileError(f"seed must be non-negative, got {self.seed}")
+        if self.force is not None and not all(0 <= d <= 7 for d in (self.force[0], *self.force[1])):
+            raise ProfileError(f"forced outcome digits must be in 0..7, got {self.echo()['force']!r}")
         if self.force is not None and len(self.force[1]) != self.senders - 1:
             raise ProfileError(
                 f"forced outcome lists {len(self.force[1])} phase-sender digits, expected {self.senders - 1}"
@@ -91,8 +93,9 @@ def _reals(obj, what: str) -> list[float]:
     return obj
 
 
-def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfile, PhaseShares | None]:
-    """Parse and validate a profile document for a run with `senders` senders.
+def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfile | PhaseShares]:
+    """Parse and validate a profile document for a run with `senders` senders:
+    the magnitudes, then the shares if there are any, otherwise 'delta'.
 
     Integers parse as floats, so one beyond float range reads as inf (rejected
     as non-finite) and none meets int's digit limit.
@@ -130,13 +133,12 @@ def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfil
         composed = bases.compose_phases(shares)
         if delta is not None and np.max(np.abs(composed.delta - delta.delta)) > COMPOSE_TOL:
             raise ProfileError("'shares' do not compose to 'delta'")
-        delta = composed
-    elif delta is None:
+        return x, shares
+    if delta is None:
         raise ProfileError("profile must provide 'delta' or 'shares'")
-    elif senders > 2:
+    if senders > 2:
         raise ProfileError(f"a {senders}-sender run needs 'shares' with {senders - 1} rows")
-
-    return x, delta, shares
+    return x, delta
 
 
 def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile | PhaseShares]:
@@ -144,8 +146,7 @@ def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile | 
     profile file or from the seeded generator, per the config."""
     if config.profile_path is None:
         return bases.random_inputs(config.senders, config.seed)
-    x, delta, shares = load_profile(config.profile_path, config.senders)
-    return x, delta if shares is None else shares
+    return load_profile(config.profile_path, config.senders)
 
 
 def _collect_bases(sets: list[list[bases.BasisSet]]) -> list[bases.BasisSet]:
@@ -209,12 +210,8 @@ def _outcome_strings(outcomes: np.ndarray) -> list[str]:
     return list(map(f"%0{n}o".__mod__, (outcomes @ 8 ** np.arange(n - 1, -1, -1)).tolist()))
 
 
-def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches | None) -> VerificationReport:
-    """The report of one campaign; `run` is None when a basis failed
-    validation and no branch was run."""
-    head = (__version__, config.echo(), basis_devs)
-    if run is None:
-        return VerificationReport(*head, {"branch_count": 0}, {"bases_pass": False}, False, [], [], [], [], 0)
+def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches) -> VerificationReport:
+    """The report of one campaign: the one judge of its branches and bases."""
     n = config.senders
     bits = 3 * run.outcomes.shape[1]
     probabilities = run.probabilities.tolist()
@@ -245,7 +242,7 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches 
     }
     passed = fid_pass and prob_pass and bases_pass and bits_pass
     columns = (_outcome_strings(run.outcomes), probabilities, run.corrections, fidelities, bits)
-    return VerificationReport(*head, aggregates, checks, passed, *columns)
+    return VerificationReport(__version__, config.echo(), basis_devs, aggregates, checks, passed, *columns)
 
 
 # The structured renderers write the bytes of json.dumps(..., indent=2): the
@@ -322,8 +319,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     x, phases = resolve_inputs(config)
     sets = protocol.measurement_bases(x, phases, config.senders)
     basis_devs = {b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(sets)}
-    bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
-    report = build_report(config, basis_devs, _run_campaign(config, x, phases, sets) if bases_pass else None)
+    report = build_report(config, basis_devs, _run_campaign(config, x, phases, sets))
     _write_output(render_report(report, config.fmt), config.out_path)
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
 
@@ -385,9 +381,9 @@ def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
 
 
 def cmd_table(config: RunConfig) -> tuple[int, protocol.CorrectionTable]:
-    """Derive, verify and emit the full correction table (up to 3 senders)."""
-    if config.senders > 3:
-        raise ProfileError("full correction tables are limited to 3 senders")
+    """Derive, verify and emit the full correction table."""
+    if config.senders > protocol.MAX_ENUMERATED_SENDERS:
+        raise ProfileError(f"full correction tables are limited to {protocol.MAX_ENUMERATED_SENDERS} senders")
     table = protocol.build_correction_table(config.senders)
     _write_output(render_table(table, config.fmt), config.out_path)
     return EXIT_PASS, table
@@ -401,8 +397,6 @@ def parse_force(text: str) -> tuple[int, tuple[int, ...]]:
         js = tuple(int(p) for p in tail.split(","))
     except ValueError as exc:
         raise ProfileError(f"cannot parse forced outcome {text!r}: expected K:J1[,J2,...]") from exc
-    if not 0 <= k <= 7 or not all(0 <= j <= 7 for j in js):
-        raise ProfileError(f"forced outcome digits must be in 0..7, got {text!r}")
     return k, js
 
 

@@ -51,6 +51,8 @@ from .qstate import (  # noqa: F401
 )
 
 MAX_SENDERS = 5
+# Exhaustive runs and correction tables enumerate all 8**N branches up to this many senders.
+MAX_ENUMERATED_SENDERS = 3
 FIDELITY_TOL = 1e-10
 
 # Per-qubit correction alphabet in deterministic search order. "ZX" means
@@ -137,16 +139,16 @@ class Branches:
         return np.prod(self.steps, axis=1)
 
 
-def target_state(x: AmplitudeProfile, delta: PhaseProfile) -> StateVector:
-    """Four-qubit target: magnitudes and phases on the even-parity kets."""
-    amps = np.zeros(16, dtype=complex)
-    amps[list(CHI_SUPPORT)] = x.x * np.exp(1j * delta.delta)
-    return StateVector(amps)
+def compressed_target(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> StateVector:
+    """Three-qubit form of the target, one amplitude per index 0..7; shares compose first."""
+    if isinstance(phases, PhaseShares):
+        phases = bases.compose_phases(phases)
+    return StateVector(x.x * np.exp(1j * phases.delta))
 
 
-def compressed_target(x: AmplitudeProfile, delta: PhaseProfile) -> StateVector:
-    """Three-qubit form of the target, one amplitude per index 0..7."""
-    return StateVector(x.x * np.exp(1j * delta.delta))
+def target_state(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> StateVector:
+    """Four-qubit target: the compressed target on the even-parity kets."""
+    return StateVector(_expand_parity(compressed_target(x, phases).amps[None])[0])
 
 
 def parity_expand(state3: StateVector) -> StateVector:
@@ -185,12 +187,6 @@ def prepare_channel(n_senders: int) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     amps[np.arange(8) * (2**n - 1) // 7] = _CHANNEL_AMPLITUDE
     return StateVector(amps)
-
-
-def _composed_phase(phases: PhaseProfile | PhaseShares) -> PhaseProfile:
-    if isinstance(phases, PhaseShares):
-        return bases.compose_phases(phases)
-    return phases
 
 
 def _dense_branch(
@@ -266,15 +262,26 @@ def _records(labels: list[list[str]], outcome: list[int], steps: list[float]) ->
     )
 
 
+def _forced_outcome(alice_k: int, bob_j, n_senders: int) -> np.ndarray:
+    """The outcome row (alice_k, *bob_j) as a (1, n_senders) array, checked:
+    a negative digit would index the bases from the end and run a branch."""
+    outcome = np.array([[alice_k, *bob_j]], dtype=np.intp)
+    if outcome.shape[1] != n_senders:
+        raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {n_senders}")
+    if np.any((outcome < 0) | (outcome > 7)):
+        raise ValueError("outcome digits must be in 0..7")
+    return outcome
+
+
 def _collapse_branch(
     x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int, bob_j
 ) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
     """Force the branch (alice_k, bob_j) and return the receiver's collapsed
     3-qubit state, the joint branch probability, and the step records."""
-    outcome = [int(alice_k), *(int(j) for j in bob_j)]
-    rows, labels = _basis_rows(measurement_bases(x, phases, len(outcome)))
-    states, steps = _collapse_branches(rows, np.array([outcome]))
-    return StateVector(states[0]), float(np.prod(steps[0])), _records(labels, outcome, steps[0].tolist())
+    rows, labels = _basis_rows(measurement_bases(x, phases, 1 + len(bob_j)))
+    digits = _forced_outcome(alice_k, bob_j, 1 + len(bob_j))
+    states, steps = _collapse_branches(rows, digits)
+    return StateVector(states[0]), float(np.prod(steps[0])), _records(labels, digits[0].tolist(), steps[0].tolist())
 
 
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
@@ -320,8 +327,7 @@ def derive_correction(
     first receiver qubit outermost) makes the result deterministic.
     """
     collapsed, _, _ = _collapse_branch(x, phases, alice_k, bob_j)
-    target3 = compressed_target(x, _composed_phase(phases))
-    return _search_correction(collapsed, target3)
+    return _search_correction(collapsed, compressed_target(x, phases))
 
 
 def _all_outcomes(n_senders: int) -> np.ndarray:
@@ -343,34 +349,23 @@ class CorrectionTable:
     fidelities: dict[tuple[int, ...], float]
 
 
-def build_correction_table(n_senders: int, outcomes=None) -> CorrectionTable:
-    """Derive (and independently verify) corrections over outcome combinations.
-
-    Enumerates all 8**n_senders outcomes for up to three senders; beyond
-    that a caller-specified outcome subset is required. Derivation and
-    verification use two independently seeded generic profiles, so a table
-    entry only survives if it is profile-independent.
-    """
-    if outcomes is None:
-        if n_senders > 3:
-            raise ValueError("full enumeration is limited to 3 senders; pass an outcome subset")
-        grid = _all_outcomes(n_senders)
-    else:
-        outcomes = list(outcomes)
-        if any(len(outcome) != n_senders for outcome in outcomes):
-            raise ValueError(f"every outcome must list {n_senders} digits")
-        grid = np.array(outcomes, dtype=np.intp).reshape(len(outcomes), n_senders)
-        if np.any((grid < 0) | (grid > 7)):
-            raise ValueError("outcome digits must be in 0..7")
+def build_correction_table(n_senders: int) -> CorrectionTable:
+    """Derive (and independently verify) corrections for all 8**n_senders
+    outcomes, up to MAX_ENUMERATED_SENDERS senders. Derivation and verification
+    use two independently seeded generic profiles, so a table entry only
+    survives if it is profile-independent."""
+    if n_senders > MAX_ENUMERATED_SENDERS:
+        raise ValueError(f"full enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
+    grid = _all_outcomes(n_senders)
     keys = list(map(tuple, grid.tolist()))
 
     derive_x, derive_phases = bases.random_inputs(n_senders, _TABLE_SEED)
     derived, _ = _collapse_branches(_basis_rows(measurement_bases(derive_x, derive_phases, n_senders))[0], grid)
-    found = _search_corrections(derived, compressed_target(derive_x, _composed_phase(derive_phases)).amps)
+    found = _search_corrections(derived, compressed_target(derive_x, derive_phases).amps)
 
     check_x, check_phases = bases.random_inputs(n_senders, _TABLE_SEED + 1)
     checked, _ = _collapse_branches(_basis_rows(measurement_bases(check_x, check_phases, n_senders))[0], grid)
-    check_target = compressed_target(check_x, _composed_phase(check_phases))
+    check_target = compressed_target(check_x, check_phases)
     fidelities = np.abs(_apply_corrections(checked, found).conj() @ check_target.amps) ** 2
     failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
     if failed.size:
@@ -431,30 +426,28 @@ def run_branches(
     is `measurement_bases(x, phases, n_senders)`, built by the caller, and
     its length is the sender count.
 
-    Exhaustive mode computes all 8**n_senders branches (up to three senders)
+    Exhaustive mode computes all 8**n_senders branches (N <= MAX_ENUMERATED_SENDERS)
     in outcome-lexicographic order; sampled mode draws `trials` branches
     from the true distribution; `force` runs the one branch it names.
     """
     n_senders = len(sets)
     rows, labels = _basis_rows(sets)
     if force is not None:
-        outcomes = np.array([[force[0], *force[1]]], dtype=np.intp)
-        if outcomes.shape[1] != n_senders:
-            raise ValueError(f"forced outcome lists {outcomes.shape[1]} digits, expected {n_senders}")
+        outcomes = _forced_outcome(force[0], force[1], n_senders)
     elif mode == "exhaustive":
-        if n_senders > 3:
-            raise ValueError("exhaustive enumeration is limited to 3 senders")
+        if n_senders > MAX_ENUMERATED_SENDERS:
+            raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
         outcomes = _all_outcomes(n_senders)
     elif mode == "sampled":
         outcomes = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
 
-    composed = _composed_phase(phases)
+    target3 = compressed_target(x, phases).amps
     states, steps = _collapse_branches(rows, outcomes)
-    found = _search_corrections(states, compressed_target(x, composed).amps)
+    found = _search_corrections(states, target3)
     finals = _expand_parity(_apply_corrections(states, found))
-    fidelities = np.abs(finals.conj() @ target_state(x, composed).amps) ** 2
+    fidelities = np.abs(finals.conj() @ _expand_parity(target3[None])[0]) ** 2
     return Branches(labels, outcomes, steps, [_TRIPLES[t] for t in found.tolist()], finals, fidelities)
 
 

@@ -36,7 +36,6 @@ from chi_jrsp.protocol import (
     _apply_corrections,
     _basis_rows,
     _collapse_branches,
-    _composed_phase,
     _dense_branch,
     _expand_parity,
     _sampled_outcomes,
@@ -68,7 +67,7 @@ def sender_rows(x, phases, n_senders):
 def assert_matches_oracle(x, phases, outcomes):
     rows = sender_rows(x, phases, outcomes.shape[1])
     states, steps = _collapse_branches(rows, outcomes)
-    target3 = compressed_target(x, _composed_phase(phases))
+    target3 = compressed_target(x, phases)
     found = _search_corrections(states, target3.amps)
     for outcome, state, step, t in zip(outcomes, states, steps, found):
         dense, dense_steps = _dense_branch(x, phases, outcome)

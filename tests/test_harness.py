@@ -21,6 +21,7 @@ from chi_jrsp.harness import (
     parse_force,
     resolve_inputs,
 )
+from chi_jrsp.bases import PhaseProfile, compose_phases
 from chi_jrsp.qstate import BasisSet
 
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -40,10 +41,10 @@ def valid_doc():
 class TestLoadProfile:
     def test_round_trip(self, tmp_path):
         doc = valid_doc()
-        x, delta, shares = load_profile(write_profile(tmp_path, doc), senders=2)
+        x, phases = load_profile(write_profile(tmp_path, doc), senders=2)
         assert np.allclose(x.x, doc["x"])
-        assert np.allclose(delta.delta, doc["delta"])
-        assert shares is None
+        assert isinstance(phases, PhaseProfile)
+        assert np.allclose(phases.delta, doc["delta"])
 
     def test_rejects_unnormalized_x(self, tmp_path):
         doc = valid_doc()
@@ -79,9 +80,9 @@ class TestLoadProfile:
         doc = valid_doc()
         half = [v / 2 for v in doc["delta"]]
         doc["shares"] = [half, half]
-        x, delta, shares = load_profile(write_profile(tmp_path, doc), senders=3)
-        assert shares.n_senders == 3
-        assert np.allclose(delta.delta, doc["delta"])
+        x, phases = load_profile(write_profile(tmp_path, doc), senders=3)
+        assert phases.n_senders == 3
+        assert np.allclose(compose_phases(phases).delta, doc["delta"])
 
     def test_inconsistent_shares_rejected(self, tmp_path):
         doc = valid_doc()
@@ -211,7 +212,8 @@ class TestCmdVerify:
         assert report.basis_validation["amplitude"] >= 1e-7
 
     def test_basis_failure_report(self, tmp_path, monkeypatch):
-        # No branch runs when a basis fails: the report says so and nothing more.
+        # A failed basis does not stop the campaign: every branch runs, and the
+        # report judges the bases through its bases_pass check.
         real = bases_mod.amplitude_basis
 
         def perturbed(profile):
@@ -224,17 +226,18 @@ class TestCmdVerify:
         config = RunConfig(senders=2, mode="exhaustive", seed=1, out_path=str(out), fmt="table")
         status, report = cmd_verify(config)
         assert status == EXIT_VERIFY_FAIL
-        assert report.aggregates == {"branch_count": 0}
-        assert report.checks == {"bases_pass": False}
-        assert (report.outcomes, report.probabilities, report.corrections, report.fidelities) == ([], [], [], [])
-        assert report.to_dict()["branches"] == []
+        assert not report.passed
+        assert report.aggregates["branch_count"] == 64
+        assert report.checks["bases_pass"] is False
+        assert report.basis_validation["amplitude"] >= 1e-7
+        assert len(report.outcomes) == len(report.to_dict()["branches"]) == 64
         assert list(report.to_dict()) == [
             "engine_version", "config", "basis_validation", "aggregates", "checks", "passed", "branches",
         ]
         lines = out.read_text().splitlines()
         assert "# check.bases_pass\tFalse" in lines
-        assert "# aggregate.branch_count\t0" in lines
-        assert lines[-1] == "outcome\tprobability\tcorrection\tfidelity\tclassical_bits"
+        assert "# aggregate.branch_count\t64" in lines
+        assert len(lines) == lines.index("outcome\tprobability\tcorrection\tfidelity\tclassical_bits") + 65
 
     def test_verify_builds_no_transcripts(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -270,6 +273,15 @@ class TestCmdRun:
     def test_force_digit_count_checked(self):
         with pytest.raises(ProfileError):
             cmd_run(RunConfig(senders=3, force=(1, (2,))))
+
+    @pytest.mark.parametrize("force", [(1, (-3,)), (-1, (2,)), (8, (0,)), (0, (8,))])
+    def test_force_digit_range_checked(self, force, tmp_path):
+        # A negative digit would run the branch it indexes from the end and
+        # write an outcome like "1-3"; nothing may be written.
+        out = tmp_path / "forced.json"
+        with pytest.raises(ProfileError, match="must be in 0..7"):
+            cmd_run(RunConfig(senders=2, force=force, out_path=str(out)))
+        assert not out.exists()
 
     def test_chi_fixture_final_state(self, tmp_path):
         doc = {"x": [INV_2SQRT2] * 8, "delta": [0.0, np.pi, np.pi, 0, 0, 0, 0, 0]}
@@ -321,8 +333,12 @@ class TestForceParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ProfileError):
             parse_force("1-3")
-        with pytest.raises(ProfileError):
-            parse_force("9:1")
+
+    def test_digit_range_is_a_config_check(self):
+        # parse_force reads the digits; RunConfig checks their range for every caller.
+        assert parse_force("9:1") == (9, (1,))
+        with pytest.raises(ProfileError, match=r"forced outcome digits must be in 0\.\.7, got '9:1'"):
+            RunConfig(senders=2, force=(9, (1,)))
 
 
 class TestMain:

@@ -9,9 +9,11 @@ from chi_jrsp.bases import (
     compose_phases,
     random_amplitude_profile,
     random_phase_profile,
+    random_inputs,
     random_phase_shares,
 )
 from chi_jrsp.protocol import (
+    _TABLE_SEED,
     CHI_SUPPORT,
     NoCorrectionFound,
     _collapse_branch,
@@ -90,6 +92,18 @@ class TestTargetState:
 
 
 class TestCompressedTarget:
+    def test_shares_stand_for_their_composed_profile(self):
+        # Shares compose inside compressed_target, so both targets are the
+        # same bits whichever phase input they get; target_state places the
+        # compressed amplitudes on CHI_SUPPORT unchanged.
+        x, shares = seeded_inputs(9, n_senders=4)
+        delta = compose_phases(shares)
+        assert np.array_equal(compressed_target(x, shares).amps, compressed_target(x, delta).amps)
+        assert np.array_equal(target_state(x, shares).amps, target_state(x, delta).amps)
+        expected = np.zeros(16, dtype=complex)
+        expected[list(CHI_SUPPORT)] = x.x * np.exp(1j * delta.delta)
+        assert np.array_equal(target_state(x, shares).amps, expected)
+
     def test_degenerate(self):
         x = AmplitudeProfile([1, 0, 0, 0, 0, 0, 0, 0])
         assert np.allclose(compressed_target(x, PhaseProfile(np.zeros(8))).amps, basis_state(3, 0).amps)
@@ -260,6 +274,18 @@ class TestDeriveCorrection:
         with pytest.raises(ValueError):
             derive_correction(0, (0, 0, 0), x, shares)
 
+    @pytest.mark.parametrize(("k", "js"), [(-1, (2,)), (1, (-3,)), (8, (0,)), (0, (8,))])
+    def test_digits_outside_range_rejected(self, k, js):
+        # A negative digit would index the bases from the end and run another
+        # branch (k = -1 runs k = 7); every forced-branch entry point checks.
+        x, delta = seeded_inputs(8)
+        with pytest.raises(ValueError, match="outcome digits must be in 0..7"):
+            derive_correction(k, js, x, delta)
+        with pytest.raises(ValueError, match="outcome digits must be in 0..7"):
+            _collapse_branch(x, delta, k, js)
+        with pytest.raises(ValueError, match="outcome digits must be in 0..7"):
+            run_two_sender(x, delta, force=(k, js))
+
     def test_no_correction_found(self):
         # No Pauli triple maps a basis ket onto a three-ket superposition.
         collapsed = basis_state(3, 0)
@@ -284,20 +310,14 @@ class TestCorrectionTable:
         assert table.entries[(0, 1, 0)] == ("I", "I", "Z")
 
     def test_four_sender_requires_subset(self):
-        with pytest.raises(ValueError):
+        # Tables enumerate up to three senders; a four-sender outcome is
+        # derived one at a time, on the profiles of both table seeds.
+        with pytest.raises(ValueError, match="limited to 3 senders"):
             build_correction_table(4)
-        table = build_correction_table(4, outcomes=[(0, 0, 0, 0), (0, 1, 0, 0)])
-        assert table.entries[(0, 0, 0, 0)] == ("I", "I", "I")
-        assert table.entries[(0, 1, 0, 0)] == ("I", "I", "Z")
-
-    @pytest.mark.parametrize(
-        ("outcome", "message"),
-        [((0, 1, 2), "every outcome must list 2 digits"), ((0, -1), "must be in 0..7"), ((8, 0), "must be in 0..7")],
-    )
-    def test_subset_outcome_rejected(self, outcome, message):
-        # A negative digit would index the bases from the end and make an entry.
-        with pytest.raises(ValueError, match=message):
-            build_correction_table(2, outcomes=[(0, 0), outcome])
+        for seed in (_TABLE_SEED, _TABLE_SEED + 1):
+            x, shares = random_inputs(4, seed)
+            assert derive_correction(0, (0, 0, 0), x, shares) == ("I", "I", "I")
+            assert derive_correction(0, (1, 0, 0), x, shares) == ("I", "I", "Z")
 
     def test_deterministic(self):
         a = build_correction_table(2)

@@ -16,8 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi_jrsp import __version__, bases, protocol
-from chi_jrsp.harness import RunConfig, VerificationReport, _outcome_strings, build_report, render_report, render_table
+from chi_jrsp.harness import (
+    RunConfig,
+    VerificationReport,
+    _collect_bases,
+    _outcome_strings,
+    build_report,
+    render_report,
+    render_table,
+)
 from chi_jrsp.protocol import CORRECTION_OPS, MAX_SENDERS, CorrectionTable
+from chi_jrsp.qstate import BasisSet
 
 # Where float.__repr__ switches between positional and exponent notation
 # (1e16, 1e-05), the extremes, and the floats json.dumps spells its own way.
@@ -164,8 +173,19 @@ def test_campaign_reports_render_as_oracles(config):
 
 
 def test_bases_failure_report_renders_as_oracles():
-    report = build_report(RunConfig(senders=3, mode="exhaustive"), {"amplitude": 2e-6, "phase[0]": 0.0}, None)
-    assert '\n  "branches": []\n}\n' in render_report(report, "structured")
+    # A real three-sender run over an amplitude basis perturbed by 1e-6: the
+    # report lists all 512 branches and fails on its bases.
+    config = RunConfig(senders=3, mode="exhaustive")
+    x, phases = bases.random_inputs(config.senders, config.seed)
+    sets = protocol.measurement_bases(x, phases, config.senders)
+    vectors = sets[0][0].vectors.copy()
+    vectors[0, 0] += 1e-6
+    sets[0] = [BasisSet(vectors, label="amplitude", check=False)] * 8
+    run = protocol.run_branches(x, phases, sets, config.mode, config.seed, config.trials, config.force)
+    report = build_report(config, {b.label: b.deviation for b in _collect_bases(sets)}, run)
+    assert report.checks["bases_pass"] is False
+    assert report.basis_validation["amplitude"] >= 1e-7
+    assert len(report.outcomes) == report.aggregates["branch_count"] == 512
     assert_report_renders_as_oracles(report)
 
 
