@@ -1,4 +1,4 @@
-"""Print the exit code and stdout digest of a fixed set of 461 CLI commands.
+"""Print the exit code and stdout digest of a fixed set of 469 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
 versions of the package and `diff` the outputs to check that a change keeps
@@ -20,8 +20,10 @@ The set:
   at seed 7 (10);
 - `table`, N = 2, 3, in both formats (4);
 - forced runs at N = 2, 3, 5, in both formats (18);
-- four profile documents, each under `verify --exhaustive`,
-  `verify --trials 30` and `run` (12);
+- six profile documents, each under `verify --exhaustive`,
+  `verify --trials 30` and `run` (18), and the two with `x = e0` also under
+  the table format of `verify --exhaustive` (2): on that degenerate
+  profile several triples tie in the correction search, so its order shows;
 - input errors (9);
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
@@ -48,12 +50,15 @@ _DEGENERATE = {
     "x": [0.6, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     "shares": [[0.0, 1e6, -1e6, 3.0, 0.0, 0.0, 0.0, 0.0], [0.0, 2.5, 1e6 + 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
 }
+_E0 = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 # File name -> (sender count, profile document).
 PROFILES = {
     "delta2.json": (2, {"x": _X, "delta": _DELTA}),
     "both2.json": (2, {"x": _X, "delta": _DELTA, "shares": [_DELTA]}),
     "shares3.json": (3, {"x": _X, "shares": _SHARES}),
     "degenerate3.json": (3, _DEGENERATE),
+    "e0_2.json": (2, {"x": _E0, "delta": _DELTA}),
+    "e0_3.json": (3, {"x": _E0, "shares": _SHARES}),
 }
 
 
@@ -80,6 +85,8 @@ def commands() -> list[list[str]]:
         common = ["--senders", str(n), "--profile", name]
         out += [["verify", *common, "--exhaustive"], ["verify", *common, "--trials", "30", "--seed", "3"],
                 ["run", *common, "--seed", "3"]]
+    for n in (2, 3):
+        out.append(["verify", "--senders", str(n), "--profile", f"e0_{n}.json", "--exhaustive", "--format", "table"])
     out += [
         ["verify", "--senders", "1"],
         ["verify", "--senders", "6"],

@@ -50,6 +50,7 @@ PHASE_ARG_INDEX = (
     (6, 7, 4, 5, 2, 3, 0, 1),
     (7, 6, 5, 4, 3, 2, 1, 0),
 )
+_PHASE_ARGS = np.array(PHASE_ARG_INDEX)
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,9 @@ class PhaseProfile:
 class PhaseShares:
     """Per-sender phase shares: row l-1 holds sender l's eight phases.
 
-    The full phase profile is the entrywise sum of the rows. Each row's
-    entry 0 must be exactly 0, so the composed profile keeps entry 0 at 0.
+    The full phase profile is the entrywise sum of the rows, which must be
+    finite. Each row's entry 0 must be exactly 0, so the composed profile
+    keeps entry 0 at 0.
     """
 
     shares: np.ndarray
@@ -109,6 +111,10 @@ class PhaseShares:
             raise ValueError("phase share entries must be finite")
         if np.any(shares[:, 0] != 0.0):
             raise ValueError("every phase share row must have entry 0 exactly 0")
+        with np.errstate(over="ignore"):
+            composed = np.sum(shares, axis=0)
+        if not np.all(np.isfinite(composed)):
+            raise ValueError("phase share rows must sum to finite phases")
         shares.setflags(write=False)
         object.__setattr__(self, "shares", shares)
 
@@ -151,25 +157,39 @@ def amplitude_basis(profile: AmplitudeProfile) -> BasisSet:
 
 
 def signed_phase_matrix(units) -> np.ndarray:
-    """SIGN_PATTERN with column m scaled by the m-th unit-modulus argument."""
-    units = np.asarray(units, dtype=complex).reshape(-1)
-    if units.size != 8:
-        raise ValueError(f"expected 8 arguments, got {units.size}")
+    """SIGN_PATTERN with column m scaled by the m-th unit-modulus argument.
+
+    A stack of argument rows (..., 8) gives a stack of matrices (..., 8, 8).
+    """
+    units = np.atleast_1d(np.asarray(units, dtype=complex))
+    if units.shape[-1] != 8:
+        raise ValueError(f"expected 8 arguments, got {units.shape[-1]}")
     if np.max(np.abs(np.abs(units) - 1.0)) > NORM_TOL:
         raise ValueError("arguments must have unit modulus")
-    return SIGN_PATTERN * units[None, :]
+    return SIGN_PATTERN * units[..., None, :]
 
 
-def phase_basis_from_row(k: int, phases, label: str) -> BasisSet:
-    """Phase basis for announced outcome k from a raw row of eight phases.
+def _phase_vectors(phases) -> np.ndarray:
+    """Vectors of the eight phase bases of a raw row of eight phases, from one
+    exp of the row: [k, d] is vector d of the basis for announced outcome k.
 
     Rows are scaled by 1/(2 sqrt 2) so the basis vectors are unit length.
     """
+    units = np.exp(-1j * np.asarray(phases, dtype=float))
+    return signed_phase_matrix(units[_PHASE_ARGS]) * _INV_2SQRT2
+
+
+def phase_bases_from_row(phases, labels) -> list[BasisSet]:
+    """The eight phase bases of a raw row of eight phases, entry k for
+    announced outcome k labelled labels[k], checked by one stacked Gram product."""
+    return BasisSet.stack(_phase_vectors(phases), labels)
+
+
+def phase_basis_from_row(k: int, phases, label: str) -> BasisSet:
+    """Phase basis for announced outcome k: entry k of `phase_bases_from_row`."""
     if not 0 <= k <= 7:
         raise ValueError(f"announced outcome {k} out of range 0..7")
-    r = np.exp(-1j * np.asarray(phases, dtype=float))
-    args = r[list(PHASE_ARG_INDEX[k])]
-    return BasisSet(signed_phase_matrix(args) * _INV_2SQRT2, label=label)
+    return BasisSet(_phase_vectors(phases)[k], label=label)
 
 
 def phase_basis(k: int, profile: PhaseProfile) -> BasisSet:
@@ -177,9 +197,19 @@ def phase_basis(k: int, profile: PhaseProfile) -> BasisSet:
     return phase_basis_from_row(k, profile.delta, label=f"phase[k={k}]")
 
 
+def phase_bases(profile: PhaseProfile) -> list[BasisSet]:
+    """`phase_basis(k, profile)` for k = 0..7, from one stacked build."""
+    return phase_bases_from_row(profile.delta, [f"phase[k={k}]" for k in range(8)])
+
+
 def share_basis(k: int, l: int, shares: PhaseShares) -> BasisSet:
     """Sender l's basis (1-based l) for announced outcome k, from its share row."""
     return phase_basis_from_row(k, shares.row(l), label=f"share[l={l},k={k}]")
+
+
+def share_bases(l: int, shares: PhaseShares) -> list[BasisSet]:
+    """`share_basis(k, l, shares)` for k = 0..7, from one stacked build."""
+    return phase_bases_from_row(shares.row(l), [f"share[l={l},k={k}]" for k in range(8)])
 
 
 def compose_phases(shares: PhaseShares) -> PhaseProfile:

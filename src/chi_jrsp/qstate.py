@@ -97,7 +97,8 @@ class BasisSet:
     Rows of `vectors` are the basis vectors. Pairwise inner products must
     satisfy |<v_p|v_q> - delta_pq| <= NORM_TOL unless check=False, which
     exists so that validation tooling can inspect defective candidates.
-    `deviation` is the Gram deviation, computed once here, check or not.
+    `deviation` is the Gram deviation, computed once at construction, check
+    or not; `stack` builds several bases from one stacked Gram product.
     """
 
     __slots__ = ("vectors", "label", "deviation")
@@ -106,7 +107,27 @@ class BasisSet:
         vectors = np.array(vectors, dtype=complex)
         if vectors.shape != (8, 8):
             raise ValueError(f"basis must be 8 vectors of dimension 8, got {vectors.shape}")
-        dev = gram_deviation(vectors)
+        self._settle(vectors, label, gram_deviation(vectors), check)
+
+    @classmethod
+    def stack(cls, vectors, labels) -> list[BasisSet]:
+        """One checked basis per (8, 8) slice of `vectors`, slice i labelled
+        labels[i], raising for the first slice that is not orthonormal. The
+        deviations come from one stacked Gram product, equal bit for bit to
+        the per-slice ones."""
+        vectors = np.array(vectors, dtype=complex)
+        if vectors.shape != (len(labels), 8, 8):
+            raise ValueError(f"basis stack must be {len(labels)} 8x8 bases, got {vectors.shape}")
+        vectors.setflags(write=False)
+        out = []
+        for v, label, dev in zip(vectors, labels, gram_deviation(vectors).tolist()):
+            basis = cls.__new__(cls)
+            basis._settle(v, label, dev, True)
+            out.append(basis)
+        return out
+
+    def _settle(self, vectors: np.ndarray, label: str, dev: float, check: bool) -> None:
+        """Check the deviation measured for `vectors`, then fill the slots."""
         if check and dev > NORM_TOL:
             raise ValueError(f"basis {label or '<unnamed>'} not orthonormal: deviation {dev:g}")
         vectors.setflags(write=False)
@@ -121,11 +142,20 @@ class BasisSet:
         return f"BasisSet(label={self.label!r})"
 
 
-def gram_deviation(vectors: np.ndarray) -> float:
-    """Max entrywise deviation of the Gram matrix from the identity; inf, not NaN, on overflow."""
+def gram_deviation(vectors: np.ndarray) -> float | np.ndarray:
+    """Max entrywise deviation of the Gram matrix from the identity; inf, not NaN, on overflow.
+
+    A stack of matrices (..., n, n) gives one deviation per matrix; one
+    matrix gives a float.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.max(np.abs(vectors @ vectors.conj().T - np.eye(vectors.shape[0])))
-    return float(dev) if np.isfinite(dev) else np.inf
+        gram = vectors @ vectors.conj().swapaxes(-1, -2)
+        gram -= np.eye(vectors.shape[-2])
+        dev = np.abs(gram).reshape(*gram.shape[:-2], -1).max(axis=-1)
+    if dev.ndim == 0:
+        return float(dev) if np.isfinite(dev) else np.inf
+    dev[~np.isfinite(dev)] = np.inf
+    return dev
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chi_jrsp.bases import (
     PHASE_ARG_INDEX,
@@ -10,15 +12,18 @@ from chi_jrsp.bases import (
     amplitude_basis,
     amplitude_basis_matrix,
     compose_phases,
+    phase_bases,
     phase_basis,
     random_amplitude_profile,
     random_phase_profile,
     random_phase_shares,
+    share_bases,
     share_basis,
     signed_phase_matrix,
     validate_orthonormal,
 )
-from chi_jrsp.qstate import BasisSet
+from chi_jrsp.protocol import measurement_bases
+from chi_jrsp.qstate import BasisSet, gram_deviation
 
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
@@ -160,8 +165,19 @@ class TestSignedPhaseMatrix:
         assert np.array_equal(m[:, 1], SIGN_PATTERN[:, 1] * 1j)
 
     def test_rejects_non_unit_modulus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit modulus"):
             signed_phase_matrix([1, 1, 1, 1, 1, 1, 1, 0.5])
+
+    def test_stack_of_rows(self):
+        rng = np.random.default_rng(106)
+        units = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 8)))
+        stacked = signed_phase_matrix(units)
+        assert stacked.shape == (3, 8, 8)
+        for row, matrix in zip(units, stacked):
+            assert np.array_equal(matrix, signed_phase_matrix(row))
+        units[2, 7] *= 0.5
+        with pytest.raises(ValueError, match="unit modulus"):
+            signed_phase_matrix(units)
 
 
 class TestPhaseBasis:
@@ -233,6 +249,55 @@ class TestShareBasis:
         shares = PhaseShares(np.zeros((2, 8)))
         with pytest.raises(ValueError):
             share_basis(0, 3, shares)
+
+
+PHASE_ROWS = st.lists(
+    st.one_of(st.floats(-7.0, 7.0), st.floats(-1e6, 1e6)), min_size=7, max_size=7
+).map(lambda row: [0.0, *row])
+
+
+def per_k_vectors(row, k):
+    """Basis k of a phase row, entry by entry: sign (d, m) times the unit
+    phase of entry k xor m, over 2 sqrt 2."""
+    units = np.exp(-1j * np.asarray(row, dtype=float))
+    return SIGN_PATTERN * units[[k ^ m for m in range(8)]][None, :] * INV_2SQRT2
+
+
+class TestStackedPhaseBases:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(PHASE_ROWS, min_size=1, max_size=4))
+    def test_sets_equal_per_k_formula(self, rows):
+        x = random_amplitude_profile(np.random.default_rng(107))
+        phases = PhaseProfile(rows[0]) if len(rows) == 1 else PhaseShares(rows)
+        sets = measurement_bases(x, phases, len(rows) + 1)
+        for p, row in enumerate(rows, start=1):
+            for k in range(8):
+                expected = per_k_vectors(row, k)
+                assert np.array_equal(sets[p][k].vectors, expected)
+                assert sets[p][k].deviation == gram_deviation(expected)
+                label = f"phase[k={k}]" if len(rows) == 1 else f"share[l={p},k={k}]"
+                assert sets[p][k].label == label
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=PHASE_ROWS)
+    def test_stacked_deviations_equal_per_basis(self, row):
+        stack = np.array([per_k_vectors(row, k) for k in range(8)])
+        deviations = gram_deviation(stack)
+        for k in range(8):
+            assert deviations[k] == gram_deviation(stack[k])
+
+    def test_views_match_per_k_builders(self):
+        delta = distinct_phases()
+        shares = random_phase_shares(np.random.default_rng(108), 4)
+        for k, basis in enumerate(phase_bases(delta)):
+            single = phase_basis(k, delta)
+            assert (basis.label, basis.deviation) == (single.label, single.deviation)
+            assert np.array_equal(basis.vectors, single.vectors)
+        for l in (1, 2, 3):
+            for k, basis in enumerate(share_bases(l, shares)):
+                single = share_basis(k, l, shares)
+                assert (basis.label, basis.deviation) == (single.label, single.deviation)
+                assert np.array_equal(basis.vectors, single.vectors)
 
 
 class TestComposePhases:

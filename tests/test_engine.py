@@ -32,6 +32,8 @@ from chi_jrsp.protocol import (
     FIDELITY_TOL,
     MAX_SENDERS,
     _TRIPLE_MATRIX,
+    NoCorrectionFound,
+    _all_outcomes,
     _apply_correction,
     _apply_corrections,
     _basis_rows,
@@ -101,6 +103,53 @@ def test_every_branch_matches_dense_oracle(n_senders):
     x = random_amplitude_profile(rng)
     phases = random_phase_profile(rng) if n_senders == 2 else random_phase_shares(rng, n_senders)
     assert_matches_oracle(x, phases, np.array(list(itertools.product(range(8), repeat=n_senders))))
+
+
+DEGENERATE_MAGNITUDES = {
+    "e0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "two": [0.6, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "four-equal": [0.5, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5],
+}
+
+
+@pytest.mark.parametrize("magnitudes", DEGENERATE_MAGNITUDES.values(), ids=DEGENERATE_MAGNITUDES.keys())
+def test_degenerate_two_sender_branches_match_dense_search(magnitudes):
+    # Zero magnitudes let several triples reach the threshold, so only the
+    # search order decides the reported one.
+    x = AmplitudeProfile(magnitudes)
+    phases = random_phase_profile(np.random.default_rng(46))
+    outcomes = _all_outcomes(2)
+    assert_matches_oracle(x, phases, outcomes)
+    states, _ = _collapse_branches(sender_rows(x, phases, 2), outcomes)
+    target3 = compressed_target(x, phases).amps
+    hits = np.abs(np.einsum("tij,bj,i->bt", _TRIPLE_MATRIX, states, target3.conj())) ** 2 >= 1.0 - FIDELITY_TOL
+    assert np.all(hits.sum(axis=1) > 1)
+
+
+def three_sender_search(seed):
+    x, phases = random_inputs(3, seed)
+    states, _ = _collapse_branches(sender_rows(x, phases, 3), _all_outcomes(3))
+    return states, compressed_target(x, phases).amps
+
+
+def test_search_does_not_depend_on_chunk_size(monkeypatch):
+    # 512 branches in chunks of 7 are 74 chunks, the last one a single row.
+    states, target3 = three_sender_search(5)
+    whole = _search_corrections(states, target3)
+    monkeypatch.setattr(protocol, "_SEARCH_CHUNK", 7)
+    assert np.array_equal(_search_corrections(states, target3), whole)
+
+
+@pytest.mark.parametrize("chunk", [protocol._SEARCH_CHUNK, 7])
+def test_unmatched_row_in_last_short_chunk_raises(chunk, monkeypatch):
+    monkeypatch.setattr(protocol, "_SEARCH_CHUNK", chunk)
+    states, target3 = three_sender_search(6)
+    states = states[:100].copy()
+    assert len(states) % chunk
+    _search_corrections(states, target3)
+    states[-1] = np.roll(states[-1], 1)
+    with pytest.raises(NoCorrectionFound):
+        _search_corrections(states, target3)
 
 
 def test_batched_correction_and_expansion_match_dense_matrices():

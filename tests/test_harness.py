@@ -512,6 +512,15 @@ class TestMain:
         assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_overflowing_share_sum_is_input_error(self, command, tmp_path, capsys):
+        # Each row is finite, but their entrywise sum overflows to inf.
+        row = [0.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        path = write_profile(tmp_path, {"x": valid_doc()["x"], "shares": [row, row]})
+        assert main([command, "--senders", "3", "--profile", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: phase share rows must sum to finite phases\n"
+
     @pytest.mark.parametrize(
         ("fields", "message"),
         [

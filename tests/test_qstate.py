@@ -212,6 +212,31 @@ class TestBasisSet:
         assert gram_deviation(bad) == np.inf
         with pytest.raises(ValueError, match="deviation inf"):
             BasisSet(bad)
+        assert gram_deviation(np.stack([np.eye(8), bad])).tolist() == [0.0, np.inf]
+
+    def test_stacked_gram_deviation_is_per_matrix(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_unitary(rng, 8) for _ in range(6)])
+        stack[4] += 1e-3 * rng.standard_normal((8, 8))
+        deviations = gram_deviation(stack)
+        assert deviations.shape == (6,)
+        assert [gram_deviation(v) for v in stack] == deviations.tolist()
+
+    def test_stack_keeps_per_slice_deviation_and_raises_for_first_failure(self):
+        rng = np.random.default_rng(24)
+        good = [random_unitary(rng, 8) for _ in range(2)]
+        sets = BasisSet.stack(np.stack(good), ["a", "b"])
+        assert [b.label for b in sets] == ["a", "b"]
+        for basis, v in zip(sets, good):
+            assert np.array_equal(basis.vectors, v)
+            assert basis.deviation == BasisSet(v).deviation
+            assert not basis.vectors.flags.writeable
+        bad = np.eye(8, dtype=complex)
+        bad[1] = bad[0]
+        with pytest.raises(ValueError, match="basis b not orthonormal: deviation 1"):
+            BasisSet.stack(np.stack([good[0], bad, 2 * bad]), ["a", "b", "c"])
+        with pytest.raises(ValueError, match=r"basis stack must be 3 8x8 bases, got \(2, 8, 8\)"):
+            BasisSet.stack(np.stack(good), ["a", "b", "c"])
 
 
 class TestFidelity:
