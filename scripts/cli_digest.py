@@ -1,4 +1,4 @@
-"""Print the exit code and stdout digest of a fixed set of 469 CLI commands.
+"""Print the exit code and stdout digest of a fixed set of 477 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
 versions of the package and `diff` the outputs to check that a change keeps
@@ -16,6 +16,9 @@ The set:
 - `verify --trials 30` and `run`, N = 2..5, seeds 0-39 (320);
 - `verify --trials 20000 --seed 7`, N = 2..5 (4), which takes the sampler
   over many chunks and the renderer over many rows;
+- `verify --trials T --seed 7` for T = 255, 256, 257, 513, N = 2, 5 (8):
+  one chunk short of full, one full, one trial into the next chunk, and a
+  short last chunk after two full ones;
 - the table format of `verify --exhaustive`, `verify --trials 30` and `run`
   at seed 7 (10);
 - `table`, N = 2, 3, in both formats (4);
@@ -71,6 +74,8 @@ def commands() -> list[list[str]]:
         out += [["verify", "--senders", str(n), "--trials", "30", "--seed", str(s)] for s in range(40)]
         out += [["run", "--senders", str(n), "--seed", str(s)] for s in range(40)]
     out += [["verify", "--senders", str(n), "--trials", "20000", "--seed", "7"] for n in range(2, 6)]
+    for n in (2, 5):
+        out += [["verify", "--senders", str(n), "--trials", str(t), "--seed", "7"] for t in (255, 256, 257, 513)]
     out += [["verify", "--senders", str(n), "--exhaustive", "--seed", "7", "--format", "table"] for n in (2, 3)]
     for n in range(2, 6):
         out.append(["verify", "--senders", str(n), "--trials", "30", "--seed", "7", "--format", "table"])

@@ -164,32 +164,50 @@ def signed_phase_matrix(units) -> np.ndarray:
     units = np.atleast_1d(np.asarray(units, dtype=complex))
     if units.shape[-1] != 8:
         raise ValueError(f"expected 8 arguments, got {units.shape[-1]}")
-    if np.max(np.abs(np.abs(units) - 1.0)) > NORM_TOL:
+    # Written so that NaN, which compares false, fails the check.
+    if not np.max(np.abs(np.abs(units) - 1.0)) <= NORM_TOL:
         raise ValueError("arguments must have unit modulus")
     return SIGN_PATTERN * units[..., None, :]
 
 
-def _phase_vectors(phases) -> np.ndarray:
-    """Vectors of the eight phase bases of a raw row of eight phases, from one
-    exp of the row: [k, d] is vector d of the basis for announced outcome k.
+def _phase_vectors(rows) -> np.ndarray:
+    """Vectors of the eight phase bases of each of a stack of rows of eight
+    phases, from one exp of the stack: [i, k, d] is vector d of row i's basis
+    for announced outcome k.
 
     Rows are scaled by 1/(2 sqrt 2) so the basis vectors are unit length.
     """
-    units = np.exp(-1j * np.asarray(phases, dtype=float))
-    return signed_phase_matrix(units[_PHASE_ARGS]) * _INV_2SQRT2
+    units = np.exp(-1j * np.asarray(rows, dtype=float))
+    return signed_phase_matrix(units[:, _PHASE_ARGS]) * _INV_2SQRT2
 
 
-def phase_bases_from_row(phases, labels) -> list[BasisSet]:
-    """The eight phase bases of a raw row of eight phases, entry k for
-    announced outcome k labelled labels[k], checked by one stacked Gram product."""
-    return BasisSet.stack(_phase_vectors(phases), labels)
+PHASE_LABELS = tuple(f"phase[k={k}]" for k in range(8))
+
+
+def share_labels(l: int) -> tuple[str, ...]:
+    """Labels of sender l's eight share bases, entry k for announced outcome k."""
+    return tuple(f"share[l={l},k={k}]" for k in range(8))
+
+
+def phase_bases_from_rows(rows, labels) -> list[list[BasisSet]]:
+    """The eight phase bases of each row of eight phases: entry [i][k] is
+    row i's basis for announced outcome k, labelled labels[i][k].
+
+    Every row shares one exp, one `signed_phase_matrix` call and one stacked
+    Gram product, which raises for the first basis in (i, k) order that is
+    not orthonormal.
+    """
+    vectors = _phase_vectors(rows)
+    flat = BasisSet.stack(vectors.reshape(-1, 8, 8), [label for row in labels for label in row])
+    return [flat[i : i + 8] for i in range(0, len(flat), 8)]
 
 
 def phase_basis_from_row(k: int, phases, label: str) -> BasisSet:
-    """Phase basis for announced outcome k: entry k of `phase_bases_from_row`."""
+    """Phase basis for announced outcome k of a raw row of eight phases:
+    entry k of the one-row case of `phase_bases_from_rows`."""
     if not 0 <= k <= 7:
         raise ValueError(f"announced outcome {k} out of range 0..7")
-    return BasisSet(_phase_vectors(phases)[k], label=label)
+    return BasisSet(_phase_vectors([phases])[0, k], label=label)
 
 
 def phase_basis(k: int, profile: PhaseProfile) -> BasisSet:
@@ -199,7 +217,7 @@ def phase_basis(k: int, profile: PhaseProfile) -> BasisSet:
 
 def phase_bases(profile: PhaseProfile) -> list[BasisSet]:
     """`phase_basis(k, profile)` for k = 0..7, from one stacked build."""
-    return phase_bases_from_row(profile.delta, [f"phase[k={k}]" for k in range(8)])
+    return phase_bases_from_rows([profile.delta], [PHASE_LABELS])[0]
 
 
 def share_basis(k: int, l: int, shares: PhaseShares) -> BasisSet:
@@ -209,7 +227,7 @@ def share_basis(k: int, l: int, shares: PhaseShares) -> BasisSet:
 
 def share_bases(l: int, shares: PhaseShares) -> list[BasisSet]:
     """`share_basis(k, l, shares)` for k = 0..7, from one stacked build."""
-    return phase_bases_from_row(shares.row(l), [f"share[l={l},k={k}]" for k in range(8)])
+    return phase_bases_from_rows([shares.row(l)], [share_labels(l)])[0]
 
 
 def compose_phases(shares: PhaseShares) -> PhaseProfile:

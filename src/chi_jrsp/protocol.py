@@ -15,8 +15,9 @@ takes the phase input as a PhaseProfile or as PhaseShares, and
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
 by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...), and every branch, forced,
-enumerated or sampled, is computed from that form by `_collapse_branches`.
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Forced and enumerated
+branches are computed from that form by `_collapse_branches`; the sampler
+computes the same form, bit for bit, as it draws, and returns it.
 `run_branches` returns a run as one batched `Branches` record, which verify
 reports from; `transcripts` reads it as one transcript per branch, the row
 view that `run_two_sender`, `run_n_sender` and the `run` command share. The
@@ -221,15 +222,17 @@ def measurement_bases(
 
     `sets[p][k]` is party p's basis after the announced outcome k; the
     magnitude sender (p = 0) measures first, so her basis ignores k. A
-    PhaseProfile serves the one phase sender of a two-sender run, and
-    PhaseShares give phase sender l its share row l.
+    PhaseProfile is the one row of the one phase sender of a two-sender run,
+    and PhaseShares give phase sender l its share row l; every phase
+    sender's bases come from one stacked build.
     """
     if not 2 <= n_senders <= MAX_SENDERS:
         raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
     if isinstance(phases, PhaseShares):
-        phase_sets = [bases.share_bases(l, phases) for l in range(1, phases.n_senders)]
+        rows, labels = phases.shares, [bases.share_labels(l) for l in range(1, phases.n_senders)]
     else:
-        phase_sets = [bases.phase_bases(phases)]
+        rows, labels = [phases.delta], [bases.PHASE_LABELS]
+    phase_sets = bases.phase_bases_from_rows(rows, labels)
     if len(phase_sets) != n_senders - 1:
         raise ValueError(f"the phase input covers {len(phase_sets) + 1} senders, expected {n_senders}")
     return [[bases.amplitude_basis(x)] * 8, *phase_sets]
@@ -386,38 +389,77 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     return CorrectionTable(n_senders, dict(zip(keys, triples)), dict(zip(keys, fidelities.tolist())))
 
 
-def _sampled_outcomes(rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Draw `trials` branches from the true joint outcome distribution.
+def _sampled_outcomes(
+    rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw `trials` branches from the true joint outcome distribution, and
+    return their outcomes with the states and steps that
+    `_collapse_branches(rows, outcomes)` gives, bit for bit.
 
     Each trial draws the magnitude sender's k, then each phase sender's j in
     turn, from that party's probabilities given the outcomes drawn before it:
     the row norms of `rows[p, k] * state`, where `state` is the receiver's
-    8-vector after the draws so far. The magnitude sender's rows are the
-    same for every k, so `rows[0, 0]` serves before k is drawn.
+    8-vector after the draws so far. Before the magnitude sender measures,
+    every trial's state is the channel's diagonal, and her rows are the same
+    for every k, so her eight branches, probabilities and CDF are computed
+    once per call from `rows[0, 0]`.
 
-    Trials are drawn in chunks of _SAMPLE_CHUNK, each party over a whole
-    chunk at once. Every draw is `Generator.choice(8, p=q)` unrolled: one
-    uniform u per (trial, party), taken in row-major order as the
-    trial-by-trial loop took them, and the index is the number of entries
-    of cumsum(q) / cumsum(q)[-1] that are <= u. So the seed-to-outcome map
-    is that of one `rng.choice` per trial and party.
+    Trials are drawn in chunks of _SAMPLE_CHUNK, each phase sender over a
+    whole chunk at once, into buffers allocated once per call. Every draw is
+    `Generator.choice(8, p=q)` unrolled: one uniform u per (trial, party),
+    taken in row-major order as the trial-by-trial loop took them, and the
+    index is the number of entries of cumsum(q) / cumsum(q)[-1] that are
+    <= u. So the seed-to-outcome map is that of one `rng.choice` per trial
+    and party. The elementwise operations are those of `_collapse_branches`,
+    in its order, so the drawn branch's probability and normalized state are
+    its step and state.
     """
     outcomes = np.empty((trials, n_senders), dtype=np.intp)
+    states = np.empty((trials, 8), dtype=complex)
+    steps = np.empty((trials, n_senders))
+
+    # The magnitude sender's eight branches, their probabilities and CDF, then
+    # the branches normalized: the states she leaves for each k.
+    first = rows[0, 0] * np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
+    first_probs = np.sum(np.abs(first) ** 2, axis=-1)
+    first_cdf = np.cumsum(first_probs / first_probs.sum(), axis=0)
+    first_cdf /= first_cdf[-1:]
+    if not np.all(np.isfinite(first_cdf)):
+        raise ValueError("probabilities contain NaN")
+    first /= np.sqrt(first_probs)[:, None]
+
+    size = min(_SAMPLE_CHUNK, trials)
+    branch_buf = np.empty((size, 8, 8), dtype=complex)
+    magnitude_buf = np.empty((size, 8, 8))
+    probs_buf, quotient_buf, cdf_buf = np.empty((3, size, 8))
+    total_buf = np.empty((size, 1))
+    below_buf = np.empty((size, 8), dtype=bool)
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), n_senders))
-        drawn = outcomes[start : start + len(u)]
-        chunk = np.arange(len(u))
-        state = np.full((len(u), 8), _CHANNEL_AMPLITUDE, dtype=complex)
-        for p in range(n_senders):
-            branches = (rows[p, drawn[:, 0]] if p else rows[0, 0]) * state[:, None, :]
-            probs = np.sum(np.abs(branches) ** 2, axis=-1)
-            cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        n = len(u)
+        drawn, state, step = outcomes[start : start + n], states[start : start + n], steps[start : start + n]
+        chunk = np.arange(n)
+        branches, magnitudes, probs = branch_buf[:n], magnitude_buf[:n], probs_buf[:n]
+        quotient, cdf, total, below = quotient_buf[:n], cdf_buf[:n], total_buf[:n], below_buf[:n]
+        # Digits are counts of CDF entries <= u < 1 = cdf[-1], so 0..7: "clip"
+        # never clips, and unlike "raise" it writes into `out` unbuffered.
+        k = np.sum(np.less_equal(first_cdf, u[:, 0, None], out=below), axis=1, out=drawn[:, 0])
+        step[:, 0] = first_probs[k]
+        np.take(first, k, axis=0, out=state, mode="clip")
+        for p in range(1, n_senders):
+            np.take(rows[p], k, axis=0, out=branches, mode="clip")
+            branches *= state[:, None, :]
+            np.square(np.abs(branches, out=magnitudes), out=magnitudes)
+            np.sum(magnitudes, axis=-1, out=probs)
+            np.divide(probs, np.sum(probs, axis=1, keepdims=True, out=total), out=quotient)
+            np.cumsum(quotient, axis=1, out=cdf)
             cdf /= cdf[:, -1:]
             if not np.all(np.isfinite(cdf)):
                 raise ValueError("probabilities contain NaN")
-            j = drawn[:, p] = np.sum(cdf <= u[:, p, None], axis=1)
-            state = branches[chunk, j] / np.sqrt(probs[chunk, j])[:, None]
-    return outcomes
+            j = np.sum(np.less_equal(cdf, u[:, p, None], out=below), axis=1, out=drawn[:, p])
+            step[:, p] = probs[chunk, j]
+            np.divide(branches[chunk, j], np.sqrt(step[:, p])[:, None], out=state)
+    return outcomes, states, steps
 
 
 def run_branches(
@@ -440,19 +482,20 @@ def run_branches(
     """
     n_senders = len(sets)
     rows, labels = _basis_rows(sets)
-    if force is not None:
-        outcomes = _forced_outcome(force[0], force[1], n_senders)
-    elif mode == "exhaustive":
-        if n_senders > MAX_ENUMERATED_SENDERS:
-            raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
-        outcomes = _all_outcomes(n_senders)
-    elif mode == "sampled":
-        outcomes = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+    if force is None and mode == "sampled":
+        outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+        if force is not None:
+            outcomes = _forced_outcome(force[0], force[1], n_senders)
+        elif mode == "exhaustive":
+            if n_senders > MAX_ENUMERATED_SENDERS:
+                raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
+            outcomes = _all_outcomes(n_senders)
+        else:
+            raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+        states, steps = _collapse_branches(rows, outcomes)
 
     target3 = compressed_target(x, phases).amps
-    states, steps = _collapse_branches(rows, outcomes)
     found = _search_corrections(states, target3)
     finals = _expand_parity(_apply_corrections(states, found))
     fidelities = np.abs(finals.conj() @ _expand_parity(target3[None])[0]) ** 2

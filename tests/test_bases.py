@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chi_jrsp import bases, qstate
 from chi_jrsp.bases import (
     PHASE_ARG_INDEX,
     SIGN_PATTERN,
@@ -14,7 +17,9 @@ from chi_jrsp.bases import (
     compose_phases,
     phase_bases,
     phase_basis,
+    phase_basis_from_row,
     random_amplitude_profile,
+    random_inputs,
     random_phase_profile,
     random_phase_shares,
     share_bases,
@@ -168,6 +173,17 @@ class TestSignedPhaseMatrix:
         with pytest.raises(ValueError, match="unit modulus"):
             signed_phase_matrix([1, 1, 1, 1, 1, 1, 1, 0.5])
 
+    @pytest.mark.parametrize("units", [[np.nan] * 8, [1, 1, 1, np.nan, 1, 1, 1, 1]], ids=["all", "one"])
+    def test_rejects_nan_arguments(self, units):
+        # NaN compares false against the tolerance, so a check written as
+        # `dev > NORM_TOL` would let it through.
+        with pytest.raises(ValueError, match="unit modulus"):
+            signed_phase_matrix(units)
+
+    def test_nan_phase_row_fails_the_modulus_check(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            phase_basis_from_row(0, [0.0, 0.1, np.nan, 0.3, 0.4, 0.5, 0.6, 0.7], label="nan")
+
     def test_stack_of_rows(self):
         rng = np.random.default_rng(106)
         units = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 8)))
@@ -285,6 +301,47 @@ class TestStackedPhaseBases:
         deviations = gram_deviation(stack)
         for k in range(8):
             assert deviations[k] == gram_deviation(stack[k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(PHASE_ROWS, min_size=2, max_size=4))
+    def test_one_stack_equals_per_sender_builds(self, rows):
+        # measurement_bases builds every phase sender in one stack; each
+        # sender's own build gives the same bits, in (l, k) order.
+        x = random_amplitude_profile(np.random.default_rng(109))
+        shares = PhaseShares(rows)
+        sets = measurement_bases(x, shares, len(rows) + 1)
+        stacked = [basis for row in sets[1:] for basis in row]
+        single = [basis for l in range(1, len(rows) + 1) for basis in share_bases(l, shares)]
+        assert [b.label for b in stacked] == [b.label for b in single]
+        assert [b.label for b in stacked[:9:8]] == ["share[l=1,k=0]", "share[l=2,k=0]"]
+        for got, expected in zip(stacked, single):
+            assert np.array_equal(got.vectors.view(np.uint64), expected.vectors.view(np.uint64))
+        deviations = np.array([[b.deviation for b in stacked], [b.deviation for b in single]])
+        assert np.array_equal(deviations[0].view(np.uint64), deviations[1].view(np.uint64))
+
+    def test_one_gram_product_for_all_phase_senders(self, monkeypatch):
+        x, shares = random_inputs(5, 4)
+        shapes = []
+        real = qstate.gram_deviation
+
+        def counted(vectors):
+            shapes.append(vectors.shape)
+            return real(vectors)
+
+        monkeypatch.setattr(qstate, "gram_deviation", counted)
+        measurement_bases(x, shares, 5)
+        assert shapes == [(32, 8, 8), (8, 8)]
+
+    @pytest.mark.parametrize(("n_senders", "first"), [(2, "phase[k=0]"), (3, "share[l=1,k=0]"), (5, "share[l=1,k=0]")])
+    def test_flipped_sign_names_the_first_basis(self, n_senders, first, monkeypatch):
+        # One flipped sign breaks every phase basis; the stack raises for the
+        # first in (l, k) order, as the per-sender builds did.
+        flipped = SIGN_PATTERN.copy()
+        flipped[2, 5] *= -1
+        monkeypatch.setattr(bases, "SIGN_PATTERN", flipped)
+        x, phases = random_inputs(n_senders, 3)
+        with pytest.raises(ValueError, match=rf"^basis {re.escape(first)} not orthonormal: deviation 0.25$"):
+            measurement_bases(x, phases, n_senders)
 
     def test_views_match_per_k_builders(self):
         delta = distinct_phases()

@@ -45,6 +45,7 @@ from chi_jrsp.protocol import (
     compressed_target,
     measurement_bases,
     parity_expand,
+    run_branches,
 )
 from chi_jrsp.qstate import StateVector, fidelity_up_to_phase
 
@@ -213,13 +214,13 @@ class BoundaryRng:
 
 def assert_sampler_matches_reference(rows, n_senders, seed, trials):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = _sampled_outcomes(rows, n_senders, rng, trials)
+    drawn, _, _ = _sampled_outcomes(rows, n_senders, rng, trials)
     assert np.array_equal(drawn, replaying_sampler(rows, n_senders, reference_rng, trials))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     boundary = BoundaryRng()
     expected = replaying_sampler(rows, n_senders, boundary, trials)
-    assert np.array_equal(_sampled_outcomes(rows, n_senders, boundary, trials), expected)
+    assert np.array_equal(_sampled_outcomes(rows, n_senders, boundary, trials)[0], expected)
     assert boundary.served == trials * n_senders
 
 
@@ -251,12 +252,17 @@ def test_sampler_matches_replaying_reference_on_skewed_rows(n_senders):
 
 
 def test_sampler_walks_each_trial_once(monkeypatch):
+    # The sampler replays no prefix, and a sampled run takes its states and
+    # steps from the sampler instead of collapsing the drawn branches again.
     def refuse(*args):
-        raise AssertionError("the sampler replayed a prefix")
+        raise AssertionError("a sampled run called _collapse_branches")
 
-    rows = sender_rows(*random_inputs(5, 0), 5)
+    x, phases = random_inputs(5, 0)
+    sets = measurement_bases(x, phases, 5)
+    rows = _basis_rows(sets)[0]
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
-    assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10).shape == (10, 5)
+    assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10)[0].shape == (10, 5)
+    assert run_branches(x, phases, sets, "sampled", 0, 300, None).outcomes.shape == (300, 5)
 
 
 @pytest.mark.parametrize("n_senders", [2, 5])
@@ -267,8 +273,38 @@ def test_sampler_draws_do_not_depend_on_chunk_size(n_senders, monkeypatch):
     rows[0] = rows[0, 0]
     whole = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 7)
-    assert np.array_equal(_sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20), whole)
+    chunked = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
+    for got, expected in zip(chunked, whole):
+        assert np.array_equal(got, expected)
     assert_sampler_matches_reference(rows, n_senders, seed=3, trials=20)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_sampler_collapses_as_engine(rows, n_senders, seed, trials):
+    drawn, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+    expected_states, expected_steps = _collapse_branches(rows, drawn)
+    assert_bits_equal(states, expected_states)
+    assert_bits_equal(steps, expected_steps)
+
+
+@pytest.mark.parametrize("chunk", [protocol._SAMPLE_CHUNK, 7])
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
+    # The sampler's states and steps are those of the drawn branches, bit for
+    # bit, on real profiles and on the skewed rows above. 300 trials end in a
+    # short chunk at either chunk size: 256 + 44, and 42 * 7 + 6.
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", chunk)
+    gen = np.random.default_rng(n_senders)
+    for seed in range(8):
+        x, phases = random_inputs(n_senders, seed)
+        assert_sampler_collapses_as_engine(sender_rows(x, phases, n_senders), n_senders, seed, trials=300)
+        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+        rows[0] = rows[0, 0]
+        assert_sampler_collapses_as_engine(rows, n_senders, seed, trials=300)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
