@@ -1,15 +1,16 @@
-"""Print the exit code and stdout digest of a fixed set of 477 CLI commands.
+"""Print the exit code and the stdout and stderr digests of a fixed set of
+477 CLI commands.
 
-Each line is `<command>\t<exit code>\t<sha256 of stdout>`. Run it on two
-versions of the package and `diff` the outputs to check that a change keeps
-stdout and exit codes byte-identical:
+Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
+stderr>`. Run it on two versions of the package and `diff` the outputs to
+check that a change keeps stdout, stderr and exit codes byte-identical:
 
     PYTHONPATH=<checkout of the parent commit>/src python3 scripts/cli_digest.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digest.py > after.txt
 
 The commands run in-process through `chi_jrsp.harness.main`, from a
 temporary directory that holds the profile documents, so that the profile
-paths echoed in the reports are the same on every run. Stderr is discarded.
+paths echoed in the reports and error messages are the same on every run.
 
 The set:
 - `verify --exhaustive`, N = 2, 3, seeds 0-39 (80);
@@ -106,15 +107,15 @@ def commands() -> list[list[str]]:
     return out
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout digest of one in-process CLI call."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout digest and stderr digest of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = harness.main(argv)
         except SystemExit as exc:  # argparse rejects a flag
             code = exc.code
-    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return code, *(hashlib.sha256(text.getvalue().encode()).hexdigest() for text in (stdout, stderr))
 
 
 @contextlib.contextmanager
@@ -152,8 +153,8 @@ def main() -> None:
                         lines.append((" ".join(argv) + " [amplitude basis perturbed]", *run(argv)))
         finally:
             os.chdir(cwd)
-    for command, code, digest in lines:
-        print(f"{command}\t{code}\t{digest}")
+    for line in lines:
+        print("\t".join(map(str, line)))
 
 
 if __name__ == "__main__":

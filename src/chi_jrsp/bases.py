@@ -176,9 +176,11 @@ def _phase_vectors(rows) -> np.ndarray:
     for announced outcome k.
 
     Rows are scaled by 1/(2 sqrt 2) so the basis vectors are unit length.
+    The stack is C-contiguous: `take` lays the arguments out row-major, where
+    `units[:, _PHASE_ARGS]` would put the row axis innermost.
     """
     units = np.exp(-1j * np.asarray(rows, dtype=float))
-    return signed_phase_matrix(units[:, _PHASE_ARGS]) * _INV_2SQRT2
+    return signed_phase_matrix(units.take(_PHASE_ARGS, axis=1)) * _INV_2SQRT2
 
 
 PHASE_LABELS = tuple(f"phase[k={k}]" for k in range(8))

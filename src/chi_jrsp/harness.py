@@ -368,15 +368,15 @@ def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
 
 
 def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
-    keys = sorted(table.entries)
-    outcomes = map(("%d" * table.n_senders).__mod__, keys)
-    corrections = map(table.entries.__getitem__, keys)
-    fidelities = [table.fidelities[key] for key in keys]
+    """The table's rows in their (lexicographic) order, from its columns."""
+    outcomes = _outcome_strings(table.outcomes)
+    fidelities = table.fidelities.tolist()
     if fmt == "structured":
         head = {"engine_version": __version__, "senders": table.n_senders}
-        rows = zip(outcomes, map(_JSON_CORRECTION.__getitem__, corrections), _float_texts(fidelities, _JSON_NONFINITE))
+        corrections = map(_JSON_CORRECTION.__getitem__, table.corrections)
+        rows = zip(outcomes, corrections, _float_texts(fidelities, _JSON_NONFINITE))
         return _json_document(head, "entries", map(_JSON_ENTRY_ROW.__mod__, rows))
-    rows = zip(outcomes, map(" ".join, corrections), _float_texts(fidelities, {}))
+    rows = zip(outcomes, map(" ".join, table.corrections), _float_texts(fidelities, {}))
     return "\n".join(["outcome\tcorrection\tfidelity", *map("%s\t%s\t%s".__mod__, rows)]) + "\n"
 
 

@@ -15,9 +15,10 @@ takes the phase input as a PhaseProfile or as PhaseShares, and
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
 by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Forced and enumerated
-branches are computed from that form by `_collapse_branches`; the sampler
-computes the same form, bit for bit, as it draws, and returns it.
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Forced branches are
+computed from that form by `_collapse_branches`; enumerations by
+`_enumerated_branches`, which walks the prefix tree party by party; the
+sampler computes the same form, bit for bit, as it draws, and returns it.
 `run_branches` returns a run as one batched `Branches` record, which verify
 reports from; `transcripts` reads it as one transcript per branch, the row
 view that `run_two_sender`, `run_n_sender` and the `run` command share. The
@@ -31,7 +32,9 @@ state onto the compressed target, so the runners double as verification.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -251,7 +254,8 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     `rows` comes from `_basis_rows`. The state is renormalized after every
     measurement, as the measurement leaves it, so `steps[b, p]` is party p's
     outcome probability given the outcomes before it, and a prefix of the
-    senders leaves the state that the next sender measures.
+    senders leaves the state that the next sender measures. Forced branches
+    run here; enumerations run over the prefix tree (`_enumerated_branches`).
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -260,6 +264,33 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
         state = rows[p, k, outcomes[:, p]] * state
         steps[:, p] = np.sum(np.abs(state) ** 2, axis=1)
         state /= np.sqrt(steps[:, p])[:, None]
+    return state, steps
+
+
+def _enumerated_branches(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_collapse_branches(rows, _all_outcomes(n))`, bit for bit, for `rows`
+    of shape (..., n, 8, 8, 8): states (..., 8**n, 8) and steps (..., 8**n, n).
+
+    The walk goes party by party over the prefix tree. The magnitude sender
+    measures the channel's diagonal once per k, with row k of basis k. Party
+    p then measures each of the 8**p states that its prefix (k, j_1, ...)
+    left, with all eight rows of its basis for that k at once: the prefixes
+    of one k share the rows, so they broadcast and no row is gathered. Each
+    prefix's step is computed once and written to all its leaves. The
+    elementwise operations are those of `_collapse_branches`, in its order,
+    each sum over a contiguous last axis of 8.
+    """
+    *lead, n = rows.shape[:-3]
+    steps = np.empty((*lead, 8**n, n))
+    diagonal = np.arange(8)
+    state = rows[..., 0, diagonal, diagonal, :] * np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
+    for p in range(n):
+        if p:
+            # (..., k, prefixes of k, 1, m) against (..., k, 1, j, m), in lexicographic order.
+            state = (rows[..., p, :, None, :, :] * state.reshape(*lead, 8, -1, 1, 8)).reshape(*lead, -1, 8)
+        step = np.sum(np.abs(state) ** 2, axis=-1)
+        state /= np.sqrt(step)[..., None]
+        steps.reshape(*lead, 8 ** (p + 1), -1, n)[..., p] = step[..., None]
     return state, steps
 
 
@@ -350,43 +381,44 @@ def _all_outcomes(n_senders: int) -> np.ndarray:
 class CorrectionTable:
     """Corrections for every enumerated outcome, with verification fidelities.
 
-    `entries` maps (k, j_1, ..., j_{N-1}) to a correction triple; each entry
-    was checked at build time on a profile drawn independently of the one
-    the triples were derived from.
+    Row b of each column is outcome row b, and rows come in lexicographic
+    order. Each correction was checked at build time on a profile drawn
+    independently of the one the triples were derived from.
     """
 
     n_senders: int
-    entries: dict[tuple[int, ...], CorrectionTriple]
-    fidelities: dict[tuple[int, ...], float]
+    outcomes: np.ndarray  # (B, N) digits k, j_1, ..., j_{N-1}
+    corrections: list[CorrectionTriple]
+    fidelities: np.ndarray  # (B,) fidelity of each correction on the check profile
+
+    @property
+    def entries(self) -> Mapping[tuple[int, ...], CorrectionTriple]:
+        """Read-only view: outcome digits (k, j_1, ..., j_{N-1}) -> correction."""
+        return MappingProxyType(dict(zip(map(tuple, self.outcomes.tolist()), self.corrections)))
 
 
 def build_correction_table(n_senders: int) -> CorrectionTable:
     """Derive (and independently verify) corrections for all 8**n_senders
     outcomes, up to MAX_ENUMERATED_SENDERS senders. Derivation and verification
     use two independently seeded generic profiles, so a table entry only
-    survives if it is profile-independent."""
+    survives if it is profile-independent. Both profiles' branches come from
+    one walk over the prefix tree, with their rows stacked."""
     if n_senders > MAX_ENUMERATED_SENDERS:
         raise ValueError(f"full enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
-    grid = _all_outcomes(n_senders)
-    keys = list(map(tuple, grid.tolist()))
-
-    derive_x, derive_phases = bases.random_inputs(n_senders, _TABLE_SEED)
-    derived, _ = _collapse_branches(_basis_rows(measurement_bases(derive_x, derive_phases, n_senders))[0], grid)
-    found = _search_corrections(derived, compressed_target(derive_x, derive_phases).amps)
-
-    check_x, check_phases = bases.random_inputs(n_senders, _TABLE_SEED + 1)
-    checked, _ = _collapse_branches(_basis_rows(measurement_bases(check_x, check_phases, n_senders))[0], grid)
-    check_target = compressed_target(check_x, check_phases)
-    fidelities = np.abs(_apply_corrections(checked, found).conj() @ check_target.amps) ** 2
+    derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
+    rows = np.stack([_basis_rows(measurement_bases(x, phases, n_senders))[0] for x, phases in (derive, check)])
+    (derived, checked), _ = _enumerated_branches(rows)
+    found = _search_corrections(derived, compressed_target(*derive).amps)
+    fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
+    outcomes = _all_outcomes(n_senders)
     failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
     if failed.size:
         b = failed[0]
         raise NoCorrectionFound(
-            f"correction {_TRIPLES[found[b]]} for outcome {keys[b]} fails on a fresh profile"
+            f"correction {_TRIPLES[found[b]]} for outcome {tuple(outcomes[b].tolist())} fails on a fresh profile"
             f" (fidelity {float(fidelities[b])!r})"
         )
-    triples = [_TRIPLES[t] for t in found.tolist()]
-    return CorrectionTable(n_senders, dict(zip(keys, triples)), dict(zip(keys, fidelities.tolist())))
+    return CorrectionTable(n_senders, outcomes, [_TRIPLES[t] for t in found.tolist()], fidelities)
 
 
 def _sampled_outcomes(
@@ -482,18 +514,18 @@ def run_branches(
     """
     n_senders = len(sets)
     rows, labels = _basis_rows(sets)
-    if force is None and mode == "sampled":
-        outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
-    else:
-        if force is not None:
-            outcomes = _forced_outcome(force[0], force[1], n_senders)
-        elif mode == "exhaustive":
-            if n_senders > MAX_ENUMERATED_SENDERS:
-                raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
-            outcomes = _all_outcomes(n_senders)
-        else:
-            raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+    if force is not None:
+        outcomes = _forced_outcome(force[0], force[1], n_senders)
         states, steps = _collapse_branches(rows, outcomes)
+    elif mode == "sampled":
+        outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+    elif mode == "exhaustive":
+        if n_senders > MAX_ENUMERATED_SENDERS:
+            raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
+        outcomes = _all_outcomes(n_senders)
+        states, steps = _enumerated_branches(rows)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
 
     target3 = compressed_target(x, phases).amps
     found = _search_corrections(states, target3)

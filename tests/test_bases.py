@@ -343,6 +343,18 @@ class TestStackedPhaseBases:
         with pytest.raises(ValueError, match=rf"^basis {re.escape(first)} not orthonormal: deviation 0.25$"):
             measurement_bases(x, phases, n_senders)
 
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_stack_is_contiguous_so_the_flat_view_shares_it(self, n_rows):
+        # phase_bases_from_rows reshapes the stack to (8 * rows, 8, 8); on a
+        # C-contiguous stack that reshape is a view, not a copy.
+        rows = random_phase_shares(np.random.default_rng(110), n_rows + 1).shares
+        vectors = bases._phase_vectors(rows)
+        assert vectors.shape == (n_rows, 8, 8, 8) and vectors.flags.c_contiguous
+        assert np.shares_memory(vectors.reshape(-1, 8, 8), vectors)
+        for i, row in enumerate(rows):
+            for k in range(8):
+                assert np.array_equal(vectors[i, k].view(np.uint64), per_k_vectors(row, k).view(np.uint64))
+
     def test_views_match_per_k_builders(self):
         delta = distinct_phases()
         shares = random_phase_shares(np.random.default_rng(108), 4)

@@ -1,9 +1,10 @@
 """The reduced GHZ-diagonal engine against the dense statevector oracle.
 
 The runners compute every branch from the channel's 8-term diagonal
-(`_collapse_branches`), then correct and expand the receiver's 8-vectors
-batched; the sampler draws every trial of a chunk at once, each trial
-carrying the receiver's 8-vector. `_dense_branch` measures the full
+(`_collapse_branches` for forced rows, `_enumerated_branches` over the
+prefix tree for enumerations), then correct and expand the receiver's
+8-vectors batched; the sampler draws every trial of a chunk at once, each
+trial carrying the receiver's 8-vector. `_dense_branch` measures the full
 register with the dense engine, and `_TRIPLE_MATRIX` and `parity_expand`
 are the dense correction and expansion. Both paths renormalize after
 every measurement, so states and step probabilities agree to rounding,
@@ -39,9 +40,11 @@ from chi_jrsp.protocol import (
     _basis_rows,
     _collapse_branches,
     _dense_branch,
+    _enumerated_branches,
     _expand_parity,
     _sampled_outcomes,
     _search_corrections,
+    build_correction_table,
     compressed_target,
     measurement_bases,
     parity_expand,
@@ -315,3 +318,63 @@ def test_sampler_rejects_non_finite_probabilities():
         replaying_sampler(rows, 3, np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
         _sampled_outcomes(rows, 3, np.random.default_rng(0), 4)
+
+
+def assert_tree_equals_collapse(rows):
+    n = rows.shape[-4]
+    states, steps = _enumerated_branches(rows)
+    expected_states, expected_steps = _collapse_branches(rows, _all_outcomes(n))
+    assert_bits_equal(states, expected_states)
+    assert_bits_equal(steps, expected_steps)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_tree_equals_collapse_on_seeded_profiles(n_senders):
+    for seed in range(3):
+        x, phases = random_inputs(n_senders, seed)
+        assert_tree_equals_collapse(sender_rows(x, phases, n_senders))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@pytest.mark.parametrize("magnitudes", DEGENERATE_MAGNITUDES.values(), ids=DEGENERATE_MAGNITUDES.keys())
+def test_tree_equals_collapse_on_degenerate_profiles(magnitudes, n_senders):
+    rng = np.random.default_rng(46)
+    phases = random_phase_profile(rng) if n_senders == 2 else random_phase_shares(rng, n_senders)
+    assert_tree_equals_collapse(sender_rows(AmplitudeProfile(magnitudes), phases, n_senders))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_tree_equals_collapse_on_unnormalized_rows(n_senders):
+    # Arbitrary rows, the magnitude sender's too: a branch's k picks row k of
+    # her basis k, so a tree that read another of her bases would show.
+    gen = np.random.default_rng(20 + n_senders)
+    for _ in range(3):
+        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+        assert_tree_equals_collapse(rows)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_stacked_tree_equals_single_trees(n_senders):
+    # build_correction_table walks its two profiles' rows stacked as (2, ...).
+    x, phases = random_inputs(n_senders, 1)
+    gen = np.random.default_rng(30 + n_senders)
+    skewed = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+    stack = np.stack([sender_rows(x, phases, n_senders), skewed])
+    states, steps = _enumerated_branches(stack)
+    assert states.shape == (2, 8**n_senders, 8) and steps.shape == (2, 8**n_senders, n_senders)
+    for i, rows in enumerate(stack):
+        single_states, single_steps = _enumerated_branches(rows)
+        assert_bits_equal(states[i], single_states)
+        assert_bits_equal(steps[i], single_steps)
+
+
+def test_enumerations_walk_the_tree(monkeypatch):
+    # Exhaustive runs and correction tables never gather rows per branch.
+    def refuse(*args):
+        raise AssertionError("an enumeration called _collapse_branches")
+
+    x, phases = random_inputs(3, 0)
+    sets = measurement_bases(x, phases, 3)
+    monkeypatch.setattr(protocol, "_collapse_branches", refuse)
+    assert run_branches(x, phases, sets, "exhaustive", None, 1, None).outcomes.shape == (512, 3)
+    assert build_correction_table(3).outcomes.shape == (512, 3)

@@ -9,6 +9,7 @@ from chi_jrsp import harness, protocol
 from chi_jrsp.harness import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
+    EXIT_ORACLE_ERROR,
     EXIT_PASS,
     EXIT_VERIFY_FAIL,
     ProfileError,
@@ -323,6 +324,25 @@ class TestCmdTable:
     def test_four_senders_rejected(self):
         with pytest.raises(ProfileError):
             cmd_table(RunConfig(senders=4))
+
+    def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
+        # Row 5, outcome (0, 5), gets the next triple in search order, which
+        # the check profile rejects. The outcome prints as plain ints.
+        real = protocol._search_corrections
+
+        def shifted(states, target3):
+            found = real(states, target3)
+            found[5] = (found[5] + 1) % len(protocol._TRIPLES)
+            return found
+
+        monkeypatch.setattr(protocol, "_search_corrections", shifted)
+        assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle failure: correction ('Z', 'Z', 'X') for outcome (0, 5) fails on a fresh profile"
+            " (fidelity 0.2950504753950318)\n"
+        )
 
 
 class TestForceParsing:

@@ -16,6 +16,7 @@ from chi_jrsp.protocol import (
     _TABLE_SEED,
     CHI_SUPPORT,
     NoCorrectionFound,
+    _all_outcomes,
     _collapse_branch,
     _search_correction,
     build_correction_table,
@@ -298,16 +299,28 @@ class TestCorrectionTable:
     def test_two_sender_table(self):
         table = build_correction_table(2)
         assert len(table.entries) == 64
-        assert all(f >= 1 - TOL for f in table.fidelities.values())
+        assert np.array_equal(table.outcomes, _all_outcomes(2))
+        assert len(table.corrections) == 64 and table.fidelities.shape == (64,)
+        assert table.fidelities.min() >= 1 - TOL
         assert table.entries[(0, 0)] == ("I", "I", "I")
         assert table.entries[(1, 2)] == ("Z", "Z", "X")
         assert table.entries[(1, 3)] == ("I", "Z", "ZX")
+        assert table.corrections[8 * 1 + 3] == ("I", "Z", "ZX")
 
     def test_three_sender_table(self):
         table = build_correction_table(3)
         assert len(table.entries) == 512
-        assert all(f >= 1 - TOL for f in table.fidelities.values())
+        assert np.array_equal(table.outcomes, _all_outcomes(3))
+        assert len(table.corrections) == 512 and table.fidelities.shape == (512,)
+        assert table.fidelities.min() >= 1 - TOL
         assert table.entries[(0, 1, 0)] == ("I", "I", "Z")
+
+    def test_entries_is_a_read_only_view_of_the_columns(self):
+        table = build_correction_table(2)
+        assert list(table.entries) == [tuple(row) for row in table.outcomes.tolist()]
+        assert list(table.entries.values()) == table.corrections
+        with pytest.raises(TypeError):
+            table.entries[(0, 0)] = ("X", "X", "X")
 
     def test_four_sender_requires_subset(self):
         # Tables enumerate up to three senders; a four-sender outcome is
@@ -322,8 +335,9 @@ class TestCorrectionTable:
     def test_deterministic(self):
         a = build_correction_table(2)
         b = build_correction_table(2)
+        assert np.array_equal(a.outcomes, b.outcomes)
         assert a.entries == b.entries
-        assert a.fidelities == b.fidelities
+        assert np.array_equal(a.fidelities.view(np.uint64), b.fidelities.view(np.uint64))
 
 
 class TestRunTwoSender:

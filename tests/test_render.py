@@ -56,26 +56,27 @@ def report_table_oracle(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_rows(table: CorrectionTable):
+    """The table's rows in order: (digit string, correction, fidelity)."""
+    outcomes = ("".join(map(str, row)) for row in table.outcomes.tolist())
+    return zip(outcomes, table.corrections, table.fidelities.tolist())
+
+
 def table_document(table: CorrectionTable) -> dict:
     return {
         "engine_version": __version__,
         "senders": table.n_senders,
         "entries": [
-            {
-                "outcome": "".join(map(str, key)),
-                "correction": list(table.entries[key]),
-                "fidelity": table.fidelities[key],
-            }
-            for key in sorted(table.entries)
+            {"outcome": outcome, "correction": list(correction), "fidelity": fidelity}
+            for outcome, correction, fidelity in table_rows(table)
         ],
     }
 
 
 def table_table_oracle(table: CorrectionTable) -> str:
-    """`table`'s table format as written key by key."""
-    keys = sorted(table.entries)
+    """`table`'s table format as written row by row."""
     lines = ["outcome\tcorrection\tfidelity"]
-    lines.extend(f"{''.join(map(str, key))}\t{' '.join(table.entries[key])}\t{table.fidelities[key]!r}" for key in keys)
+    lines.extend(f"{outcome}\t{' '.join(c)}\t{fidelity!r}" for outcome, c, fidelity in table_rows(table))
     return "\n".join(lines) + "\n"
 
 
@@ -127,10 +128,12 @@ def reports(draw) -> VerificationReport:
 @st.composite
 def tables(draw) -> CorrectionTable:
     n = draw(st.integers(2, MAX_SENDERS))
-    keys = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=64, unique=True))
+    # Sorted unique rows: a built table's rows come in lexicographic order.
+    keys = sorted(draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=64, unique=True)))
     triples = draw(st.lists(TRIPLES, min_size=len(keys), max_size=len(keys)))
     fidelities = draw(st.lists(FLOATS, min_size=len(keys), max_size=len(keys)))
-    return CorrectionTable(n, dict(zip(keys, triples)), dict(zip(keys, fidelities)))
+    outcomes = np.array(keys, dtype=np.intp).reshape(len(keys), n)
+    return CorrectionTable(n, outcomes, triples, np.array(fidelities, dtype=float))
 
 
 @settings(max_examples=150, deadline=None)
