@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-477 CLI commands.
+483 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`. Run it on two versions of the package and `diff` the outputs to
@@ -23,7 +23,8 @@ The set:
 - the table format of `verify --exhaustive`, `verify --trials 30` and `run`
   at seed 7 (10);
 - `table`, N = 2, 3, in both formats (4);
-- forced runs at N = 2, 3, 5, in both formats (18);
+- forced runs at N = 2..5, in both formats (24), each with the digit
+  corners 0:0,... and 7:7,...;
 - six profile documents, each under `verify --exhaustive`,
   `verify --trials 30` and `run` (18), and the two with `x = e0` also under
   the table format of `verify --exhaustive` (2): on that degenerate
@@ -82,7 +83,12 @@ def commands() -> list[list[str]]:
         out.append(["verify", "--senders", str(n), "--trials", "30", "--seed", "7", "--format", "table"])
         out.append(["run", "--senders", str(n), "--seed", "7", "--format", "table"])
     out += [["table", "--senders", str(n), "--format", fmt] for n in (2, 3) for fmt in ("structured", "table")]
-    forced = {2: ("1:2", "0:0", "7:7"), 3: ("1:2,3", "0:0,0", "7:7,7"), 5: ("1:2,3,4,5", "0:0,0,0,0", "7:7,7,7,7")}
+    forced = {
+        2: ("1:2", "0:0", "7:7"),
+        3: ("1:2,3", "0:0,0", "7:7,7"),
+        4: ("1:2,3,4", "0:0,0,0", "7:7,7,7"),
+        5: ("1:2,3,4,5", "0:0,0,0,0", "7:7,7,7,7"),
+    }
     for fmt in ([], ["--format", "table"]):
         out += [
             ["run", "--senders", str(n), "--force-outcome", o, *fmt] for n, outcomes in forced.items() for o in outcomes

@@ -15,14 +15,14 @@ takes the phase input as a PhaseProfile or as PhaseShares, and
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
 by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Forced branches are
-computed from that form by `_collapse_branches`; enumerations by
-`_enumerated_branches`, which walks the prefix tree party by party; the
-sampler computes the same form, bit for bit, as it draws, and returns it.
-`run_branches` returns a run as one batched `Branches` record, which verify
-reports from; `transcripts` reads it as one transcript per branch, the row
-view that `run_two_sender`, `run_n_sender` and the `run` command share. The
-dense chain over all 3(N+1) qubits, `_dense_branch`, is the test oracle.
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Every run is one walk
+over that form, `_walk`, which keeps every branch for exhaustive runs and
+`table`, the named digits for forced runs, and the drawn digits for sampled
+runs. `run_branches` returns a run as one batched `Branches` record, which
+verify reports from; `transcripts` reads it as one transcript per branch,
+the row view that `run_two_sender`, `run_n_sender` and the `run` command
+share. The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test
+oracle, and `_collapse_branches` the tests' bit-for-bit reference walk.
 
 Corrections are not taken from a closed form: a brute-force oracle searches
 all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
@@ -88,9 +88,9 @@ _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
 # seed and checks them on the profile of the next one.
 _TABLE_SEED = 7042
 
-# Trials per sampler chunk: keeps the sampler's (chunk, 8, 8) intermediates
-# at 256 KiB however many trials a campaign draws. On five-sender runs of
-# 20000 trials, 1024 raised the process's peak RSS by about 0.7 MiB; 256 did not.
+# Trials per sampler chunk, each walked at once: keeps the walk's (chunk, 8, 8)
+# intermediates at 256 KiB however many trials a campaign draws. On five-sender
+# runs of 20000 trials, 1024 raised the process's peak RSS by about 0.7 MiB; 256 did not.
 _SAMPLE_CHUNK = 256
 
 # Rows per correction-search chunk: keeps the (chunk, 64) complex overlap
@@ -254,8 +254,8 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     `rows` comes from `_basis_rows`. The state is renormalized after every
     measurement, as the measurement leaves it, so `steps[b, p]` is party p's
     outcome probability given the outcomes before it, and a prefix of the
-    senders leaves the state that the next sender measures. Forced branches
-    run here; enumerations run over the prefix tree (`_enumerated_branches`).
+    senders leaves the state that the next sender measures. No run calls it:
+    it gathers one row per branch, and the tests hold `_walk` to it bit for bit.
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -267,30 +267,40 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     return state, steps
 
 
-def _enumerated_branches(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_collapse_branches(rows, _all_outcomes(n))`, bit for bit, for `rows`
-    of shape (..., n, 8, 8, 8): states (..., 8**n, 8) and steps (..., 8**n, n).
+def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, np.ndarray]:
+    """`_collapse_branches` of the branches that `select` keeps, bit for bit,
+    for `rows` (..., n, 8, 8, 8): states (..., B, 8) and steps (..., B, n).
 
-    The walk goes party by party over the prefix tree. The magnitude sender
-    measures the channel's diagonal once per k, with row k of basis k. Party
-    p then measures each of the 8**p states that its prefix (k, j_1, ...)
-    left, with all eight rows of its basis for that k at once: the prefixes
-    of one k share the rows, so they broadcast and no row is gathered. Each
-    prefix's step is computed once and written to all its leaves. The
-    elementwise operations are those of `_collapse_branches`, in its order,
-    each sum over a contiguous last axis of 8.
+    From the channel's diagonal, party p measures each of its S states with
+    all eight rows of the state's basis for its k (the magnitude sender, with
+    no k yet, row d of basis d). `select(p, probs)` maps the (..., S, 8) child
+    probabilities to one digit per state (a lone root broadcasts) or to None,
+    keeping all children in lexicographic order. Every elementwise operation
+    is `_collapse_branches`'s, in order, each sum over a contiguous axis of 8.
     """
     *lead, n = rows.shape[:-3]
-    steps = np.empty((*lead, 8**n, n))
     diagonal = np.arange(8)
-    state = rows[..., 0, diagonal, diagonal, :] * np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
+    state = np.full((*lead, 1, 8), _CHANNEL_AMPLITUDE, dtype=complex)
+    taken = []
     for p in range(n):
-        if p:
-            # (..., k, prefixes of k, 1, m) against (..., k, 1, j, m), in lexicographic order.
-            state = (rows[..., p, :, None, :, :] * state.reshape(*lead, 8, -1, 1, 8)).reshape(*lead, -1, 8)
-        step = np.sum(np.abs(state) ** 2, axis=-1)
+        # Gathered ("clip" never clips 0..7), then multiplied in place: a fresh product is slower.
+        children = (rows[..., 0, diagonal, diagonal, :][..., None, :, :] if p == 0
+                    else np.take(rows[..., p, :, :, :], k, axis=-3, mode="clip"))
+        children *= state[..., :, None, :]
+        probs = (np.abs(children) ** 2).sum(axis=-1)
+        digits = select(p, probs)
+        if digits is None:
+            state, step = children.reshape(*lead, -1, 8), probs.reshape(*lead, -1)
+            k = diagonal if p == 0 else np.repeat(k, 8)
+        else:
+            held = np.arange(probs.shape[-2])
+            state, step = children[..., held, digits, :], probs[..., held, digits]
+            k = digits if p == 0 else k
         state /= np.sqrt(step)[..., None]
-        steps.reshape(*lead, 8 ** (p + 1), -1, n)[..., p] = step[..., None]
+        taken.append(step)
+    steps = np.empty((*state.shape[:-1], n))
+    for p, step in enumerate(taken):  # each state's step, to every branch below it
+        steps.reshape(*step.shape, -1, n)[..., p] = step[..., None]
     return state, steps
 
 
@@ -319,7 +329,7 @@ def _collapse_branch(
     3-qubit state, the joint branch probability, and the step records."""
     rows, labels = _basis_rows(measurement_bases(x, phases, 1 + len(bob_j)))
     digits = _forced_outcome(alice_k, bob_j, 1 + len(bob_j))
-    states, steps = _collapse_branches(rows, digits)
+    states, steps = _walk(rows, lambda p, probs: digits[:, p])
     return StateVector(states[0]), float(np.prod(steps[0])), _records(labels, digits[0].tolist(), steps[0].tolist())
 
 
@@ -402,12 +412,12 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     outcomes, up to MAX_ENUMERATED_SENDERS senders. Derivation and verification
     use two independently seeded generic profiles, so a table entry only
     survives if it is profile-independent. Both profiles' branches come from
-    one walk over the prefix tree, with their rows stacked."""
+    one walk that keeps every child, with their rows stacked."""
     if n_senders > MAX_ENUMERATED_SENDERS:
         raise ValueError(f"full enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
     derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
     rows = np.stack([_basis_rows(measurement_bases(x, phases, n_senders))[0] for x, phases in (derive, check)])
-    (derived, checked), _ = _enumerated_branches(rows)
+    (derived, checked), _ = _walk(rows)
     found = _search_corrections(derived, compressed_target(*derive).amps)
     fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
     outcomes = _all_outcomes(n_senders)
@@ -425,72 +435,30 @@ def _sampled_outcomes(
     rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw `trials` branches from the true joint outcome distribution, and
-    return their outcomes with the states and steps that
-    `_collapse_branches(rows, outcomes)` gives, bit for bit.
+    return their outcomes, states and steps, walking chunks of _SAMPLE_CHUNK.
 
-    Each trial draws the magnitude sender's k, then each phase sender's j in
-    turn, from that party's probabilities given the outcomes drawn before it:
-    the row norms of `rows[p, k] * state`, where `state` is the receiver's
-    8-vector after the draws so far. Before the magnitude sender measures,
-    every trial's state is the channel's diagonal, and her rows are the same
-    for every k, so her eight branches, probabilities and CDF are computed
-    once per call from `rows[0, 0]`.
-
-    Trials are drawn in chunks of _SAMPLE_CHUNK, each phase sender over a
-    whole chunk at once, into buffers allocated once per call. Every draw is
-    `Generator.choice(8, p=q)` unrolled: one uniform u per (trial, party),
-    taken in row-major order as the trial-by-trial loop took them, and the
-    index is the number of entries of cumsum(q) / cumsum(q)[-1] that are
-    <= u. So the seed-to-outcome map is that of one `rng.choice` per trial
-    and party. The elementwise operations are those of `_collapse_branches`,
-    in its order, so the drawn branch's probability and normalized state are
-    its step and state.
+    Each digit is `Generator.choice(8, p=q)` unrolled over the trial's child
+    probabilities q: one uniform u per (trial, party), in the row-major order
+    of a trial-by-trial loop, and the index is the number of entries of
+    cumsum(q) / cumsum(q)[-1] that are <= u. So the seed-to-outcome map is
+    that of one `rng.choice` per trial and party.
     """
     outcomes = np.empty((trials, n_senders), dtype=np.intp)
     states = np.empty((trials, 8), dtype=complex)
     steps = np.empty((trials, n_senders))
-
-    # The magnitude sender's eight branches, their probabilities and CDF, then
-    # the branches normalized: the states she leaves for each k.
-    first = rows[0, 0] * np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
-    first_probs = np.sum(np.abs(first) ** 2, axis=-1)
-    first_cdf = np.cumsum(first_probs / first_probs.sum(), axis=0)
-    first_cdf /= first_cdf[-1:]
-    if not np.all(np.isfinite(first_cdf)):
-        raise ValueError("probabilities contain NaN")
-    first /= np.sqrt(first_probs)[:, None]
-
-    size = min(_SAMPLE_CHUNK, trials)
-    branch_buf = np.empty((size, 8, 8), dtype=complex)
-    magnitude_buf = np.empty((size, 8, 8))
-    probs_buf, quotient_buf, cdf_buf = np.empty((3, size, 8))
-    total_buf = np.empty((size, 1))
-    below_buf = np.empty((size, 8), dtype=bool)
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), n_senders))
-        n = len(u)
-        drawn, state, step = outcomes[start : start + n], states[start : start + n], steps[start : start + n]
-        chunk = np.arange(n)
-        branches, magnitudes, probs = branch_buf[:n], magnitude_buf[:n], probs_buf[:n]
-        quotient, cdf, total, below = quotient_buf[:n], cdf_buf[:n], total_buf[:n], below_buf[:n]
-        # Digits are counts of CDF entries <= u < 1 = cdf[-1], so 0..7: "clip"
-        # never clips, and unlike "raise" it writes into `out` unbuffered.
-        k = np.sum(np.less_equal(first_cdf, u[:, 0, None], out=below), axis=1, out=drawn[:, 0])
-        step[:, 0] = first_probs[k]
-        np.take(first, k, axis=0, out=state, mode="clip")
-        for p in range(1, n_senders):
-            np.take(rows[p], k, axis=0, out=branches, mode="clip")
-            branches *= state[:, None, :]
-            np.square(np.abs(branches, out=magnitudes), out=magnitudes)
-            np.sum(magnitudes, axis=-1, out=probs)
-            np.divide(probs, np.sum(probs, axis=1, keepdims=True, out=total), out=quotient)
-            np.cumsum(quotient, axis=1, out=cdf)
+        chunk = slice(start, start + len(u))
+
+        def draw(p, probs, u=u, drawn=outcomes[chunk]):
+            cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
             cdf /= cdf[:, -1:]
-            if not np.all(np.isfinite(cdf)):
+            if not np.isfinite(cdf).all():
                 raise ValueError("probabilities contain NaN")
-            j = np.sum(np.less_equal(cdf, u[:, p, None], out=below), axis=1, out=drawn[:, p])
-            step[:, p] = probs[chunk, j]
-            np.divide(branches[chunk, j], np.sqrt(step[:, p])[:, None], out=state)
+            # At the magnitude sender, the root's one CDF serves every trial.
+            return (cdf <= u[:, p, None]).sum(axis=1, out=drawn[:, p])
+
+        states[chunk], steps[chunk] = _walk(rows, draw)
     return outcomes, states, steps
 
 
@@ -516,14 +484,14 @@ def run_branches(
     rows, labels = _basis_rows(sets)
     if force is not None:
         outcomes = _forced_outcome(force[0], force[1], n_senders)
-        states, steps = _collapse_branches(rows, outcomes)
+        states, steps = _walk(rows, lambda p, probs: outcomes[:, p])
     elif mode == "sampled":
         outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     elif mode == "exhaustive":
         if n_senders > MAX_ENUMERATED_SENDERS:
             raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
         outcomes = _all_outcomes(n_senders)
-        states, steps = _enumerated_branches(rows)
+        states, steps = _walk(rows)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
 

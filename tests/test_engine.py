@@ -1,14 +1,16 @@
 """The reduced GHZ-diagonal engine against the dense statevector oracle.
 
-The runners compute every branch from the channel's 8-term diagonal
-(`_collapse_branches` for forced rows, `_enumerated_branches` over the
-prefix tree for enumerations), then correct and expand the receiver's
-8-vectors batched; the sampler draws every trial of a chunk at once, each
-trial carrying the receiver's 8-vector. `_dense_branch` measures the full
-register with the dense engine, and `_TRIPLE_MATRIX` and `parity_expand`
-are the dense correction and expansion. Both paths renormalize after
-every measurement, so states and step probabilities agree to rounding,
-entrywise and without any global phase alignment.
+The runners compute every branch in one walk from the channel's 8-term
+diagonal (`_walk`), which keeps every child for exhaustive runs and tables,
+the named digits for forced runs, and the drawn digits for a chunk of
+sampled trials; then they correct and expand the receiver's 8-vectors
+batched. `_collapse_branches`, which gathers one row per branch, is the
+reference that the walk equals bit for bit in every mode, and no run calls
+it. `_dense_branch` measures the full register with the dense engine, and
+`_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
+expansion. Both paths renormalize after every measurement, so states and
+step probabilities agree to rounding, entrywise and without any global
+phase alignment.
 """
 
 import itertools
@@ -40,12 +42,13 @@ from chi_jrsp.protocol import (
     _basis_rows,
     _collapse_branches,
     _dense_branch,
-    _enumerated_branches,
     _expand_parity,
     _sampled_outcomes,
     _search_corrections,
+    _walk,
     build_correction_table,
     compressed_target,
+    derive_correction,
     measurement_bases,
     parity_expand,
     run_branches,
@@ -242,23 +245,33 @@ def test_sampler_matches_replaying_reference_on_random_profiles(n_senders, data,
     assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=10)
 
 
+def skewed_rows(gen, n_senders):
+    """Arbitrary rows, then the same rows with the magnitude sender's bases
+    all equal to her basis 0, the form that `measurement_bases` gives."""
+    rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+    same = rows.copy()
+    same[0] = same[0, 0]
+    return rows, same
+
+
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_sampler_matches_replaying_reference_on_skewed_rows(n_senders):
     # Orthonormal bases make every conditional probability 1/8, so the draws
-    # barely depend on the walk; arbitrary rows make every step count. Only
-    # the magnitude sender's rows must not depend on k.
+    # barely depend on the walk; arbitrary rows make every step count. With
+    # the magnitude sender's rows depending on k, her branch d must use row d
+    # of basis d, as the reference does.
     gen = np.random.default_rng(n_senders)
     for seed in range(20):
-        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
-        rows[0] = rows[0, 0]
-        assert_sampler_matches_reference(rows, n_senders, seed, trials=20)
+        for rows in skewed_rows(gen, n_senders):
+            assert_sampler_matches_reference(rows, n_senders, seed, trials=20)
 
 
 def test_sampler_walks_each_trial_once(monkeypatch):
     # The sampler replays no prefix, and a sampled run takes its states and
     # steps from the sampler instead of collapsing the drawn branches again.
+    # A forced five-sender run takes the same walk.
     def refuse(*args):
-        raise AssertionError("a sampled run called _collapse_branches")
+        raise AssertionError("a sampled or forced run called _collapse_branches")
 
     x, phases = random_inputs(5, 0)
     sets = measurement_bases(x, phases, 5)
@@ -266,20 +279,21 @@ def test_sampler_walks_each_trial_once(monkeypatch):
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
     assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10)[0].shape == (10, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, None).outcomes.shape == (300, 5)
+    assert run_branches(x, phases, sets, "sampled", 0, 300, (7, (7, 7, 7, 7))).outcomes.tolist() == [[7] * 5]
 
 
 @pytest.mark.parametrize("n_senders", [2, 5])
 def test_sampler_draws_do_not_depend_on_chunk_size(n_senders, monkeypatch):
     # 20 trials in chunks of 7 are three chunks, the last one short.
-    gen = np.random.default_rng(10 + n_senders)
-    rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
-    rows[0] = rows[0, 0]
-    whole = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
-    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 7)
-    chunked = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
-    for got, expected in zip(chunked, whole):
-        assert np.array_equal(got, expected)
-    assert_sampler_matches_reference(rows, n_senders, seed=3, trials=20)
+    default = protocol._SAMPLE_CHUNK
+    for rows in skewed_rows(np.random.default_rng(10 + n_senders), n_senders):
+        monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", default)
+        whole = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
+        monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 7)
+        chunked = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
+        for got, expected in zip(chunked, whole):
+            assert np.array_equal(got, expected)
+        assert_sampler_matches_reference(rows, n_senders, seed=3, trials=20)
 
 
 def assert_bits_equal(a, b):
@@ -298,16 +312,15 @@ def assert_sampler_collapses_as_engine(rows, n_senders, seed, trials):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
     # The sampler's states and steps are those of the drawn branches, bit for
-    # bit, on real profiles and on the skewed rows above. 300 trials end in a
-    # short chunk at either chunk size: 256 + 44, and 42 * 7 + 6.
+    # bit, on real profiles and on both kinds of skewed rows above. 300 trials
+    # end in a short chunk at either chunk size: 256 + 44, and 42 * 7 + 6.
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", chunk)
     gen = np.random.default_rng(n_senders)
     for seed in range(8):
         x, phases = random_inputs(n_senders, seed)
         assert_sampler_collapses_as_engine(sender_rows(x, phases, n_senders), n_senders, seed, trials=300)
-        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
-        rows[0] = rows[0, 0]
-        assert_sampler_collapses_as_engine(rows, n_senders, seed, trials=300)
+        for rows in skewed_rows(gen, n_senders):
+            assert_sampler_collapses_as_engine(rows, n_senders, seed, trials=300)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -322,7 +335,7 @@ def test_sampler_rejects_non_finite_probabilities():
 
 def assert_tree_equals_collapse(rows):
     n = rows.shape[-4]
-    states, steps = _enumerated_branches(rows)
+    states, steps = _walk(rows)
     expected_states, expected_steps = _collapse_branches(rows, _all_outcomes(n))
     assert_bits_equal(states, expected_states)
     assert_bits_equal(steps, expected_steps)
@@ -360,21 +373,60 @@ def test_stacked_tree_equals_single_trees(n_senders):
     gen = np.random.default_rng(30 + n_senders)
     skewed = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
     stack = np.stack([sender_rows(x, phases, n_senders), skewed])
-    states, steps = _enumerated_branches(stack)
+    states, steps = _walk(stack)
     assert states.shape == (2, 8**n_senders, 8) and steps.shape == (2, 8**n_senders, n_senders)
     for i, rows in enumerate(stack):
-        single_states, single_steps = _enumerated_branches(rows)
+        single_states, single_steps = _walk(rows)
         assert_bits_equal(states[i], single_states)
         assert_bits_equal(steps[i], single_steps)
 
 
 def test_enumerations_walk_the_tree(monkeypatch):
-    # Exhaustive runs and correction tables never gather rows per branch.
+    # Exhaustive runs, correction tables and forced branches never gather
+    # rows per branch: `_collapse_branches` is the tests' reference alone.
     def refuse(*args):
-        raise AssertionError("an enumeration called _collapse_branches")
+        raise AssertionError("a run called _collapse_branches")
 
     x, phases = random_inputs(3, 0)
     sets = measurement_bases(x, phases, 3)
+    rows = _basis_rows(sets)[0]
+    expected_state, expected_steps = _collapse_branches(rows, np.array([[1, 2, 3]]))
+    expected_triple = derive_correction(1, (2, 3), x, phases)
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
     assert run_branches(x, phases, sets, "exhaustive", None, 1, None).outcomes.shape == (512, 3)
     assert build_correction_table(3).outcomes.shape == (512, 3)
+    assert run_branches(x, phases, sets, "exhaustive", None, 1, (1, (2, 3))).outcomes.tolist() == [[1, 2, 3]]
+    assert derive_correction(1, (2, 3), x, phases) == expected_triple
+    state, _, records = protocol._collapse_branch(x, phases, 1, (2, 3))
+    assert_bits_equal(state.amps, expected_state[0])
+    assert [r.probability for r in records] == expected_steps[0].tolist()
+
+
+def assert_rows_of(run, every, columns):
+    """`run`'s branches are the rows of `every` for their outcomes, bit for
+    bit in `columns`; returns those rows."""
+    b = np.ravel_multi_index(run.outcomes.T, (8,) * run.outcomes.shape[1])
+    assert np.array_equal(every.outcomes[b], run.outcomes)
+    assert run.corrections == [every.corrections[i] for i in b]
+    for column in columns:
+        assert_bits_equal(getattr(run, column), getattr(every, column)[b])
+    return b
+
+
+@pytest.mark.parametrize("n_senders", [2, 3])
+def test_run_branches_agree_across_modes(n_senders):
+    # One walk under three selections: every sampled or forced branch is, bit
+    # for bit, the exhaustive row of its outcome. The fidelity of a one-row
+    # batch goes through another matrix-vector path, which can round the
+    # same final state a few ulp apart, so forced fidelities are held to 4 ulp.
+    forced = [(0,) * n_senders, (7,) * n_senders, (1, 2, 3)[:n_senders], (6, 0, 5)[:n_senders]]
+    for seed in range(3):
+        x, phases = random_inputs(n_senders, seed)
+        sets = measurement_bases(x, phases, n_senders)
+        every = run_branches(x, phases, sets, "exhaustive", None, 1, None)
+        sampled = run_branches(x, phases, sets, "sampled", seed, 300, None)
+        assert_rows_of(sampled, every, ("steps", "finals", "fidelities"))
+        for o in forced:
+            run = run_branches(x, phases, sets, "sampled", seed, 1, (o[0], o[1:]))
+            b = assert_rows_of(run, every, ("steps", "finals"))
+            np.testing.assert_array_max_ulp(run.fidelities, every.fidelities[b], maxulp=4)
