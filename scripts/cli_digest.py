@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-483 CLI commands.
+501 CLI commands.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`. Run it on two versions of the package and `diff` the outputs to
@@ -13,7 +13,8 @@ temporary directory that holds the profile documents, so that the profile
 paths echoed in the reports and error messages are the same on every run.
 
 The set:
-- `verify --exhaustive`, N = 2, 3, seeds 0-39 (80);
+- `verify --exhaustive`, N = 2, 3, seeds 0-39, N = 4, seeds 0-9, and N = 5,
+  seeds 0-1 (92);
 - `verify --trials 30` and `run`, N = 2..5, seeds 0-39 (320);
 - `verify --trials 20000 --seed 7`, N = 2..5 (4), which takes the sampler
   over many chunks and the renderer over many rows;
@@ -21,15 +22,16 @@ The set:
   one chunk short of full, one full, one trial into the next chunk, and a
   short last chunk after two full ones;
 - the table format of `verify --exhaustive`, `verify --trials 30` and `run`
-  at seed 7 (10);
-- `table`, N = 2, 3, in both formats (4);
+  at seed 7, N = 2..5 (12);
+- `table`, N = 2..5, in both formats (8);
 - forced runs at N = 2..5, in both formats (24), each with the digit
   corners 0:0,... and 7:7,...;
 - six profile documents, each under `verify --exhaustive`,
   `verify --trials 30` and `run` (18), and the two with `x = e0` also under
   the table format of `verify --exhaustive` (2): on that degenerate
   profile several triples tie in the correction search, so its order shows;
-- input errors (9);
+- input errors (9), among them N = 6 under `verify --exhaustive` and
+  `table`;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
   runs, and the report lists all 64 or 512 of them with `bases_pass` false.
@@ -70,19 +72,19 @@ PROFILES = {
 def commands() -> list[list[str]]:
     """Every command of the set but the perturbed-basis reports."""
     out = []
-    for n in (2, 3):
-        out += [["verify", "--senders", str(n), "--exhaustive", "--seed", str(s)] for s in range(40)]
+    for n, seeds in ((2, 40), (3, 40), (4, 10), (5, 2)):
+        out += [["verify", "--senders", str(n), "--exhaustive", "--seed", str(s)] for s in range(seeds)]
     for n in range(2, 6):
         out += [["verify", "--senders", str(n), "--trials", "30", "--seed", str(s)] for s in range(40)]
         out += [["run", "--senders", str(n), "--seed", str(s)] for s in range(40)]
     out += [["verify", "--senders", str(n), "--trials", "20000", "--seed", "7"] for n in range(2, 6)]
     for n in (2, 5):
         out += [["verify", "--senders", str(n), "--trials", str(t), "--seed", "7"] for t in (255, 256, 257, 513)]
-    out += [["verify", "--senders", str(n), "--exhaustive", "--seed", "7", "--format", "table"] for n in (2, 3)]
     for n in range(2, 6):
+        out.append(["verify", "--senders", str(n), "--exhaustive", "--seed", "7", "--format", "table"])
         out.append(["verify", "--senders", str(n), "--trials", "30", "--seed", "7", "--format", "table"])
         out.append(["run", "--senders", str(n), "--seed", "7", "--format", "table"])
-    out += [["table", "--senders", str(n), "--format", fmt] for n in (2, 3) for fmt in ("structured", "table")]
+    out += [["table", "--senders", str(n), "--format", fmt] for n in range(2, 6) for fmt in ("structured", "table")]
     forced = {
         2: ("1:2", "0:0", "7:7"),
         3: ("1:2,3", "0:0,0", "7:7,7"),
@@ -102,13 +104,13 @@ def commands() -> list[list[str]]:
     out += [
         ["verify", "--senders", "1"],
         ["verify", "--senders", "6"],
-        ["verify", "--senders", "4", "--exhaustive"],
+        ["verify", "--senders", "6", "--exhaustive"],
         ["verify", "--trials", "0"],
         ["verify", "--seed", "-1"],
         ["run", "--force-outcome", "9:1"],
         ["run", "--senders", "3", "--force-outcome", "1:2"],
         ["verify", "--profile", "missing.json"],
-        ["table", "--senders", "4"],
+        ["table", "--senders", "6"],
     ]
     return out
 

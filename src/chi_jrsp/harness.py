@@ -57,8 +57,6 @@ class RunConfig:
             raise ProfileError(f"senders must be in 2..{protocol.MAX_SENDERS}, got {self.senders}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ProfileError(f"mode must be 'exhaustive' or 'sampled', got {self.mode!r}")
-        if self.mode == "exhaustive" and self.senders > protocol.MAX_ENUMERATED_SENDERS:
-            raise ProfileError(f"exhaustive mode is only allowed for at most {protocol.MAX_ENUMERATED_SENDERS} senders")
         if self.trials < 1:
             raise ProfileError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
@@ -69,6 +67,8 @@ class RunConfig:
             raise ProfileError(
                 f"forced outcome lists {len(self.force[1])} phase-sender digits, expected {self.senders - 1}"
             )
+        if self.force is not None and (self.mode == "exhaustive" or self.trials != 1):
+            raise ProfileError(f"a forced outcome runs one branch, not mode {self.mode!r} or {self.trials} trials")
         if self.fmt not in ("structured", "table"):
             raise ProfileError(f"format must be 'structured' or 'table', got {self.fmt!r}")
 
@@ -382,8 +382,6 @@ def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
 
 def cmd_table(config: RunConfig) -> tuple[int, protocol.CorrectionTable]:
     """Derive, verify and emit the full correction table."""
-    if config.senders > protocol.MAX_ENUMERATED_SENDERS:
-        raise ProfileError(f"full correction tables are limited to {protocol.MAX_ENUMERATED_SENDERS} senders")
     table = protocol.build_correction_table(config.senders)
     _write_output(render_table(table, config.fmt), config.out_path)
     return EXIT_PASS, table

@@ -55,8 +55,6 @@ from .qstate import (  # noqa: F401
 )
 
 MAX_SENDERS = 5
-# Exhaustive runs and correction tables enumerate all 8**N branches up to this many senders.
-MAX_ENUMERATED_SENDERS = 3
 FIDELITY_TOL = 1e-10
 
 # Per-qubit correction alphabet in deterministic search order. "ZX" means
@@ -409,12 +407,11 @@ class CorrectionTable:
 
 def build_correction_table(n_senders: int) -> CorrectionTable:
     """Derive (and independently verify) corrections for all 8**n_senders
-    outcomes, up to MAX_ENUMERATED_SENDERS senders. Derivation and verification
-    use two independently seeded generic profiles, so a table entry only
-    survives if it is profile-independent. Both profiles' branches come from
-    one walk that keeps every child, with their rows stacked."""
-    if n_senders > MAX_ENUMERATED_SENDERS:
-        raise ValueError(f"full enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
+    outcomes, at any sender count in 2..MAX_SENDERS. Derivation and
+    verification use two independently seeded generic profiles, so a table
+    entry only survives if it is profile-independent. Both profiles'
+    branches come from one walk that keeps every child, with their rows
+    stacked."""
     derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
     rows = np.stack([_basis_rows(measurement_bases(x, phases, n_senders))[0] for x, phases in (derive, check)])
     (derived, checked), _ = _walk(rows)
@@ -476,8 +473,8 @@ def run_branches(
     is `measurement_bases(x, phases, n_senders)`, built by the caller, and
     its length is the sender count.
 
-    Exhaustive mode computes all 8**n_senders branches (N <= MAX_ENUMERATED_SENDERS)
-    in outcome-lexicographic order; sampled mode draws `trials` branches
+    Exhaustive mode computes all 8**n_senders branches in
+    outcome-lexicographic order; sampled mode draws `trials` branches
     from the true distribution; `force` runs the one branch it names.
     """
     n_senders = len(sets)
@@ -488,8 +485,6 @@ def run_branches(
     elif mode == "sampled":
         outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     elif mode == "exhaustive":
-        if n_senders > MAX_ENUMERATED_SENDERS:
-            raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUMERATED_SENDERS} senders")
         outcomes = _all_outcomes(n_senders)
         states, steps = _walk(rows)
     else:

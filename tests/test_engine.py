@@ -392,14 +392,31 @@ def test_enumerations_walk_the_tree(monkeypatch):
     rows = _basis_rows(sets)[0]
     expected_state, expected_steps = _collapse_branches(rows, np.array([[1, 2, 3]]))
     expected_triple = derive_correction(1, (2, 3), x, phases)
+    x4, phases4 = random_inputs(4, 0)
+    sets4 = measurement_bases(x4, phases4, 4)
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
     assert run_branches(x, phases, sets, "exhaustive", None, 1, None).outcomes.shape == (512, 3)
     assert build_correction_table(3).outcomes.shape == (512, 3)
+    assert run_branches(x4, phases4, sets4, "exhaustive", None, 1, None).outcomes.shape == (4096, 4)
+    assert build_correction_table(4).outcomes.shape == (4096, 4)
     assert run_branches(x, phases, sets, "exhaustive", None, 1, (1, (2, 3))).outcomes.tolist() == [[1, 2, 3]]
     assert derive_correction(1, (2, 3), x, phases) == expected_triple
     state, _, records = protocol._collapse_branch(x, phases, 1, (2, 3))
     assert_bits_equal(state.amps, expected_state[0])
     assert [r.probability for r in records] == expected_steps[0].tolist()
+
+
+@pytest.mark.parametrize("n_senders", [4, 5])
+def test_large_tables_match_derive_correction(n_senders):
+    # The enumerated table against the one-branch oracle on both table
+    # seeds' profiles: the digit corners and 18 seeded outcomes.
+    table = build_correction_table(n_senders)
+    drawn = np.random.default_rng(n_senders).integers(0, 8, (18, n_senders))
+    outcomes = [(0,) * n_senders, (7,) * n_senders, *map(tuple, drawn.tolist())]
+    for seed in (protocol._TABLE_SEED, protocol._TABLE_SEED + 1):
+        x, phases = random_inputs(n_senders, seed)
+        for o in outcomes:
+            assert table.entries[o] == derive_correction(o[0], o[1:], x, phases), (seed, o)
 
 
 def assert_rows_of(run, every, columns):
@@ -413,13 +430,13 @@ def assert_rows_of(run, every, columns):
     return b
 
 
-@pytest.mark.parametrize("n_senders", [2, 3])
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_run_branches_agree_across_modes(n_senders):
     # One walk under three selections: every sampled or forced branch is, bit
     # for bit, the exhaustive row of its outcome. The fidelity of a one-row
     # batch goes through another matrix-vector path, which can round the
     # same final state a few ulp apart, so forced fidelities are held to 4 ulp.
-    forced = [(0,) * n_senders, (7,) * n_senders, (1, 2, 3)[:n_senders], (6, 0, 5)[:n_senders]]
+    forced = [(0,) * n_senders, (7,) * n_senders, (1, 2, 3, 4, 5)[:n_senders], (6, 0, 5, 3, 1)[:n_senders]]
     for seed in range(3):
         x, phases = random_inputs(n_senders, seed)
         sets = measurement_bases(x, phases, n_senders)

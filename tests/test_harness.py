@@ -104,9 +104,19 @@ class TestLoadProfile:
 
 
 class TestRunConfig:
-    def test_exhaustive_limited_to_three_senders(self):
-        with pytest.raises(ProfileError):
-            RunConfig(senders=4, mode="exhaustive")
+    def test_exhaustive_allowed_at_every_sender_count(self):
+        # One sender bound, 2..MAX_SENDERS, governs every mode.
+        for n in range(2, protocol.MAX_SENDERS + 1):
+            assert RunConfig(senders=n, mode="exhaustive").senders == n
+        with pytest.raises(ProfileError, match=r"senders must be in 2\.\.5, got 6"):
+            RunConfig(senders=6, mode="exhaustive")
+
+    @pytest.mark.parametrize(("mode", "trials"), [("exhaustive", 1), ("sampled", 30)])
+    def test_force_excludes_campaigns(self, mode, trials):
+        # A forced outcome runs one branch: a campaign around it would report
+        # that branch as a failed exhaustive sum or under the wrong trial count.
+        with pytest.raises(ProfileError, match="a forced outcome runs one branch"):
+            RunConfig(senders=2, mode=mode, trials=trials, force=(1, (2,)))
 
     def test_trials_positive(self):
         with pytest.raises(ProfileError):
@@ -321,9 +331,12 @@ class TestCmdTable:
         assert lines[0] == "outcome\tcorrection\tfidelity"
         assert lines[1].startswith("00\tI I I\t")
 
-    def test_four_senders_rejected(self):
-        with pytest.raises(ProfileError):
-            cmd_table(RunConfig(senders=4))
+    def test_four_senders_enumerated(self, tmp_path):
+        status, table = cmd_table(RunConfig(senders=4, fmt="table", out_path=str(tmp_path / "t4.tsv")))
+        assert status == EXIT_PASS
+        assert len(table.corrections) == table.fidelities.size == 8**4
+        assert table.fidelities.min() >= 1 - protocol.FIDELITY_TOL
+        assert len((tmp_path / "t4.tsv").read_text().splitlines()) == 1 + 8**4
 
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
         # Row 5, outcome (0, 5), gets the next triple in search order, which
@@ -379,9 +392,16 @@ class TestMain:
         code = main(["verify", "--profile", str(bad)])
         assert code == EXIT_INPUT_ERROR
 
-    def test_exhaustive_beyond_three_is_usage_error(self, capsys):
-        code = main(["verify", "--senders", "4", "--exhaustive"])
-        assert code == EXIT_INPUT_ERROR
+    @pytest.mark.parametrize("senders", [4, 5])
+    def test_exhaustive_at_every_sender_count(self, senders, capsys):
+        assert main(["verify", "--senders", str(senders), "--exhaustive", "--seed", "7"]) == EXIT_PASS
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert doc["aggregates"]["branch_count"] == len(doc["branches"]) == 8**senders
+
+    def test_exhaustive_beyond_max_senders_is_usage_error(self, capsys):
+        assert main(["verify", "--senders", "6", "--exhaustive"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: senders must be in 2..5, got 6\n"
 
     def test_run_with_force(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -399,8 +419,16 @@ class TestMain:
         assert code == EXIT_PASS
         assert out.read_text().startswith("outcome\t")
 
-    def test_table_four_senders_rejected(self, capsys):
-        assert main(["table", "--senders", "4"]) == EXIT_INPUT_ERROR
+    @pytest.mark.parametrize("senders", [4, 5])
+    def test_table_at_every_sender_count(self, senders, capsys):
+        assert main(["table", "--senders", str(senders)]) == EXIT_PASS
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert len(entries) == 8**senders
+        assert min(e["fidelity"] for e in entries) >= 1 - protocol.FIDELITY_TOL
+
+    def test_table_beyond_max_senders_rejected(self, capsys):
+        assert main(["table", "--senders", "6"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: senders must be in 2..5, got 6\n"
 
     @pytest.mark.parametrize("flag", [["--seed", "5"], ["--profile", "p.json"], ["--random"]])
     def test_table_rejects_input_flags(self, flag, capsys):

@@ -322,15 +322,20 @@ class TestCorrectionTable:
         with pytest.raises(TypeError):
             table.entries[(0, 0)] = ("X", "X", "X")
 
-    def test_four_sender_requires_subset(self):
-        # Tables enumerate up to three senders; a four-sender outcome is
-        # derived one at a time, on the profiles of both table seeds.
-        with pytest.raises(ValueError, match="limited to 3 senders"):
-            build_correction_table(4)
+    def test_four_sender_table(self):
+        # Tables enumerate every sender count in 2..MAX_SENDERS; their entries
+        # are the corrections that derive_correction finds on both table seeds.
+        table = build_correction_table(4)
+        assert len(table.entries) == 4096
+        assert table.fidelities.min() >= 1 - TOL
+        assert table.entries[(0, 0, 0, 0)] == ("I", "I", "I")
+        assert table.entries[(0, 1, 0, 0)] == ("I", "I", "Z")
         for seed in (_TABLE_SEED, _TABLE_SEED + 1):
             x, shares = random_inputs(4, seed)
             assert derive_correction(0, (0, 0, 0), x, shares) == ("I", "I", "I")
             assert derive_correction(0, (1, 0, 0), x, shares) == ("I", "I", "Z")
+        with pytest.raises(ValueError, match=r"n_senders must be in 2\.\.5, got 6"):
+            build_correction_table(6)
 
     def test_deterministic(self):
         a = build_correction_table(2)
@@ -423,10 +428,14 @@ class TestRunNSender:
             assert t.probability == pytest.approx(8.0**-4, abs=TOL)
             assert t.classical_bits == 12
 
-    def test_exhaustive_beyond_three_rejected(self):
+    def test_four_sender_exhaustive(self):
         x, shares = seeded_inputs(18, n_senders=4)
-        with pytest.raises(ValueError):
-            run_n_sender(4, x, shares, mode="exhaustive")
+        transcripts = run_n_sender(4, x, shares, mode="exhaustive")
+        assert len(transcripts) == 4096
+        assert [t.outcome for t in transcripts] == [tuple(o) for o in _all_outcomes(4).tolist()]
+        for t in transcripts:
+            assert t.probability == pytest.approx(8.0**-4, abs=TOL)
+            assert t.fidelity >= 1 - TOL
 
     def test_share_count_must_match(self):
         x, shares = seeded_inputs(19, n_senders=3)
