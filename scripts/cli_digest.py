@@ -1,8 +1,9 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-501 CLI commands.
+507 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
-stderr>`. Run it on two versions of the package and `diff` the outputs to
+stderr>`, and for the `--out` commands also `\t<sha256 of the written
+file>`. Run it on two versions of the package and `diff` the outputs to
 check that a change keeps stdout, stderr and exit codes byte-identical:
 
     PYTHONPATH=<checkout of the parent commit>/src python3 scripts/cli_digest.py > before.txt
@@ -34,7 +35,10 @@ The set:
   `table`;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
-  runs, and the report lists all 64 or 512 of them with `bases_pass` false.
+  runs, and the report lists all 64 or 512 of them with `bases_pass` false;
+- `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
+  `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
+  through `--out` (6), as the benchmark writes its reports.
 """
 
 from __future__ import annotations
@@ -115,6 +119,16 @@ def commands() -> list[list[str]]:
     return out
 
 
+def out_commands() -> list[list[str]]:
+    """The commands that write their output through `--out`."""
+    campaigns = [
+        ["verify", "--senders", "3", "--exhaustive", "--seed", "7"],
+        ["table", "--senders", "3"],
+        ["verify", "--senders", "5", "--trials", "100", "--seed", "7"],
+    ]
+    return [[*argv, "--format", fmt] for argv in campaigns for fmt in ("structured", "table")]
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout digest and stderr digest of one in-process CLI call."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -159,6 +173,12 @@ def main() -> None:
                     for fmt in ("structured", "table"):
                         argv = ["verify", "--senders", str(n), "--exhaustive", "--seed", "1", "--format", fmt]
                         lines.append((" ".join(argv) + " [amplitude basis perturbed]", *run(argv)))
+            for argv in out_commands():
+                code, stdout, stderr = run([*argv, "--out", "report.out"])
+                with open("report.out", "rb") as f:
+                    written = hashlib.sha256(f.read()).hexdigest()
+                os.remove("report.out")
+                lines.append((" ".join(argv) + " --out", code, stdout, stderr, written))
         finally:
             os.chdir(cwd)
     for line in lines:

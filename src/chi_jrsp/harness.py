@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,8 +163,8 @@ def _run_campaign(
 @dataclass(frozen=True)
 class VerificationReport:
     """A verify report: the head, `engine_version` to `passed`, in output
-    order, then the branch rows as columns. Row b of each column is branch b,
-    and every row announces `classical_bits` bits."""
+    order, then the branch rows as the engine's columns. Row b of each column
+    is branch b, and every row announces `classical_bits` bits."""
 
     engine_version: str
     config: dict
@@ -174,11 +172,15 @@ class VerificationReport:
     aggregates: dict
     checks: dict
     passed: bool
-    outcomes: list[str]
-    probabilities: list[float]
-    corrections: list[CorrectionTriple]
-    fidelities: list[float]
+    outcomes: np.ndarray  # (B, N) announced digits k, j_1, ..., j_{N-1}
+    probabilities: np.ndarray  # (B,) float64
+    triples: np.ndarray  # (B,) index into protocol._TRIPLES of each correction
+    fidelities: np.ndarray  # (B,) float64
     classical_bits: int
+
+    @property
+    def corrections(self) -> list[CorrectionTriple]:
+        return protocol.corrections_of(self.triples)
 
     def head(self) -> dict:
         """The fields before the branch rows, in output order."""
@@ -194,7 +196,8 @@ class VerificationReport:
     def to_dict(self) -> dict:
         """The report as one document, the branch rows as dicts; its
         `json.dumps(..., indent=2)` is the structured report."""
-        rows = zip(self.outcomes, self.probabilities, self.corrections, self.fidelities)
+        outcomes = ("".join(map(str, row)) for row in self.outcomes.tolist())
+        rows = zip(outcomes, self.probabilities.tolist(), self.corrections, self.fidelities.tolist())
         bits = self.classical_bits
         branches = [
             {"outcome": o, "probability": p, "correction": list(c), "fidelity": f, "classical_bits": bits}
@@ -204,20 +207,26 @@ class VerificationReport:
 
 
 def _outcome_strings(outcomes: np.ndarray) -> list[str]:
-    """Each row of announced digits (each in 0..7) as its digit string: the
-    row's base-8 index in octal, zero-padded to the row's length."""
-    n = outcomes.shape[1]
-    return list(map(f"%0{n}o".__mod__, (outcomes @ 8 ** np.arange(n - 1, -1, -1)).tolist()))
+    """Each row of announced digits (each in 0..7) as its digit string,
+    decoded from one ASCII buffer of the rows, each ended by a newline."""
+    rows, n = outcomes.shape
+    text = np.full((rows, n + 1), ord("\n"), dtype=np.uint8)
+    np.add(outcomes, ord("0"), out=text[:, :n], casting="unsafe")
+    return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches) -> VerificationReport:
-    """The report of one campaign: the one judge of its branches and bases."""
+    """The report of one campaign: the one judge of its branches and bases.
+
+    `probability_sum` adds the rows left to right (np.cumsum; np.sum adds
+    pairwise, which gives other bits), and `min_fidelity` is Python's `min`
+    over the rows, which keeps a NaN only in the first row (np.min keeps
+    any). A campaign has at least one branch."""
     n = config.senders
     bits = 3 * run.outcomes.shape[1]
-    probabilities = run.probabilities.tolist()
-    fidelities = run.fidelities.tolist()
-    min_fid = min(fidelities)
-    prob_sum = sum(probabilities)
+    probabilities = run.probabilities
+    min_fid = min(run.fidelities.tolist())
+    prob_sum = float(np.cumsum(probabilities)[-1])
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
     fid_pass = min_fid >= 1.0 - FIDELITY_TOL
     bits_pass = bits == protocol.classical_cost(n)
@@ -226,7 +235,7 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches)
         prob_pass = abs(prob_sum - 1.0) <= FIDELITY_TOL
     else:
         rule = "uniform-branch"
-        prob_pass = all(abs(p - 8.0**-n) <= FIDELITY_TOL for p in probabilities)
+        prob_pass = bool(np.all(np.abs(probabilities - 8.0**-n) <= FIDELITY_TOL))
     aggregates = {
         "branch_count": len(probabilities),
         "min_fidelity": min_fid,
@@ -241,19 +250,23 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches)
         "bits_pass": bits_pass,
     }
     passed = fid_pass and prob_pass and bases_pass and bits_pass
-    columns = (_outcome_strings(run.outcomes), probabilities, run.corrections, fidelities, bits)
+    columns = (run.outcomes, probabilities, run.triples, run.fidelities, bits)
     return VerificationReport(__version__, config.echo(), basis_devs, aggregates, checks, passed, *columns)
 
 
-# The structured renderers write the bytes of json.dumps(..., indent=2): the
-# head through json.dumps itself, the rows through one %-template per row,
-# filled with JSON text. Rows sit at depth 2 of the document; outcomes are
-# digit strings and corrections triples over CORRECTION_OPS.
+# The renderers write the bytes of json.dumps(..., indent=2) (structured) or
+# of the tab-separated lines (table). Each document is one "".join over a
+# list that holds the head, then per row the pieces of a row template (the
+# text between its %s slots) interleaved with that row's column texts, then
+# the tail; `_fill_rows` fills it a column at a time by slice assignment.
+# Structured rows sit at depth 2 of the document, outcomes are digit strings
+# and corrections triples over CORRECTION_OPS, indexed as protocol._TRIPLES.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_CORRECTION = {
-    triple: "[\n" + ",\n".join(f"        {json.dumps(op)}" for op in triple) + "\n      ]"
-    for triple in itertools.product(protocol.CORRECTION_OPS, repeat=3)
-}
+_JSON_CORRECTION = np.array(
+    ["[\n" + ",\n".join(f"        {json.dumps(op)}" for op in triple) + "\n      ]" for triple in protocol._TRIPLES],
+    dtype=object,
+)
+_TABLE_CORRECTION = np.array([" ".join(triple) for triple in protocol._TRIPLES], dtype=object)
 _JSON_BRANCH_ROW = (
     '    {\n      "outcome": "%s",\n      "probability": %s,\n      "correction": %s,\n'
     '      "fidelity": %s,\n      "classical_bits": %s\n    }'
@@ -261,47 +274,68 @@ _JSON_BRANCH_ROW = (
 _JSON_ENTRY_ROW = '    {\n      "outcome": "%s",\n      "correction": %s,\n      "fidelity": %s\n    }'
 
 
-def _float_texts(values: list[float], spelling: dict[str, str]) -> list[str]:
-    """Each value as float.__repr__ writes it, or as `spelling` respells that
-    text. Computed once per distinct bit pattern, so 0.0 and -0.0 stay apart:
-    the rows of one campaign share a few probabilities and fidelities. (A
-    dict, not np.unique, whose first call adds about 0.4 MiB of RSS.)"""
-    patterns = np.array(values, dtype=float).view(np.uint64).tolist()
-    distinct = dict(zip(patterns, values))
-    texts = {p: spelling.get(text, text) for p, text in zip(distinct, map(float.__repr__, distinct.values()))}
+def _float_texts(values: np.ndarray, spelling: dict[str, str]) -> list[str]:
+    """Each float64 value as float.__repr__ writes it, or as `spelling`
+    respells that text. Computed once per distinct bit pattern, so 0.0 and
+    -0.0 stay apart: the rows of one campaign share a few probabilities and
+    fidelities. (A dict, not np.unique or np.sort, whose first calls add
+    about 0.4 and 0.3 MiB of RSS.)"""
+    patterns = values.view(np.uint64).tolist()
+    texts = dict.fromkeys(patterns)
+    for pattern, value in zip(texts, np.array(list(texts), dtype=np.uint64).view(np.float64).tolist()):
+        text = float.__repr__(value)
+        texts[pattern] = spelling.get(text, text)
     return list(map(texts.__getitem__, patterns))
 
 
-def _json_document(head: dict, key: str, rows: Iterable[str]) -> str:
+def _fill_rows(head: str, template: str, columns: list[list[str]], sep: str, tail: str) -> str:
+    """`head + sep.join(template % row for row in zip(*columns)) + tail`,
+    as one join over a list filled a column at a time."""
+    pieces = template.split("%s")
+    rows, width = len(columns[0]), 2 * len(columns) + 1
+    parts = [None] * (width * rows + 2)
+    parts[0], parts[-1] = head, tail
+    for i, column in enumerate(columns):
+        parts[1 + 2 * i : -1 : width] = [pieces[i]] * rows
+        parts[2 + 2 * i : -1 : width] = column
+    parts[width:-1:width] = [pieces[-1] + sep] * rows
+    if rows:
+        parts[-2] = pieces[-1]
+    return "".join(parts)
+
+
+def _json_document(head: dict, key: str, template: str, columns: list[list[str]]) -> str:
     """`json.dumps({**head, key: [...]}, indent=2) + "\n"`, with the list's
-    items already rendered as `rows`; `head` must not be empty."""
-    body = ",\n".join(rows)
-    items = f"[\n{body}\n  ]" if body else "[]"
-    return f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: {items}\n}}\n"
+    items written as `template` over the columns; `head` must not be empty."""
+    head_text = f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: "
+    if not len(columns[0]):
+        return head_text + "[]\n}\n"
+    return _fill_rows(head_text + "[\n", template, columns, ",\n", "\n  ]\n}\n")
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
-    bits = itertools.repeat(report.classical_bits)
+    outcomes = _outcome_strings(report.outcomes)
+    # Every row announces the same bits: written into the row template, whose
+    # other four slots stay "%s".
+    slots = ("%s",) * 4 + (report.classical_bits,)
     if fmt == "structured":
-        rows = zip(
-            report.outcomes, _float_texts(report.probabilities, _JSON_NONFINITE),
-            map(_JSON_CORRECTION.__getitem__, report.corrections), _float_texts(report.fidelities, _JSON_NONFINITE),
-            bits,
-        )
-        return _json_document(report.head(), "branches", map(_JSON_BRANCH_ROW.__mod__, rows))
+        columns = [
+            outcomes, _float_texts(report.probabilities, _JSON_NONFINITE), _JSON_CORRECTION[report.triples].tolist(),
+            _float_texts(report.fidelities, _JSON_NONFINITE),
+        ]
+        return _json_document(report.head(), "branches", _JSON_BRANCH_ROW % slots, columns)
     lines = [f"# engine_version\t{report.engine_version}"]
     lines.extend(f"# config.{k}\t{v}" for k, v in report.config.items())
     lines.extend(f"# basis.{k}\t{v!r}" for k, v in report.basis_validation.items())
     lines.extend(f"# aggregate.{k}\t{v!r}" for k, v in report.aggregates.items())
     lines.extend(f"# check.{k}\t{v}" for k, v in report.checks.items())
     lines.append(f"# passed\t{report.passed}")
-    lines.append("outcome\tprobability\tcorrection\tfidelity\tclassical_bits")
-    rows = zip(
-        report.outcomes, _float_texts(report.probabilities, {}), map(" ".join, report.corrections),
-        _float_texts(report.fidelities, {}), bits,
-    )
-    lines.extend(map("%s\t%s\t%s\t%s\t%s".__mod__, rows))
-    return "\n".join(lines) + "\n"
+    lines.append("outcome\tprobability\tcorrection\tfidelity\tclassical_bits\n")
+    columns = [
+        outcomes, _float_texts(report.probabilities, {}), _TABLE_CORRECTION[report.triples].tolist(),
+        _float_texts(report.fidelities, {}),
+    ]
+    return _fill_rows("\n".join(lines), "%s\t%s\t%s\t%s\t%s\n" % slots, columns, "", "")
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -370,14 +404,12 @@ def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
 def render_table(table: protocol.CorrectionTable, fmt: str) -> str:
     """The table's rows in their (lexicographic) order, from its columns."""
     outcomes = _outcome_strings(table.outcomes)
-    fidelities = table.fidelities.tolist()
     if fmt == "structured":
         head = {"engine_version": __version__, "senders": table.n_senders}
-        corrections = map(_JSON_CORRECTION.__getitem__, table.corrections)
-        rows = zip(outcomes, corrections, _float_texts(fidelities, _JSON_NONFINITE))
-        return _json_document(head, "entries", map(_JSON_ENTRY_ROW.__mod__, rows))
-    rows = zip(outcomes, map(" ".join, table.corrections), _float_texts(fidelities, {}))
-    return "\n".join(["outcome\tcorrection\tfidelity", *map("%s\t%s\t%s".__mod__, rows)]) + "\n"
+        columns = [outcomes, _JSON_CORRECTION[table.triples].tolist(), _float_texts(table.fidelities, _JSON_NONFINITE)]
+        return _json_document(head, "entries", _JSON_ENTRY_ROW, columns)
+    columns = [outcomes, _TABLE_CORRECTION[table.triples].tolist(), _float_texts(table.fidelities, {})]
+    return _fill_rows("outcome\tcorrection\tfidelity\n", "%s\t%s\t%s\n", columns, "", "")
 
 
 def cmd_table(config: RunConfig) -> tuple[int, protocol.CorrectionTable]:

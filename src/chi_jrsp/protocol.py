@@ -99,6 +99,11 @@ _SEARCH_CHUNK = 64
 CorrectionTriple = tuple[str, str, str]
 
 
+def corrections_of(triples: np.ndarray) -> list[CorrectionTriple]:
+    """The correction triples at these indices into _TRIPLES."""
+    return [_TRIPLES[t] for t in triples.tolist()]
+
+
 class NoCorrectionFound(Exception):
     """No Pauli triple reaches the fidelity threshold; signals a transcription bug."""
 
@@ -137,13 +142,17 @@ class Branches:
     labels: list[list[str]]  # labels[p][k]: party p's basis after the announced outcome k
     outcomes: np.ndarray  # (B, N) announced digits k, j_1, ..., j_{N-1}
     steps: np.ndarray  # (B, N) each party's outcome probability given the outcomes before it
-    corrections: list[CorrectionTriple]
+    triples: np.ndarray  # (B,) index into _TRIPLES of each branch's correction
     finals: np.ndarray  # (B, 16) corrected, parity-expanded receiver states
     fidelities: np.ndarray  # (B,) fidelity of each final state with the target
 
     @property
     def probabilities(self) -> np.ndarray:
         return np.prod(self.steps, axis=1)
+
+    @property
+    def corrections(self) -> list[CorrectionTriple]:
+        return corrections_of(self.triples)
 
 
 def compressed_target(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> StateVector:
@@ -396,8 +405,12 @@ class CorrectionTable:
 
     n_senders: int
     outcomes: np.ndarray  # (B, N) digits k, j_1, ..., j_{N-1}
-    corrections: list[CorrectionTriple]
+    triples: np.ndarray  # (B,) index into _TRIPLES of each row's correction
     fidelities: np.ndarray  # (B,) fidelity of each correction on the check profile
+
+    @property
+    def corrections(self) -> list[CorrectionTriple]:
+        return corrections_of(self.triples)
 
     @property
     def entries(self) -> Mapping[tuple[int, ...], CorrectionTriple]:
@@ -425,7 +438,7 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
             f"correction {_TRIPLES[found[b]]} for outcome {tuple(outcomes[b].tolist())} fails on a fresh profile"
             f" (fidelity {float(fidelities[b])!r})"
         )
-    return CorrectionTable(n_senders, outcomes, [_TRIPLES[t] for t in found.tolist()], fidelities)
+    return CorrectionTable(n_senders, outcomes, found, fidelities)
 
 
 def _sampled_outcomes(
@@ -475,8 +488,11 @@ def run_branches(
 
     Exhaustive mode computes all 8**n_senders branches in
     outcome-lexicographic order; sampled mode draws `trials` branches
-    from the true distribution; `force` runs the one branch it names.
+    from the true distribution; `force` runs the one branch it names, in
+    either mode and whatever `trials` says.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
     n_senders = len(sets)
     rows, labels = _basis_rows(sets)
     if force is not None:
@@ -484,17 +500,15 @@ def run_branches(
         states, steps = _walk(rows, lambda p, probs: outcomes[:, p])
     elif mode == "sampled":
         outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
-    elif mode == "exhaustive":
+    else:
         outcomes = _all_outcomes(n_senders)
         states, steps = _walk(rows)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
 
     target3 = compressed_target(x, phases).amps
     found = _search_corrections(states, target3)
     finals = _expand_parity(_apply_corrections(states, found))
     fidelities = np.abs(finals.conj() @ _expand_parity(target3[None])[0]) ** 2
-    return Branches(labels, outcomes, steps, [_TRIPLES[t] for t in found.tolist()], finals, fidelities)
+    return Branches(labels, outcomes, steps, found, finals, fidelities)
 
 
 def transcripts(run: Branches) -> list[ProtocolTranscript]:

@@ -52,6 +52,7 @@ from chi_jrsp.protocol import (
     measurement_bases,
     parity_expand,
     run_branches,
+    run_n_sender,
 )
 from chi_jrsp.qstate import StateVector, fidelity_up_to_phase
 
@@ -280,6 +281,27 @@ def test_sampler_walks_each_trial_once(monkeypatch):
     assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10)[0].shape == (10, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, None).outcomes.shape == (300, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, (7, (7, 7, 7, 7))).outcomes.tolist() == [[7] * 5]
+
+
+@pytest.mark.parametrize("force", [None, (1, (2, 3))], ids=["unforced", "forced"])
+def test_run_branches_rejects_an_unknown_mode(force):
+    # A forced outcome overrides the trial count and either known mode, but
+    # an unknown mode is an error with or without one.
+    x, shares = random_inputs(3, 0)
+    sets = measurement_bases(x, shares, 3)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        run_branches(x, shares, sets, "bogus", 0, 1, force)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        run_n_sender(3, x, shares, mode="bogus", force=force)
+
+
+def test_corrections_are_the_triple_column():
+    x, shares = random_inputs(3, 4)
+    run = run_branches(x, shares, measurement_bases(x, shares, 3), "exhaustive", None, 1, None)
+    assert run.triples.shape == (512,) and run.triples.dtype.kind == "i"
+    assert run.corrections == [_TRIPLES[t] for t in run.triples.tolist()]
+    table = build_correction_table(2)
+    assert table.corrections == [_TRIPLES[t] for t in table.triples.tolist()]
 
 
 @pytest.mark.parametrize("n_senders", [2, 5])

@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from chi_jrsp.harness import (
     EXIT_VERIFY_FAIL,
     ProfileError,
     RunConfig,
+    build_report,
     cmd_run,
     cmd_table,
     cmd_verify,
@@ -138,6 +142,72 @@ class TestRunConfig:
         b = resolve_inputs(config)
         assert np.array_equal(a[0].x, b[0].x)
         assert np.array_equal(a[1].shares, b[1].shares)
+
+
+def hand_branches(probabilities: list[float], fidelities: list[float], n: int = 2) -> protocol.Branches:
+    """A Branches record with these probability and fidelity columns; every
+    other column is a placeholder that the report does not judge."""
+    rows = len(probabilities)
+    steps = np.ones((rows, n))
+    steps[:, 0] = probabilities
+    return protocol.Branches(
+        labels=[["amplitude"] * 8] * n,
+        outcomes=np.zeros((rows, n), dtype=np.intp),
+        steps=steps,
+        triples=np.zeros(rows, dtype=np.intp),
+        finals=np.zeros((rows, 16), dtype=complex),
+        fidelities=np.array(fidelities, dtype=float),
+    )
+
+
+class TestReportAggregates:
+    """`build_report` judges its columns with Python's semantics: a
+    left-to-right sum, Python's `min`, and a probability check per row."""
+
+    def test_probability_sum_adds_left_to_right(self):
+        column = [1.0] + [1e-16] * 16
+        left_to_right = functools.reduce(operator.add, column)
+        assert left_to_right == 1.0 and float(np.sum(column)) > 1.0  # pairwise: 1.0000000000000016
+        run = hand_branches(column, [1.0] * len(column))
+        report = build_report(RunConfig(senders=2, mode="exhaustive"), {}, run)
+        assert report.aggregates["probability_sum"] == left_to_right
+        assert type(report.aggregates["probability_sum"]) is float
+
+    @pytest.mark.parametrize(
+        "column, expected",
+        [([math.nan, 1.0, 0.5], math.nan), ([1.0, math.nan, 0.5], 0.5), ([1.0, 0.5, 0.75], 0.5)],
+        ids=["nan-first", "nan-middle", "no-nan"],
+    )
+    def test_min_fidelity_is_python_min(self, column, expected):
+        report = build_report(RunConfig(senders=2, mode="exhaustive"), {}, hand_branches([1 / 3] * 3, column))
+        got = report.aggregates["min_fidelity"]
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert type(got) is float
+        assert report.checks["fidelity_pass"] is False
+
+    @pytest.mark.parametrize(
+        "offsets, passed",
+        [([0.0, 0.0], True), ([9e-11, -9e-11], True), ([2e-10, -2e-10], False), ([0.0, math.nan], False)],
+        ids=["exact", "within", "off-in-opposite-directions", "nan"],
+    )
+    def test_uniform_branch_judges_every_row(self, offsets, passed):
+        # The two rows of the third case are off by twice the tolerance in
+        # opposite directions, so their sum and their mean are uniform.
+        column = [1 / 64 + d for d in offsets]
+        report = build_report(RunConfig(senders=2, trials=2), {}, hand_branches(column, [1.0, 1.0]))
+        assert report.checks["probability_rule"] == "uniform-branch"
+        assert report.checks["probability_pass"] is passed
+        assert report.passed is passed
+
+    def test_report_keeps_the_engine_columns(self):
+        x, phases = bases_mod.random_inputs(3, 6)
+        config = RunConfig(senders=3, mode="exhaustive", seed=6)
+        run = protocol.run_branches(x, phases, protocol.measurement_bases(x, phases, 3), "exhaustive", 6, 1, None)
+        report = build_report(config, {}, run)
+        assert report.outcomes is run.outcomes and report.triples is run.triples
+        assert report.fidelities is run.fidelities
+        assert np.array_equal(report.probabilities, run.probabilities)
+        assert report.corrections == run.corrections
 
 
 class TestCmdVerify:

@@ -1,10 +1,12 @@
 """The renderers against their oracles.
 
-`render_report` and `render_table` write their rows from columns through one
-template per row. Their structured output must be the bytes of
+`render_report` and `render_table` write each document with one join: the
+head, then a row template's fixed pieces interleaved with the column texts,
+filled a column at a time. Their structured output must be the bytes of
 `json.dumps(document, indent=2) + "\\n"` for the same document, and their
 table output the bytes of the f-string lines they wrote row by row from row
-dicts, kept below as the oracles.
+dicts, kept below as the oracles. The drawn columns are the engine's arrays,
+some of them strided views, as the engine may hand them over.
 """
 
 import json
@@ -25,7 +27,7 @@ from chi_jrsp.harness import (
     render_report,
     render_table,
 )
-from chi_jrsp.protocol import CORRECTION_OPS, MAX_SENDERS, CorrectionTable
+from chi_jrsp.protocol import MAX_SENDERS, CorrectionTable
 from chi_jrsp.qstate import BasisSet
 
 # Where float.__repr__ switches between positional and exponent notation
@@ -34,9 +36,30 @@ EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.7976931348623157e308,
 ]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-TRIPLES = st.tuples(*[st.sampled_from(CORRECTION_OPS)] * 3)
+TRIPLE_INDICES = st.integers(0, len(protocol._TRIPLES) - 1)
 # 0 and 1 rows as often as many.
 ROW_COUNTS = st.one_of(st.sampled_from([0, 1]), st.integers(2, 64))
+
+
+def layouts(array: np.ndarray) -> list[np.ndarray]:
+    """`array` as stored in C order, stored in reverse (a transposed copy of
+    a matrix, a reversed copy of a column) and as a strided slice of a larger
+    array: equal values, other strides."""
+    if array.ndim == 1:
+        wide = np.zeros(2 * len(array) + 1, dtype=array.dtype)
+        wide[1::2] = array
+        return [array, array[::-1].copy()[::-1], wide[1::2]]
+    wide = np.zeros((len(array), array.shape[1] + 2), dtype=array.dtype)
+    wide[:, 1:-1] = array
+    return [array, np.ascontiguousarray(array.T).T, wide[:, 1:-1]]
+
+
+@st.composite
+def columns(draw, elements, rows: int, dtype, n: int | None = None) -> np.ndarray:
+    """A (rows,) or (rows, n) column of `elements` in one of its `layouts`."""
+    shape = (rows,) if n is None else (rows, n)
+    values = draw(st.lists(elements, min_size=rows * (n or 1), max_size=rows * (n or 1)))
+    return draw(st.sampled_from(layouts(np.array(values, dtype=dtype).reshape(shape))))
 
 
 def report_table_oracle(report: VerificationReport) -> str:
@@ -94,9 +117,6 @@ def assert_table_renders_as_oracles(table: CorrectionTable) -> None:
 def reports(draw) -> VerificationReport:
     n = draw(st.integers(2, MAX_SENDERS))
     rows = draw(ROW_COUNTS)
-    digits = st.lists(st.integers(0, 7), min_size=n, max_size=n)
-    outcomes = ["".join(map(str, o)) for o in draw(st.lists(digits, min_size=rows, max_size=rows))]
-    column = st.lists(FLOATS, min_size=rows, max_size=rows)
     config = RunConfig(senders=n, trials=max(rows, 1), seed=draw(st.integers(0, 2**63)))
     labels = ["amplitude", *(f"phase[{k}]" for k in range(8))]
     return VerificationReport(
@@ -117,10 +137,10 @@ def reports(draw) -> VerificationReport:
             "bits_pass": draw(st.booleans()),
         },
         passed=draw(st.booleans()),
-        outcomes=outcomes,
-        probabilities=draw(column),
-        corrections=draw(st.lists(TRIPLES, min_size=rows, max_size=rows)),
-        fidelities=draw(column),
+        outcomes=draw(columns(st.integers(0, 7), rows, np.intp, n)),
+        probabilities=draw(columns(FLOATS, rows, float)),
+        triples=draw(columns(TRIPLE_INDICES, rows, np.intp)),
+        fidelities=draw(columns(FLOATS, rows, float)),
         classical_bits=3 * n,
     )
 
@@ -130,10 +150,9 @@ def tables(draw) -> CorrectionTable:
     n = draw(st.integers(2, MAX_SENDERS))
     # Sorted unique rows: a built table's rows come in lexicographic order.
     keys = sorted(draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=64, unique=True)))
-    triples = draw(st.lists(TRIPLES, min_size=len(keys), max_size=len(keys)))
-    fidelities = draw(st.lists(FLOATS, min_size=len(keys), max_size=len(keys)))
-    outcomes = np.array(keys, dtype=np.intp).reshape(len(keys), n)
-    return CorrectionTable(n, outcomes, triples, np.array(fidelities, dtype=float))
+    outcomes = draw(st.sampled_from(layouts(np.array(keys, dtype=np.intp).reshape(len(keys), n))))
+    triples = draw(columns(TRIPLE_INDICES, len(keys), np.intp))
+    return CorrectionTable(n, outcomes, triples, draw(columns(FLOATS, len(keys), float)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,12 +167,23 @@ def test_table_renders_as_oracles(table):
     assert_table_renders_as_oracles(table)
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(2, MAX_SENDERS), data=st.data())
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, MAX_SENDERS), data=st.data())
 def test_outcome_strings_are_the_digits(n, data):
     digits = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n), max_size=64))
-    grid = np.array(digits, dtype=np.intp).reshape(len(digits), n)
-    assert _outcome_strings(grid) == ["".join(map(str, row)) for row in digits]
+    expected = ["".join(map(str, row)) for row in digits]
+    for grid in layouts(np.array(digits, dtype=np.intp).reshape(len(digits), n)):
+        assert _outcome_strings(grid) == expected
+
+
+def test_outcome_strings_read_strided_digits():
+    # Three rows of two digits, whose memory order differs from their row
+    # order in the transposed copy and which a column slice interleaves with
+    # other digits: a decode of the raw buffer reads other strings.
+    grid = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.intp)
+    for strided in layouts(grid)[1:]:
+        assert not strided.flags.c_contiguous
+        assert _outcome_strings(strided) == ["12", "34", "56"]
 
 
 @pytest.mark.parametrize(
