@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-507 CLI commands, and the digest of the file that each `--out` command writes.
+516 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -27,15 +27,20 @@ The set:
 - `table`, N = 2..5, in both formats (8);
 - forced runs at N = 2..5, in both formats (24), each with the digit
   corners 0:0,... and 7:7,...;
-- six profile documents, each under `verify --exhaustive`,
-  `verify --trials 30` and `run` (18), and the two with `x = e0` also under
+- seven profile documents, each under `verify --exhaustive`,
+  `verify --trials 30` and `run` (21), and the two with `x = e0` also under
   the table format of `verify --exhaustive` (2): on that degenerate
-  profile several triples tie in the correction search, so its order shows;
+  profile several triples tie in the correction search, so its order shows.
+  The seventh has an unnormalized `x`, so its three commands exit 2 with
+  `amplitude profile not normalized: ...`;
 - input errors (9), among them N = 6 under `verify --exhaustive` and
   `table`;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
   runs, and the report lists all 64 or 512 of them with `bases_pass` false;
+- `verify --exhaustive`, `run` and `table`, N = 2, 3, with one entry of
+  `bases.SIGN_PATTERN` flipped (6): every phase basis fails its Gram check,
+  so each exits 4 and names the first, `phase[k=0]` or `share[l=1,k=0]`;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports.
@@ -70,6 +75,7 @@ PROFILES = {
     "degenerate3.json": (3, _DEGENERATE),
     "e0_2.json": (2, {"x": _E0, "delta": _DELTA}),
     "e0_3.json": (3, {"x": _E0, "shares": _SHARES}),
+    "unnormalized2.json": (2, {"x": [0.5] * 8, "delta": _DELTA}),
 }
 
 
@@ -157,6 +163,19 @@ def perturbed_amplitude_basis():
         bases.amplitude_basis = real
 
 
+@contextlib.contextmanager
+def flipped_sign_pattern():
+    """Build every phase basis under SIGN_PATTERN with entry (2, 5) negated."""
+    real = bases.SIGN_PATTERN
+    flipped = real.copy()
+    flipped[2, 5] *= -1
+    bases.SIGN_PATTERN = flipped
+    try:
+        yield
+    finally:
+        bases.SIGN_PATTERN = real
+
+
 def main() -> None:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -173,6 +192,11 @@ def main() -> None:
                     for fmt in ("structured", "table"):
                         argv = ["verify", "--senders", str(n), "--exhaustive", "--seed", "1", "--format", fmt]
                         lines.append((" ".join(argv) + " [amplitude basis perturbed]", *run(argv)))
+            with flipped_sign_pattern():
+                for n in (2, 3):
+                    for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "1"],
+                                 ["run", "--senders", str(n), "--seed", "1"], ["table", "--senders", str(n)]):
+                        lines.append((" ".join(argv) + " [sign pattern flipped]", *run(argv)))
             for argv in out_commands():
                 code, stdout, stderr = run([*argv, "--out", "report.out"])
                 with open("report.out", "rb") as f:

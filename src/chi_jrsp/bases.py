@@ -10,12 +10,11 @@ pinned by tests; orthonormality is a consequence of the sign structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# gram_deviation stays importable here: perfbench/tracer.py wraps it.
-from .qstate import NORM_TOL, BasisSet, gram_deviation  # noqa: F401
+from .qstate import NORM_TOL, BasisSet, gram_deviation, require_orthonormal
 
 _INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
@@ -56,9 +55,11 @@ _PHASE_ARGS = np.array(PHASE_ARG_INDEX)
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """Eight real magnitudes with sum of squares 1, judged by the Gram check
-    of the amplitude basis they build (its diagonal is the sum of squares)."""
+    of the amplitude basis they build (its diagonal is the sum of squares).
+    The profile keeps that basis as `basis`: it is the magnitude sender's."""
 
     x: np.ndarray
+    basis: BasisSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float).reshape(-1)
@@ -69,9 +70,10 @@ class AmplitudeProfile:
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
         try:
-            amplitude_basis(self)
+            basis = amplitude_basis(self)
         except ValueError as exc:
             raise ValueError(f"amplitude profile not normalized: {exc}") from None
+        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -191,17 +193,20 @@ def share_labels(l: int) -> tuple[str, ...]:
     return tuple(f"share[l={l},k={k}]" for k in range(8))
 
 
-def phase_bases_from_rows(rows, labels) -> list[list[BasisSet]]:
-    """The eight phase bases of each row of eight phases: entry [i][k] is
-    row i's basis for announced outcome k, labelled labels[i][k].
+def phase_bases_from_rows(rows, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The eight phase bases of each row of eight phases, as `_phase_vectors`
+    lays them out, and their (rows, 8) Gram deviations; basis [i, k] is
+    labelled labels[i][k].
 
     Every row shares one exp, one `signed_phase_matrix` call and one stacked
-    Gram product, which raises for the first basis in (i, k) order that is
-    not orthonormal.
+    Gram product, and the build raises for the first basis in (i, k) order
+    that is not orthonormal.
     """
     vectors = _phase_vectors(rows)
-    flat = BasisSet.stack(vectors.reshape(-1, 8, 8), [label for row in labels for label in row])
-    return [flat[i : i + 8] for i in range(0, len(flat), 8)]
+    deviations = gram_deviation(vectors)
+    for label, deviation in zip([label for row in labels for label in row], deviations.reshape(-1).tolist()):
+        require_orthonormal(label, deviation)
+    return vectors, deviations
 
 
 def phase_basis_from_row(k: int, phases, label: str) -> BasisSet:
@@ -217,19 +222,9 @@ def phase_basis(k: int, profile: PhaseProfile) -> BasisSet:
     return phase_basis_from_row(k, profile.delta, label=f"phase[k={k}]")
 
 
-def phase_bases(profile: PhaseProfile) -> list[BasisSet]:
-    """`phase_basis(k, profile)` for k = 0..7, from one stacked build."""
-    return phase_bases_from_rows([profile.delta], [PHASE_LABELS])[0]
-
-
 def share_basis(k: int, l: int, shares: PhaseShares) -> BasisSet:
     """Sender l's basis (1-based l) for announced outcome k, from its share row."""
     return phase_basis_from_row(k, shares.row(l), label=f"share[l={l},k={k}]")
-
-
-def share_bases(l: int, shares: PhaseShares) -> list[BasisSet]:
-    """`share_basis(k, l, shares)` for k = 0..7, from one stacked build."""
-    return phase_bases_from_rows([shares.row(l)], [share_labels(l)])[0]
 
 
 def compose_phases(shares: PhaseShares) -> PhaseProfile:

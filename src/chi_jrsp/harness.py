@@ -147,15 +147,15 @@ def resolve_inputs(config: RunConfig) -> tuple[AmplitudeProfile, PhaseProfile | 
     return load_profile(config.profile_path, config.senders)
 
 
-def _collect_bases(sets: list[list[bases.BasisSet]]) -> list[bases.BasisSet]:
-    """Each distinct basis of `measurement_bases` once: the magnitude
-    sender's, then every phase sender's eight."""
-    amplitude, *phase_senders = sets
-    return [amplitude[0], *(basis for row in phase_senders for basis in row)]
+def _collect_bases(sets: protocol.MeasurementBases) -> dict[str, float]:
+    """The Gram deviation of each distinct basis of `measurement_bases`, by
+    label: the magnitude sender's (her slot repeats it), then every phase
+    sender's eight."""
+    return dict(zip([label for row in sets.labels for label in row], sets.deviations.reshape(-1).tolist()))
 
 
 def _run_campaign(
-    config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: list[list[bases.BasisSet]]
+    config: RunConfig, x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: protocol.MeasurementBases
 ) -> Branches:
     return protocol.run_branches(x, phases, sets, config.mode, config.seed, config.trials, config.force)
 
@@ -221,14 +221,15 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches)
     `probability_sum` adds the rows left to right (np.cumsum; np.sum adds
     pairwise, which gives other bits), and `min_fidelity` is Python's `min`
     over the rows, which keeps a NaN only in the first row (np.min keeps
-    any). A campaign has at least one branch."""
+    any); `fidelity_pass` asks every row, so a NaN anywhere fails it. A
+    campaign has at least one branch."""
     n = config.senders
     bits = 3 * run.outcomes.shape[1]
     probabilities = run.probabilities
     min_fid = min(run.fidelities.tolist())
     prob_sum = float(np.cumsum(probabilities)[-1])
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
-    fid_pass = min_fid >= 1.0 - FIDELITY_TOL
+    fid_pass = bool(np.all(run.fidelities >= 1.0 - FIDELITY_TOL))
     bits_pass = bits == protocol.classical_cost(n)
     if config.mode == "exhaustive":
         rule = "sum-to-one"
@@ -352,8 +353,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:
     """Run the configured campaign, write the report, return (status, report)."""
     x, phases = resolve_inputs(config)
     sets = protocol.measurement_bases(x, phases, config.senders)
-    basis_devs = {b.label: bases.validate_orthonormal(b).max_deviation for b in _collect_bases(sets)}
-    report = build_report(config, basis_devs, _run_campaign(config, x, phases, sets))
+    report = build_report(config, _collect_bases(sets), _run_campaign(config, x, phases, sets))
     _write_output(render_report(report, config.fmt), config.out_path)
     return (EXIT_PASS if report.passed else EXIT_VERIFY_FAIL), report
 

@@ -32,7 +32,7 @@ state onto the compressed target, so the runners double as verification.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -46,6 +46,7 @@ from .qstate import (  # noqa: F401
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    BasisSet,
     StateVector,
     apply_cnot,
     basis_state,
@@ -139,7 +140,7 @@ class ProtocolTranscript:
 class Branches:
     """Every branch of one run as arrays; row b of each array is branch b."""
 
-    labels: list[list[str]]  # labels[p][k]: party p's basis after the announced outcome k
+    labels: tuple[tuple[str, ...], ...]  # labels[p][k]: party p's basis after the announced outcome k
     outcomes: np.ndarray  # (B, N) announced digits k, j_1, ..., j_{N-1}
     steps: np.ndarray  # (B, N) each party's outcome probability given the outcomes before it
     triples: np.ndarray  # (B,) index into _TRIPLES of each branch's correction
@@ -219,50 +220,59 @@ def _dense_branch(
     state = prepare_channel(len(outcome))
     steps = []
     for p, digit in enumerate(outcome):
-        branch = measure_in_basis(state, (0, 1, 2), sets[p][outcome[0]])[digit]
+        basis = BasisSet(sets.vectors[p, outcome[0]], label=sets.labels[p][outcome[0]])
+        branch = measure_in_basis(state, (0, 1, 2), basis)[digit]
         steps.append(branch.probability)
         state = branch.collapsed
     return state, steps
 
 
-def measurement_bases(
-    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int
-) -> list[list[bases.BasisSet]]:
-    """Every party's measurement bases for one profile.
+@dataclass(frozen=True)
+class MeasurementBases:
+    """Every party's measurement bases for one profile: `vectors[p, k]`
+    (read-only, one basis vector per row) is party p's basis after the
+    announced outcome k, `labels[p][k]` its label and `deviations[p, k]` its
+    Gram deviation. The magnitude sender (p = 0) measures first, so her slot
+    repeats one basis."""
 
-    `sets[p][k]` is party p's basis after the announced outcome k; the
-    magnitude sender (p = 0) measures first, so her basis ignores k. A
-    PhaseProfile is the one row of the one phase sender of a two-sender run,
-    and PhaseShares give phase sender l its share row l; every phase
-    sender's bases come from one stacked build.
-    """
+    vectors: np.ndarray  # (N, 8, 8, 8) complex
+    labels: tuple[tuple[str, ...], ...]
+    deviations: np.ndarray  # (N, 8)
+
+
+def measurement_bases(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int) -> MeasurementBases:
+    """Every party's measurement bases for one profile; the magnitude
+    sender's is the one the profile built (`x.basis`). A PhaseProfile is the
+    one row of the one phase sender of a two-sender run, and PhaseShares give
+    phase sender l its share row l; every phase sender's bases come from one
+    stacked build."""
     if not 2 <= n_senders <= MAX_SENDERS:
         raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
     if isinstance(phases, PhaseShares):
         rows, labels = phases.shares, [bases.share_labels(l) for l in range(1, phases.n_senders)]
     else:
         rows, labels = [phases.delta], [bases.PHASE_LABELS]
-    phase_sets = bases.phase_bases_from_rows(rows, labels)
-    if len(phase_sets) != n_senders - 1:
-        raise ValueError(f"the phase input covers {len(phase_sets) + 1} senders, expected {n_senders}")
-    return [[bases.amplitude_basis(x)] * 8, *phase_sets]
-
-
-def _basis_rows(sets: list[list[bases.BasisSet]]) -> tuple[np.ndarray, list[list[str]]]:
-    """`measurement_bases` sets as conjugated rows and labels: `rows[p, k, d]`
-    is the conjugate of row d of basis `sets[p][k]`, `labels[p][k]` its label."""
-    return np.array([[b.vectors for b in row] for row in sets]).conj(), [[b.label for b in row] for row in sets]
+    phase_vectors, phase_deviations = bases.phase_bases_from_rows(rows, labels)
+    if len(phase_vectors) != n_senders - 1:
+        raise ValueError(f"the phase input covers {len(phase_vectors) + 1} senders, expected {n_senders}")
+    vectors = np.empty((n_senders, 8, 8, 8), dtype=complex)
+    vectors[0], vectors[1:] = x.basis.vectors, phase_vectors
+    deviations = np.empty((n_senders, 8))
+    deviations[0], deviations[1:] = x.basis.deviation, phase_deviations
+    vectors.setflags(write=False)
+    return MeasurementBases(vectors, ((x.basis.label,) * 8, *labels), deviations)
 
 
 def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Receiver 8-vectors and per-party step probabilities for a batch of branches.
 
     Row b of `outcomes` holds (k, j_1, ..., j_{n-1}) for the first n parties;
-    `rows` comes from `_basis_rows`. The state is renormalized after every
-    measurement, as the measurement leaves it, so `steps[b, p]` is party p's
-    outcome probability given the outcomes before it, and a prefix of the
-    senders leaves the state that the next sender measures. No run calls it:
-    it gathers one row per branch, and the tests hold `_walk` to it bit for bit.
+    `rows` is the conjugate of a `measurement_bases(...).vectors` stack. The
+    state is renormalized after every measurement, as the measurement leaves
+    it, so `steps[b, p]` is party p's outcome probability given the outcomes
+    before it, and a prefix of the senders leaves the state that the next
+    sender measures. No run calls it: it gathers one row per branch, and the
+    tests hold `_walk` to it bit for bit.
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -311,7 +321,7 @@ def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, n
     return state, steps
 
 
-def _records(labels: list[list[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
+def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
     return tuple(
         MeasurementRecord(f"bob{p}" if p else "alice", labels[p][outcome[0]], digit, step)
         for p, (digit, step) in enumerate(zip(outcome, steps))
@@ -334,10 +344,11 @@ def _collapse_branch(
 ) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
     """Force the branch (alice_k, bob_j) and return the receiver's collapsed
     3-qubit state, the joint branch probability, and the step records."""
-    rows, labels = _basis_rows(measurement_bases(x, phases, 1 + len(bob_j)))
+    sets = measurement_bases(x, phases, 1 + len(bob_j))
     digits = _forced_outcome(alice_k, bob_j, 1 + len(bob_j))
-    states, steps = _walk(rows, lambda p, probs: digits[:, p])
-    return StateVector(states[0]), float(np.prod(steps[0])), _records(labels, digits[0].tolist(), steps[0].tolist())
+    states, steps = _walk(sets.vectors.conj(), lambda p, probs: digits[:, p])
+    records = _records(sets.labels, digits[0].tolist(), steps[0].tolist())
+    return StateVector(states[0]), float(np.prod(steps[0])), records
 
 
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
@@ -426,7 +437,7 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     branches come from one walk that keeps every child, with their rows
     stacked."""
     derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
-    rows = np.stack([_basis_rows(measurement_bases(x, phases, n_senders))[0] for x, phases in (derive, check)])
+    rows = np.stack([measurement_bases(x, phases, n_senders).vectors for x, phases in (derive, check)]).conj()
     (derived, checked), _ = _walk(rows)
     found = _search_corrections(derived, compressed_target(*derive).amps)
     fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
@@ -475,7 +486,7 @@ def _sampled_outcomes(
 def run_branches(
     x: AmplitudeProfile,
     phases: PhaseProfile | PhaseShares,
-    sets: list[list[bases.BasisSet]],
+    sets: MeasurementBases,
     mode: str,
     seed: int | None,
     trials: int,
@@ -484,7 +495,7 @@ def run_branches(
     """Run the protocol on `phases`: a PhaseProfile for two senders, or
     PhaseShares with one row per phase sender for any sender count. `sets`
     is `measurement_bases(x, phases, n_senders)`, built by the caller, and
-    its length is the sender count.
+    its stack's length is the sender count.
 
     Exhaustive mode computes all 8**n_senders branches in
     outcome-lexicographic order; sampled mode draws `trials` branches
@@ -493,8 +504,8 @@ def run_branches(
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    n_senders = len(sets)
-    rows, labels = _basis_rows(sets)
+    n_senders = len(sets.vectors)
+    rows = sets.vectors.conj()
     if force is not None:
         outcomes = _forced_outcome(force[0], force[1], n_senders)
         states, steps = _walk(rows, lambda p, probs: outcomes[:, p])
@@ -508,7 +519,7 @@ def run_branches(
     found = _search_corrections(states, target3)
     finals = _expand_parity(_apply_corrections(states, found))
     fidelities = np.abs(finals.conj() @ _expand_parity(target3[None])[0]) ** 2
-    return Branches(labels, outcomes, steps, found, finals, fidelities)
+    return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
 
 
 def transcripts(run: Branches) -> list[ProtocolTranscript]:

@@ -98,7 +98,7 @@ class BasisSet:
     satisfy |<v_p|v_q> - delta_pq| <= NORM_TOL unless check=False, which
     exists so that validation tooling can inspect defective candidates.
     `deviation` is the Gram deviation, computed once at construction, check
-    or not; `stack` builds several bases from one stacked Gram product.
+    or not; runs hold their bases as one `protocol.MeasurementBases` stack.
     """
 
     __slots__ = ("vectors", "label", "deviation")
@@ -107,39 +107,25 @@ class BasisSet:
         vectors = np.array(vectors, dtype=complex)
         if vectors.shape != (8, 8):
             raise ValueError(f"basis must be 8 vectors of dimension 8, got {vectors.shape}")
-        self._settle(vectors, label, gram_deviation(vectors), check)
-
-    @classmethod
-    def stack(cls, vectors, labels) -> list[BasisSet]:
-        """One checked basis per (8, 8) slice of `vectors`, slice i labelled
-        labels[i], raising for the first slice that is not orthonormal. The
-        deviations come from one stacked Gram product, equal bit for bit to
-        the per-slice ones."""
-        vectors = np.array(vectors, dtype=complex)
-        if vectors.shape != (len(labels), 8, 8):
-            raise ValueError(f"basis stack must be {len(labels)} 8x8 bases, got {vectors.shape}")
-        vectors.setflags(write=False)
-        out = []
-        for v, label, dev in zip(vectors, labels, gram_deviation(vectors).tolist()):
-            basis = cls.__new__(cls)
-            basis._settle(v, label, dev, True)
-            out.append(basis)
-        return out
-
-    def _settle(self, vectors: np.ndarray, label: str, dev: float, check: bool) -> None:
-        """Check the deviation measured for `vectors`, then fill the slots."""
-        if check and dev > NORM_TOL:
-            raise ValueError(f"basis {label or '<unnamed>'} not orthonormal: deviation {dev:g}")
+        deviation = gram_deviation(vectors)
+        if check:
+            require_orthonormal(label, deviation)
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "deviation", dev)
+        object.__setattr__(self, "deviation", deviation)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisSet is immutable")
 
     def __repr__(self):
         return f"BasisSet(label={self.label!r})"
+
+
+def require_orthonormal(label: str, deviation: float) -> None:
+    """Raise unless the Gram deviation measured for basis `label` is within NORM_TOL."""
+    if deviation > NORM_TOL:
+        raise ValueError(f"basis {label or '<unnamed>'} not orthonormal: deviation {deviation:g}")
 
 
 def gram_deviation(vectors: np.ndarray) -> float | np.ndarray:

@@ -15,14 +15,12 @@ from chi_jrsp.bases import (
     amplitude_basis,
     amplitude_basis_matrix,
     compose_phases,
-    phase_bases,
     phase_basis,
     phase_basis_from_row,
     random_amplitude_profile,
     random_inputs,
     random_phase_profile,
     random_phase_shares,
-    share_bases,
     share_basis,
     signed_phase_matrix,
     validate_orthonormal,
@@ -54,6 +52,18 @@ class TestProfiles:
         # holds inf and, from inf - inf, NaN, neither of which may pass.
         with pytest.raises(ValueError, match="not normalized"):
             AmplitudeProfile(x)
+
+    def test_amplitude_profile_keeps_the_basis_it_checked(self, monkeypatch):
+        # The profile builds its basis once, to judge normalization, and
+        # measurement_bases takes that basis instead of building another.
+        built = []
+        real = bases.amplitude_basis
+        monkeypatch.setattr(bases, "amplitude_basis", lambda profile: built.append(real(profile)) or built[-1])
+        x = distinct_profile()
+        sets = measurement_bases(x, distinct_phases(), 2)
+        assert len(built) == 1 and x.basis is built[0]
+        assert np.array_equal(x.basis.vectors, amplitude_basis_matrix(x))
+        assert all(np.array_equal(sets.vectors[0, k], x.basis.vectors) for k in range(8))
 
     def test_amplitude_profile_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -286,13 +296,18 @@ class TestStackedPhaseBases:
         x = random_amplitude_profile(np.random.default_rng(107))
         phases = PhaseProfile(rows[0]) if len(rows) == 1 else PhaseShares(rows)
         sets = measurement_bases(x, phases, len(rows) + 1)
+        assert sets.vectors.shape == (len(rows) + 1, 8, 8, 8) and sets.deviations.shape == (len(rows) + 1, 8)
+        assert not sets.vectors.flags.writeable
+        for k in range(8):
+            assert np.array_equal(sets.vectors[0, k], x.basis.vectors)
+            assert (sets.labels[0][k], sets.deviations[0, k]) == ("amplitude", x.basis.deviation)
         for p, row in enumerate(rows, start=1):
             for k in range(8):
                 expected = per_k_vectors(row, k)
-                assert np.array_equal(sets[p][k].vectors, expected)
-                assert sets[p][k].deviation == gram_deviation(expected)
+                assert np.array_equal(sets.vectors[p, k], expected)
+                assert sets.deviations[p, k] == gram_deviation(expected)
                 label = f"phase[k={k}]" if len(rows) == 1 else f"share[l={p},k={k}]"
-                assert sets[p][k].label == label
+                assert sets.labels[p][k] == label
 
     @settings(max_examples=40, deadline=None)
     @given(row=PHASE_ROWS)
@@ -306,20 +321,20 @@ class TestStackedPhaseBases:
     @given(rows=st.lists(PHASE_ROWS, min_size=2, max_size=4))
     def test_one_stack_equals_per_sender_builds(self, rows):
         # measurement_bases builds every phase sender in one stack; each
-        # sender's own build gives the same bits, in (l, k) order.
+        # basis's own build gives the same bits: vectors, label and deviation.
         x = random_amplitude_profile(np.random.default_rng(109))
         shares = PhaseShares(rows)
         sets = measurement_bases(x, shares, len(rows) + 1)
-        stacked = [basis for row in sets[1:] for basis in row]
-        single = [basis for l in range(1, len(rows) + 1) for basis in share_bases(l, shares)]
-        assert [b.label for b in stacked] == [b.label for b in single]
-        assert [b.label for b in stacked[:9:8]] == ["share[l=1,k=0]", "share[l=2,k=0]"]
-        for got, expected in zip(stacked, single):
-            assert np.array_equal(got.vectors.view(np.uint64), expected.vectors.view(np.uint64))
-        deviations = np.array([[b.deviation for b in stacked], [b.deviation for b in single]])
-        assert np.array_equal(deviations[0].view(np.uint64), deviations[1].view(np.uint64))
+        for l in range(1, len(rows) + 1):
+            for k in range(8):
+                single = share_basis(k, l, shares)
+                assert sets.labels[l][k] == single.label == f"share[l={l},k={k}]"
+                assert np.array_equal(sets.vectors[l, k].view(np.uint64), single.vectors.view(np.uint64))
+                assert sets.deviations[l, k] == single.deviation  # never NaN or -0.0, so equal bits
 
     def test_one_gram_product_for_all_phase_senders(self, monkeypatch):
+        # The amplitude basis was checked when its profile was built; the
+        # phase senders' bases take one stacked product between them.
         x, shares = random_inputs(5, 4)
         shapes = []
         real = qstate.gram_deviation
@@ -329,8 +344,18 @@ class TestStackedPhaseBases:
             return real(vectors)
 
         monkeypatch.setattr(qstate, "gram_deviation", counted)
+        monkeypatch.setattr(bases, "gram_deviation", counted)
         measurement_bases(x, shares, 5)
-        assert shapes == [(32, 8, 8), (8, 8)]
+        assert shapes == [(4, 8, 8, 8)]
+
+    def test_build_raises_for_the_first_failing_basis(self, monkeypatch):
+        # Bases (1, 3) and (2, 0) fail; the build names the first in (i, k) order.
+        deviations = np.zeros((3, 8))
+        deviations[1, 3], deviations[2, 0] = 2.0, np.inf
+        monkeypatch.setattr(bases, "gram_deviation", lambda vectors: deviations)
+        labels = [[f"b{i}{k}" for k in range(8)] for i in range(3)]
+        with pytest.raises(ValueError, match=r"^basis b13 not orthonormal: deviation 2$"):
+            bases.phase_bases_from_rows(np.zeros((3, 8)), labels)
 
     @pytest.mark.parametrize(("n_senders", "first"), [(2, "phase[k=0]"), (3, "share[l=1,k=0]"), (5, "share[l=1,k=0]")])
     def test_flipped_sign_names_the_first_basis(self, n_senders, first, monkeypatch):
@@ -345,8 +370,8 @@ class TestStackedPhaseBases:
 
     @pytest.mark.parametrize("n_rows", [1, 4])
     def test_stack_is_contiguous_so_the_flat_view_shares_it(self, n_rows):
-        # phase_bases_from_rows reshapes the stack to (8 * rows, 8, 8); on a
-        # C-contiguous stack that reshape is a view, not a copy.
+        # The stacked Gram product and the copy into measurement_bases's
+        # record read the stack in order; flattening it is a view, not a copy.
         rows = random_phase_shares(np.random.default_rng(110), n_rows + 1).shares
         vectors = bases._phase_vectors(rows)
         assert vectors.shape == (n_rows, 8, 8, 8) and vectors.flags.c_contiguous
@@ -356,17 +381,20 @@ class TestStackedPhaseBases:
                 assert np.array_equal(vectors[i, k].view(np.uint64), per_k_vectors(row, k).view(np.uint64))
 
     def test_views_match_per_k_builders(self):
+        x = distinct_profile()
         delta = distinct_phases()
         shares = random_phase_shares(np.random.default_rng(108), 4)
-        for k, basis in enumerate(phase_bases(delta)):
+        sets = measurement_bases(x, delta, 2)
+        for k in range(8):
             single = phase_basis(k, delta)
-            assert (basis.label, basis.deviation) == (single.label, single.deviation)
-            assert np.array_equal(basis.vectors, single.vectors)
+            assert (sets.labels[1][k], sets.deviations[1, k]) == (single.label, single.deviation)
+            assert np.array_equal(sets.vectors[1, k], single.vectors)
+        sets = measurement_bases(x, shares, 4)
         for l in (1, 2, 3):
-            for k, basis in enumerate(share_bases(l, shares)):
+            for k in range(8):
                 single = share_basis(k, l, shares)
-                assert (basis.label, basis.deviation) == (single.label, single.deviation)
-                assert np.array_equal(basis.vectors, single.vectors)
+                assert (sets.labels[l][k], sets.deviations[l, k]) == (single.label, single.deviation)
+                assert np.array_equal(sets.vectors[l, k], single.vectors)
 
 
 class TestComposePhases:

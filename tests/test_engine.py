@@ -39,7 +39,6 @@ from chi_jrsp.protocol import (
     _all_outcomes,
     _apply_correction,
     _apply_corrections,
-    _basis_rows,
     _collapse_branches,
     _dense_branch,
     _expand_parity,
@@ -71,7 +70,7 @@ def dense_search(collapsed: StateVector, target3: StateVector):
 
 
 def sender_rows(x, phases, n_senders):
-    return _basis_rows(measurement_bases(x, phases, n_senders))[0]
+    return measurement_bases(x, phases, n_senders).vectors.conj()
 
 
 def assert_matches_oracle(x, phases, outcomes):
@@ -276,7 +275,7 @@ def test_sampler_walks_each_trial_once(monkeypatch):
 
     x, phases = random_inputs(5, 0)
     sets = measurement_bases(x, phases, 5)
-    rows = _basis_rows(sets)[0]
+    rows = sets.vectors.conj()
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
     assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10)[0].shape == (10, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, None).outcomes.shape == (300, 5)
@@ -411,7 +410,7 @@ def test_enumerations_walk_the_tree(monkeypatch):
 
     x, phases = random_inputs(3, 0)
     sets = measurement_bases(x, phases, 3)
-    rows = _basis_rows(sets)[0]
+    rows = sets.vectors.conj()
     expected_state, expected_steps = _collapse_branches(rows, np.array([[1, 2, 3]]))
     expected_triple = derive_correction(1, (2, 3), x, phases)
     x4, phases4 = random_inputs(4, 0)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -175,8 +176,13 @@ class TestReportAggregates:
 
     @pytest.mark.parametrize(
         "column, expected",
-        [([math.nan, 1.0, 0.5], math.nan), ([1.0, math.nan, 0.5], 0.5), ([1.0, 0.5, 0.75], 0.5)],
-        ids=["nan-first", "nan-middle", "no-nan"],
+        [
+            ([math.nan, 1.0, 0.5], math.nan),
+            ([1.0, math.nan, 0.5], 0.5),
+            ([1.0, 0.5, 0.75], 0.5),
+            ([1.0, math.nan, 1.0], 1.0),
+        ],
+        ids=["nan-first", "nan-middle", "no-nan", "nan-among-ones"],
     )
     def test_min_fidelity_is_python_min(self, column, expected):
         report = build_report(RunConfig(senders=2, mode="exhaustive"), {}, hand_branches([1 / 3] * 3, column))
@@ -276,6 +282,17 @@ class TestCmdVerify:
         path = write_profile(tmp_path, doc)
         with pytest.raises(ProfileError):
             cmd_verify(RunConfig(senders=2, mode="exhaustive", profile_path=path))
+
+    def test_amplitude_basis_built_once(self, monkeypatch):
+        # The profile's normalization check builds it, and the run and the
+        # report use that one basis.
+        real = bases_mod.amplitude_basis
+        built = []
+        monkeypatch.setattr(bases_mod, "amplitude_basis", lambda profile: built.append(real(profile)) or built[-1])
+        status, report = cmd_verify(RunConfig(senders=3, mode="exhaustive", seed=1, out_path=os.devnull))
+        assert status == EXIT_PASS
+        assert len(built) == 1
+        assert report.basis_validation["amplitude"] == built[0].deviation
 
     def test_basis_perturbation_flips_failure(self, tmp_path, monkeypatch):
         real = bases_mod.amplitude_basis

@@ -205,17 +205,22 @@ def test_campaign_reports_render_as_oracles(config):
     assert_report_renders_as_oracles(report)
 
 
-def test_bases_failure_report_renders_as_oracles():
+def test_bases_failure_report_renders_as_oracles(monkeypatch):
     # A real three-sender run over an amplitude basis perturbed by 1e-6: the
     # report lists all 512 branches and fails on its bases.
+    real = bases.amplitude_basis
+
+    def perturbed(profile):
+        vectors = real(profile).vectors.copy()
+        vectors[0, 0] += 1e-6
+        return BasisSet(vectors, label="amplitude", check=False)
+
+    monkeypatch.setattr(bases, "amplitude_basis", perturbed)
     config = RunConfig(senders=3, mode="exhaustive")
     x, phases = bases.random_inputs(config.senders, config.seed)
     sets = protocol.measurement_bases(x, phases, config.senders)
-    vectors = sets[0][0].vectors.copy()
-    vectors[0, 0] += 1e-6
-    sets[0] = [BasisSet(vectors, label="amplitude", check=False)] * 8
     run = protocol.run_branches(x, phases, sets, config.mode, config.seed, config.trials, config.force)
-    report = build_report(config, {b.label: b.deviation for b in _collect_bases(sets)}, run)
+    report = build_report(config, _collect_bases(sets), run)
     assert report.checks["bases_pass"] is False
     assert report.basis_validation["amplitude"] >= 1e-7
     assert len(report.outcomes) == report.aggregates["branch_count"] == 512
