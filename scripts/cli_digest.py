@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-516 CLI commands, and the digest of the file that each `--out` command writes.
+522 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -33,6 +33,10 @@ The set:
   profile several triples tie in the correction search, so its order shows.
   The seventh has an unnormalized `x`, so its three commands exit 2 with
   `amplitude profile not normalized: ...`;
+- two zero-phase profile documents with x = (e0 + e1)/sqrt 2, N = 2, 3,
+  under `verify --exhaustive` in both formats (4): the triples that tie on
+  this profile differ in their X bits, where those of `x = e0` differ in
+  their Z bits;
 - input errors (9), among them N = 6 under `verify --exhaustive` and
   `table`;
 - the report of a failed basis validation, with the amplitude basis
@@ -41,6 +45,10 @@ The set:
 - `verify --exhaustive`, `run` and `table`, N = 2, 3, with one entry of
   `bases.SIGN_PATTERN` flipped (6): every phase basis fails its Gram check,
   so each exits 4 and names the first, `phase[k=0]` or `share[l=1,k=0]`;
+- `verify --exhaustive`, N = 2, 3, with rows 1 and 2 of `bases.SIGN_PATTERN`
+  swapped (2): the bases stay orthonormal but relabel the phase senders'
+  outcomes, so the Pauli frame misses, the correction search decides, and
+  each exits 0;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports.
@@ -77,6 +85,12 @@ PROFILES = {
     "e0_3.json": (3, {"x": _E0, "shares": _SHARES}),
     "unnormalized2.json": (2, {"x": [0.5] * 8, "delta": _DELTA}),
 }
+_E01 = [0.5**0.5, 0.5**0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+# Profiles run under `verify --exhaustive` alone, in both formats.
+TIE_PROFILES = {
+    "e01_2.json": (2, {"x": _E01, "delta": [0.0] * 8}),
+    "e01_3.json": (3, {"x": _E01, "shares": [[0.0] * 8] * 2}),
+}
 
 
 def commands() -> list[list[str]]:
@@ -111,6 +125,9 @@ def commands() -> list[list[str]]:
                 ["run", *common, "--seed", "3"]]
     for n in (2, 3):
         out.append(["verify", "--senders", str(n), "--profile", f"e0_{n}.json", "--exhaustive", "--format", "table"])
+    for name, (n, _) in TIE_PROFILES.items():
+        out += [["verify", "--senders", str(n), "--profile", name, "--exhaustive", "--format", fmt]
+                for fmt in ("structured", "table")]
     out += [
         ["verify", "--senders", "1"],
         ["verify", "--senders", "6"],
@@ -164,16 +181,23 @@ def perturbed_amplitude_basis():
 
 
 @contextlib.contextmanager
-def flipped_sign_pattern():
-    """Build every phase basis under SIGN_PATTERN with entry (2, 5) negated."""
+def sign_pattern(change):
+    """Build every phase basis under a copy of SIGN_PATTERN that `change` edits."""
     real = bases.SIGN_PATTERN
-    flipped = real.copy()
-    flipped[2, 5] *= -1
-    bases.SIGN_PATTERN = flipped
     try:
+        bases.SIGN_PATTERN = real.copy()
+        change(bases.SIGN_PATTERN)
         yield
     finally:
         bases.SIGN_PATTERN = real
+
+
+def flip_entry(pattern):
+    pattern[2, 5] *= -1
+
+
+def swap_rows(pattern):
+    pattern[[1, 2]] = pattern[[2, 1]]
 
 
 def main() -> None:
@@ -182,7 +206,7 @@ def main() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for name, (_, doc) in PROFILES.items():
+            for name, (_, doc) in {**PROFILES, **TIE_PROFILES}.items():
                 with open(name, "w", encoding="utf-8") as f:
                     json.dump(doc, f)
             for argv in commands():
@@ -192,11 +216,15 @@ def main() -> None:
                     for fmt in ("structured", "table"):
                         argv = ["verify", "--senders", str(n), "--exhaustive", "--seed", "1", "--format", fmt]
                         lines.append((" ".join(argv) + " [amplitude basis perturbed]", *run(argv)))
-            with flipped_sign_pattern():
+            with sign_pattern(flip_entry):
                 for n in (2, 3):
                     for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "1"],
                                  ["run", "--senders", str(n), "--seed", "1"], ["table", "--senders", str(n)]):
                         lines.append((" ".join(argv) + " [sign pattern flipped]", *run(argv)))
+            with sign_pattern(swap_rows):
+                for n in (2, 3):
+                    argv = ["verify", "--senders", str(n), "--exhaustive", "--seed", "1"]
+                    lines.append((" ".join(argv) + " [sign pattern rows swapped]", *run(argv)))
             for argv in out_commands():
                 code, stdout, stderr = run([*argv, "--out", "report.out"])
                 with open("report.out", "rb") as f:

@@ -277,16 +277,16 @@ _JSON_ENTRY_ROW = '    {\n      "outcome": "%s",\n      "correction": %s,\n     
 
 def _float_texts(values: np.ndarray, spelling: dict[str, str]) -> list[str]:
     """Each float64 value as float.__repr__ writes it, or as `spelling`
-    respells that text. Computed once per distinct bit pattern, so 0.0 and
-    -0.0 stay apart: the rows of one campaign share a few probabilities and
-    fidelities. (A dict, not np.unique or np.sort, whose first calls add
-    about 0.4 and 0.3 MiB of RSS.)"""
-    patterns = values.view(np.uint64).tolist()
-    texts = dict.fromkeys(patterns)
-    for pattern, value in zip(texts, np.array(list(texts), dtype=np.uint64).view(np.float64).tolist()):
+    respells that text. Computed once per run of equal bit patterns, so 0.0
+    and -0.0 stay apart: a campaign's column is mostly one run, since its
+    rows share one probability and one fidelity."""
+    bits = values.view(np.uint64)
+    starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()] if len(bits) else []
+    texts = []
+    for start, stop, value in zip(starts, [*starts[1:], len(bits)], values[starts].tolist()):
         text = float.__repr__(value)
-        texts[pattern] = spelling.get(text, text)
-    return list(map(texts.__getitem__, patterns))
+        texts += [spelling.get(text, text)] * (stop - start)
+    return texts
 
 
 def _fill_rows(head: str, template: str, columns: list[list[str]], sep: str, tail: str) -> str:

@@ -24,7 +24,8 @@ the row view that `run_two_sender`, `run_n_sender` and the `run` command
 share. The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test
 oracle, and `_collapse_branches` the tests' bit-for-bit reference walk.
 
-Corrections are not taken from a closed form: a brute-force oracle searches
+Runs take each correction from the digits, as a Pauli frame. Where it misses,
+and always in `table` and `derive_correction`, a brute-force oracle searches
 all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
 state onto the compressed target, so the runners double as verification.
 """
@@ -75,6 +76,13 @@ _TRIPLES = tuple(itertools.product(CORRECTION_OPS, repeat=3))
 _TRIPLE_MATRIX = np.array([np.kron(np.kron(_OP_MATRIX[a], _OP_MATRIX[b]), _OP_MATRIX[c]) for a, b, c in _TRIPLES])
 _TRIPLE_PERM = np.abs(_TRIPLE_MATRIX).argmax(axis=2)
 _TRIPLE_SIGN = np.take_along_axis(_TRIPLE_MATRIX, _TRIPLE_PERM[..., None], axis=2)[..., 0].real
+
+# Row j of SIGN_PATTERN and of the amplitude layout is the Walsh character
+# (-1)**popcount(_WALSH_INDEX[j] & m). _SPREAD[v] is the _TRIPLES index of X
+# (twice it: Z) on the receiver qubits set in v, as each qubit's op index is
+# x + 2z: the XOR of two indices is the Pauli product up to sign.
+_WALSH_INDEX = np.array((0, 1, 7, 2, 5, 6, 3, 4))
+_SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)])
 
 # Indices of the eight even-parity four-qubit kets, in target order: the
 # fourth bit of each ket is the parity of the first three.
@@ -351,17 +359,21 @@ def _collapse_branch(
     return StateVector(states[0]), float(np.prod(steps[0])), records
 
 
+def _correction_weights(target3: np.ndarray) -> np.ndarray:
+    """(8, 64) matrix whose column t is triple t applied to the conjugated target:
+    (states @ weights)[b, t] is the target's overlap with row b corrected by t."""
+    weights = np.empty((8, len(_TRIPLES)), dtype=complex)
+    weights[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = _TRIPLE_SIGN * target3.conj()
+    return weights
+
+
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     """For each row of `states`, the index into _TRIPLES of the first triple in
     search order whose corrected state reaches fidelity 1 - FIDELITY_TOL
-    with `target3`.
-
-    Column t of `weights` is triple t applied to the conjugated target, so
-    (states @ weights)[b, t] is the overlap of the target with row b
-    corrected by triple t; a chunk of rows is searched in one product.
+    with `target3`, a chunk of rows in one product. Only the correction
+    table, `derive_correction` and the fallback of `run_branches` search.
     """
-    weights = np.empty((8, len(_TRIPLES)), dtype=complex)
-    weights[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = _TRIPLE_SIGN * target3.conj()
+    weights = _correction_weights(target3)
     found = np.empty(len(states), dtype=np.intp)
     for start in range(0, len(states), _SEARCH_CHUNK):
         hit = np.abs(states[start : start + _SEARCH_CHUNK] @ weights) ** 2 >= 1.0 - FIDELITY_TOL
@@ -369,6 +381,16 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
             raise NoCorrectionFound("no Pauli triple reaches the fidelity threshold")
         found[start : start + _SEARCH_CHUNK] = hit.argmax(axis=1)
     return found
+
+
+def _frame_corrections(outcomes: np.ndarray, target3: np.ndarray) -> np.ndarray:
+    """Each branch's correction, as the search picks it on the paper's layout:
+    the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ..., so
+    its ties are the frame XOR the target's own, and the search takes the least."""
+    z = np.bitwise_xor.reduce(_WALSH_INDEX[outcomes], axis=1)
+    ties = np.flatnonzero(np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL)
+    first = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)
+    return first[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
@@ -379,6 +401,14 @@ def _search_correction(collapsed: StateVector, target3: StateVector) -> Correcti
 def _apply_corrections(states: np.ndarray, found: np.ndarray) -> np.ndarray:
     """Apply triple _TRIPLES[found[b]] to row b of `states`."""
     return _TRIPLE_SIGN[found] * np.take_along_axis(states, _TRIPLE_PERM[found], axis=1)
+
+
+def _corrected(states: np.ndarray, found: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corrected, parity-expanded states and their fidelities with the target. A
+    one-row batch is padded to two, so a branch's bits do not depend on its batch."""
+    finals = _expand_parity(_apply_corrections(states, found))
+    padded = np.repeat(finals, 2, axis=0) if len(finals) == 1 else finals
+    return finals, (np.abs(padded.conj() @ _expand_parity(target3[None])[0]) ** 2)[: len(finals)]
 
 
 def _apply_correction(state3: StateVector, triple: CorrectionTriple) -> StateVector:
@@ -516,9 +546,11 @@ def run_branches(
         states, steps = _walk(rows)
 
     target3 = compressed_target(x, phases).amps
-    found = _search_corrections(states, target3)
-    finals = _expand_parity(_apply_corrections(states, found))
-    fidelities = np.abs(finals.conj() @ _expand_parity(target3[None])[0]) ** 2
+    found = _frame_corrections(outcomes, target3)
+    finals, fidelities = _corrected(states, found, target3)
+    if not np.all(fidelities >= 1.0 - FIDELITY_TOL):  # not the paper's layout: the search judges
+        found = _search_corrections(states, target3)
+        finals, fidelities = _corrected(states, found, target3)
     return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
 
 

@@ -207,15 +207,10 @@ def measure_in_basis(state: StateVector, qubits, basis: BasisSet) -> list[Measur
     psi = np.moveaxis(psi, qubits, (0, 1, 2)).reshape(8, -1)
     projected = basis.vectors.conj() @ psi
     probs = np.sum(np.abs(projected) ** 2, axis=1)
-    branches = []
-    for k in range(8):
-        p = float(probs[k])
-        if p < NEGLIGIBLE_PROBABILITY:
-            branches.append(MeasurementBranch(k, p, None))
-        else:
-            collapsed = StateVector(projected[k] / np.sqrt(p))
-            branches.append(MeasurementBranch(k, p, collapsed))
-    return branches
+    return [
+        MeasurementBranch(k, p, None if p < NEGLIGIBLE_PROBABILITY else StateVector(projected[k] / np.sqrt(p)))
+        for k, p in enumerate(probs.tolist())
+    ]
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

@@ -4,7 +4,9 @@ The runners compute every branch in one walk from the channel's 8-term
 diagonal (`_walk`), which keeps every child for exhaustive runs and tables,
 the named digits for forced runs, and the drawn digits for a chunk of
 sampled trials; then they correct and expand the receiver's 8-vectors
-batched. `_collapse_branches`, which gathers one row per branch, is the
+batched, runs with the Pauli frame of each branch's digits, which must pick
+the search's triple on every profile, and tables with the search.
+`_collapse_branches`, which gathers one row per branch, is the
 reference that the walk equals bit for bit in every mode, and no run calls
 it. `_dense_branch` measures the full register with the dense engine, and
 `_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
@@ -20,16 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chi_jrsp import protocol
+from chi_jrsp import bases, protocol
 from chi_jrsp.bases import (
+    SIGN_PATTERN,
     AmplitudeProfile,
     PhaseProfile,
     PhaseShares,
+    amplitude_basis_matrix,
     random_amplitude_profile,
     random_inputs,
     random_phase_profile,
     random_phase_shares,
 )
+from chi_jrsp.harness import EXIT_INTERNAL_ERROR, EXIT_PASS, RunConfig, cmd_verify, main
 from chi_jrsp.protocol import (
     _TRIPLES,
     FIDELITY_TOL,
@@ -454,9 +459,7 @@ def assert_rows_of(run, every, columns):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_run_branches_agree_across_modes(n_senders):
     # One walk under three selections: every sampled or forced branch is, bit
-    # for bit, the exhaustive row of its outcome. The fidelity of a one-row
-    # batch goes through another matrix-vector path, which can round the
-    # same final state a few ulp apart, so forced fidelities are held to 4 ulp.
+    # for bit, the exhaustive row of its outcome, the one-row forced batch too.
     forced = [(0,) * n_senders, (7,) * n_senders, (1, 2, 3, 4, 5)[:n_senders], (6, 0, 5, 3, 1)[:n_senders]]
     for seed in range(3):
         x, phases = random_inputs(n_senders, seed)
@@ -466,5 +469,132 @@ def test_run_branches_agree_across_modes(n_senders):
         assert_rows_of(sampled, every, ("steps", "finals", "fidelities"))
         for o in forced:
             run = run_branches(x, phases, sets, "sampled", seed, 1, (o[0], o[1:]))
-            b = assert_rows_of(run, every, ("steps", "finals"))
-            np.testing.assert_array_max_ulp(run.fidelities, every.fidelities[b], maxulp=4)
+            assert_rows_of(run, every, ("steps", "finals", "fidelities"))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_fidelities_do_not_depend_on_the_batch(n_senders):
+    # numpy takes another product path for a one-row matrix than for two or
+    # more rows; `_corrected` pads a one-row batch, so every chunk size, and
+    # the short tail of 100 rows in chunks of 3, 6, 7, 8 or 9, gives the bits
+    # of the whole batch.
+    x, phases = random_inputs(n_senders, 0)
+    run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
+    states, _ = _walk(sender_rows(x, phases, n_senders))
+    rows = np.random.default_rng(n_senders).permutation(len(states))[:100]
+    target3 = compressed_target(x, phases).amps
+    for size in range(1, 10):
+        for start in range(0, len(rows), size):
+            b = rows[start : start + size]
+            finals, fidelities = protocol._corrected(states[b], run.triples[b], target3)
+            assert_bits_equal(finals, run.finals[b])
+            assert_bits_equal(fidelities, run.fidelities[b])
+
+
+def walsh_character(s):
+    """(-1)**popcount(s & m) for m = 0..7."""
+    return np.array([(-1) ** bin(s & m).count("1") for m in range(8)])
+
+
+def test_walsh_index_is_the_sign_pattern_rows():
+    for j, s in enumerate(protocol._WALSH_INDEX.tolist()):
+        assert np.array_equal(SIGN_PATTERN[j], walsh_character(s))
+    assert sorted(protocol._WALSH_INDEX.tolist()) == list(range(8))
+
+
+def test_walsh_index_is_the_amplitude_layout_rows():
+    # At the uniform profile, row k, column m of the layout is
+    # chi_{s(k)}(m) x[k ^ m] = chi_{s(k)}(m) / sqrt 8.
+    layout = amplitude_basis_matrix(AmplitudeProfile(np.full(8, 8**-0.5)))
+    for k, s in enumerate(protocol._WALSH_INDEX.tolist()):
+        assert np.array_equal(np.sign(layout[k]), walsh_character(s))
+
+
+def assert_frame_is_the_search(x, phases, n_senders):
+    """The exhaustive run's triples are the search's, and its fidelities those
+    of the search's triples, bit for bit, with the search unreachable."""
+    sets = measurement_bases(x, phases, n_senders)
+    states, _ = _walk(sets.vectors.conj())
+    target3 = compressed_target(x, phases).amps
+    searched = _search_corrections(states, target3)
+
+    def refuse(*args):
+        raise AssertionError("a run searched for its corrections")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_search_corrections", refuse)
+        run = run_branches(x, phases, sets, "exhaustive", None, 1, None)
+    assert np.array_equal(run.triples, searched)
+    assert_bits_equal(run.fidelities, protocol._corrected(states, searched, target3)[1])
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_frame_is_the_search_on_random_profiles(n_senders, data):
+    assert_frame_is_the_search(*data.draw(profiles(n_senders)), n_senders)
+
+
+_R = 0.5**0.5
+TIED_MAGNITUDES = {
+    "e0": [1.0, 0, 0, 0, 0, 0, 0, 0],
+    "e5": [0, 0, 0, 0, 0, 1.0, 0, 0],
+    "e0+e1": [_R, _R, 0, 0, 0, 0, 0, 0],
+    "e0+e7": [_R, 0, 0, 0, 0, 0, 0, _R],
+    "e3+e6": [0, 0, 0, _R, 0, 0, _R, 0],
+    "uniform": [8**-0.5] * 8,
+    "half-uniform": [0.5] * 4 + [0.0] * 4,
+}
+
+
+@pytest.mark.parametrize("n_senders", [2, 3, 4])
+@pytest.mark.parametrize("magnitudes", TIED_MAGNITUDES.values(), ids=TIED_MAGNITUDES.keys())
+def test_frame_is_the_search_on_tied_profiles(magnitudes, n_senders):
+    # Several triples tie on these profiles, so the search order decides;
+    # the first phase row carries zero, pi or generic phases, the rest zero.
+    x = AmplitudeProfile(magnitudes)
+    generic = random_phase_profile(np.random.default_rng(n_senders)).delta
+    for first in (np.zeros(8), np.r_[0.0, np.full(7, np.pi)], generic):
+        rows = np.zeros((n_senders - 1, 8))
+        rows[0] = first
+        assert_frame_is_the_search(x, PhaseShares(rows), n_senders)
+        if n_senders == 2:
+            assert_frame_is_the_search(x, PhaseProfile(first), n_senders)
+
+
+@pytest.mark.parametrize("n_senders", [2, 3])
+def test_a_relabelled_layout_falls_back_to_the_search(n_senders, monkeypatch, capsys):
+    # Swapped SIGN_PATTERN rows keep every basis orthonormal but relabel the
+    # phase senders' outcomes: the frame misses, the search decides, and the
+    # campaign still passes with the search's triples.
+    swapped = SIGN_PATTERN.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
+    x, phases = random_inputs(n_senders, 1)
+    states, _ = _walk(sender_rows(x, phases, n_senders))
+    target3 = compressed_target(x, phases).amps
+    searched = _search_corrections(states, target3)
+    assert not np.array_equal(protocol._frame_corrections(_all_outcomes(n_senders), target3), searched)
+    calls, search = [], protocol._search_corrections
+    monkeypatch.setattr(protocol, "_search_corrections", lambda *args: calls.append(1) or search(*args))
+    config = RunConfig(senders=n_senders, mode="exhaustive", seed=1)
+    status, report = cmd_verify(config)
+    capsys.readouterr()
+    assert status == EXIT_PASS and calls == [1]
+    assert np.array_equal(report.triples, searched)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_runs_never_search_on_the_paper_layout(n_senders, monkeypatch, capsys):
+    # Every verify and run takes its corrections from the frame; `table`
+    # derives them by search, so it meets the refusal.
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(protocol, "_search_corrections", refuse)
+    n, forced = str(n_senders), "7:" + ",".join("7" * (n_senders - 1))
+    for argv in (["verify", "--senders", n, "--exhaustive"], ["verify", "--senders", n, "--trials", "300"],
+                 ["run", "--senders", n, "--seed", "3"], ["run", "--senders", n, "--force-outcome", forced]):
+        assert main(argv) == EXIT_PASS, argv
+    assert main(["table", "--senders", n]) == EXIT_INTERNAL_ERROR
+    assert "internal error: AssertionError: searched" in capsys.readouterr().err
