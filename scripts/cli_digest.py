@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-522 CLI commands, and the digest of the file that each `--out` command writes.
+524 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -45,10 +45,10 @@ The set:
 - `verify --exhaustive`, `run` and `table`, N = 2, 3, with one entry of
   `bases.SIGN_PATTERN` flipped (6): every phase basis fails its Gram check,
   so each exits 4 and names the first, `phase[k=0]` or `share[l=1,k=0]`;
-- `verify --exhaustive`, N = 2, 3, with rows 1 and 2 of `bases.SIGN_PATTERN`
-  swapped (2): the bases stay orthonormal but relabel the phase senders'
-  outcomes, so the Pauli frame misses, the correction search decides, and
-  each exits 0;
+- `verify --exhaustive` and `table`, N = 2, 3, with rows 1 and 2 of
+  `bases.SIGN_PATTERN` swapped (4): the bases stay orthonormal but relabel
+  the phase senders' outcomes, so the Pauli frame misses on some branches,
+  the correction search decides those, and each exits 0;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports.
@@ -223,8 +223,9 @@ def main() -> None:
                         lines.append((" ".join(argv) + " [sign pattern flipped]", *run(argv)))
             with sign_pattern(swap_rows):
                 for n in (2, 3):
-                    argv = ["verify", "--senders", str(n), "--exhaustive", "--seed", "1"]
-                    lines.append((" ".join(argv) + " [sign pattern rows swapped]", *run(argv)))
+                    for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "1"],
+                                 ["table", "--senders", str(n)]):
+                        lines.append((" ".join(argv) + " [sign pattern rows swapped]", *run(argv)))
             for argv in out_commands():
                 code, stdout, stderr = run([*argv, "--out", "report.out"])
                 with open("report.out", "rb") as f:

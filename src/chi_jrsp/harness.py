@@ -67,6 +67,8 @@ class RunConfig:
             )
         if self.force is not None and (self.mode == "exhaustive" or self.trials != 1):
             raise ProfileError(f"a forced outcome runs one branch, not mode {self.mode!r} or {self.trials} trials")
+        if self.mode == "exhaustive" and self.trials != 1:
+            raise ProfileError(f"an exhaustive run enumerates every branch, not {self.trials} trials")
         if self.fmt not in ("structured", "table"):
             raise ProfileError(f"format must be 'structured' or 'table', got {self.fmt!r}")
 
@@ -394,6 +396,8 @@ def render_transcript(t: ProtocolTranscript, fmt: str) -> str:
 
 def cmd_run(config: RunConfig) -> tuple[int, ProtocolTranscript]:
     """One protocol execution (sampled, or forced via config.force)."""
+    if config.mode != "sampled" or config.trials != 1:  # a forced outcome is one sampled trial
+        raise ProfileError(f"run executes one branch, not mode {config.mode!r} or {config.trials} trials")
     x, phases = resolve_inputs(config)
     sets = protocol.measurement_bases(x, phases, config.senders)
     transcript = protocol.transcripts(_run_campaign(config, x, phases, sets))[0]

@@ -24,10 +24,10 @@ the row view that `run_two_sender`, `run_n_sender` and the `run` command
 share. The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test
 oracle, and `_collapse_branches` the tests' bit-for-bit reference walk.
 
-Runs take each correction from the digits, as a Pauli frame. Where it misses,
-and always in `table` and `derive_correction`, a brute-force oracle searches
-all 64 per-qubit Pauli triples for the one that maps the receiver's collapsed
-state onto the compressed target, so the runners double as verification.
+Runs and `table` take each correction from the digits, as a Pauli frame. Where
+it misses, and always in `derive_correction`, a brute-force oracle searches all
+64 per-qubit Pauli triples for the one that maps the receiver's collapsed state
+onto the compressed target, so the runners double as verification.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def _correction_weights(target3: np.ndarray) -> np.ndarray:
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     """For each row of `states`, the index into _TRIPLES of the first triple in
     search order whose corrected state reaches fidelity 1 - FIDELITY_TOL
-    with `target3`, a chunk of rows in one product. Only the correction
-    table, `derive_correction` and the fallback of `run_branches` search.
+    with `target3`, a chunk of rows in one product. `derive_correction`
+    searches every branch, and `_corrections` the rows its frame misses.
     """
     weights = _correction_weights(target3)
     found = np.empty(len(states), dtype=np.intp)
@@ -383,14 +383,20 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     return found
 
 
-def _frame_corrections(outcomes: np.ndarray, target3: np.ndarray) -> np.ndarray:
-    """Each branch's correction, as the search picks it on the paper's layout:
+def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> np.ndarray:
+    """Each branch's correction, as the search picks it: on the paper's layout
     the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ..., so
-    its ties are the frame XOR the target's own, and the search takes the least."""
+    its ties are the frame XOR the target's own, and the search takes the least.
+    The frame stands wherever it passes the search's test; the rows it misses
+    (a NaN misses) are searched."""
+    weights = _correction_weights(target3)
     z = np.bitwise_xor.reduce(_WALSH_INDEX[outcomes], axis=1)
-    ties = np.flatnonzero(np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL)
-    first = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)
-    return first[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
+    ties = np.flatnonzero(np.abs(target3 @ weights) ** 2 >= 1.0 - FIDELITY_TOL)
+    found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
+    missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, found])) ** 2 >= 1.0 - FIDELITY_TOL)
+    if missed.any():
+        found[missed] = _search_corrections(states[missed], target3)
+    return found
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
@@ -469,9 +475,9 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
     rows = np.stack([measurement_bases(x, phases, n_senders).vectors for x, phases in (derive, check)]).conj()
     (derived, checked), _ = _walk(rows)
-    found = _search_corrections(derived, compressed_target(*derive).amps)
-    fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
     outcomes = _all_outcomes(n_senders)
+    found = _corrections(outcomes, derived, compressed_target(*derive).amps)
+    fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
     failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
     if failed.size:
         b = failed[0]
@@ -513,15 +519,8 @@ def _sampled_outcomes(
     return outcomes, states, steps
 
 
-def run_branches(
-    x: AmplitudeProfile,
-    phases: PhaseProfile | PhaseShares,
-    sets: MeasurementBases,
-    mode: str,
-    seed: int | None,
-    trials: int,
-    force: tuple[int, tuple[int, ...]] | None,
-) -> Branches:
+def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: MeasurementBases, mode: str,
+                 seed: int | None, trials: int, force: tuple[int, tuple[int, ...]] | None) -> Branches:
     """Run the protocol on `phases`: a PhaseProfile for two senders, or
     PhaseShares with one row per phase sender for any sender count. `sets`
     is `measurement_bases(x, phases, n_senders)`, built by the caller, and
@@ -546,11 +545,8 @@ def run_branches(
         states, steps = _walk(rows)
 
     target3 = compressed_target(x, phases).amps
-    found = _frame_corrections(outcomes, target3)
+    found = _corrections(outcomes, states, target3)
     finals, fidelities = _corrected(states, found, target3)
-    if not np.all(fidelities >= 1.0 - FIDELITY_TOL):  # not the paper's layout: the search judges
-        found = _search_corrections(states, target3)
-        finals, fidelities = _corrected(states, found, target3)
     return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
 
 

@@ -34,7 +34,7 @@ from chi_jrsp.bases import (
     random_phase_profile,
     random_phase_shares,
 )
-from chi_jrsp.harness import EXIT_INTERNAL_ERROR, EXIT_PASS, RunConfig, cmd_verify, main
+from chi_jrsp.harness import EXIT_PASS, RunConfig, cmd_verify, main
 from chi_jrsp.protocol import (
     _TRIPLES,
     FIDELITY_TOL,
@@ -562,39 +562,68 @@ def test_frame_is_the_search_on_tied_profiles(magnitudes, n_senders):
             assert_frame_is_the_search(x, PhaseProfile(first), n_senders)
 
 
+def searched_table(n_senders):
+    """`build_correction_table`'s triples and check fidelities, with every
+    branch of the derive profile searched."""
+    derive, check = (random_inputs(n_senders, protocol._TABLE_SEED + i) for i in (0, 1))
+    (derived, checked), _ = _walk(np.stack([sender_rows(*derive, n_senders), sender_rows(*check, n_senders)]))
+    found = _search_corrections(derived, compressed_target(*derive).amps)
+    return found, np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
+
+
+def assert_table_is_the_search(n_senders):
+    table, (found, fidelities) = build_correction_table(n_senders), searched_table(n_senders)
+    assert np.array_equal(table.triples, found)
+    assert_bits_equal(table.fidelities, fidelities)
+
+
+@pytest.mark.parametrize("n_senders", [2, 3, 4])
+def test_the_table_is_the_searched_table(n_senders):
+    assert_table_is_the_search(n_senders)
+
+
 @pytest.mark.parametrize("n_senders", [2, 3])
 def test_a_relabelled_layout_falls_back_to_the_search(n_senders, monkeypatch, capsys):
     # Swapped SIGN_PATTERN rows keep every basis orthonormal but relabel the
-    # phase senders' outcomes: the frame misses, the search decides, and the
-    # campaign still passes with the search's triples.
+    # phase senders' outcomes: the frame misses on 16 of 64 branches (192 of
+    # 512), the search decides those alone, and the campaign still passes with
+    # the search's triples; the table is the one a search of every branch derives.
+    missed = {2: 16, 3: 192}[n_senders]
     swapped = SIGN_PATTERN.copy()
     swapped[[1, 2]] = swapped[[2, 1]]
     monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
     x, phases = random_inputs(n_senders, 1)
     states, _ = _walk(sender_rows(x, phases, n_senders))
-    target3 = compressed_target(x, phases).amps
-    searched = _search_corrections(states, target3)
-    assert not np.array_equal(protocol._frame_corrections(_all_outcomes(n_senders), target3), searched)
-    calls, search = [], protocol._search_corrections
-    monkeypatch.setattr(protocol, "_search_corrections", lambda *args: calls.append(1) or search(*args))
+    searched = _search_corrections(states, compressed_target(x, phases).amps)
+    searched_rows, search = [], protocol._search_corrections
+    monkeypatch.setattr(protocol, "_search_corrections",
+                        lambda states, target3: searched_rows.append(len(states)) or search(states, target3))
     config = RunConfig(senders=n_senders, mode="exhaustive", seed=1)
     status, report = cmd_verify(config)
     capsys.readouterr()
-    assert status == EXIT_PASS and calls == [1]
+    assert status == EXIT_PASS and searched_rows == [missed]
     assert np.array_equal(report.triples, searched)
+    searched_rows.clear()
+    assert_table_is_the_search(n_senders)
+    assert searched_rows == [missed]
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_runs_never_search_on_the_paper_layout(n_senders, monkeypatch, capsys):
-    # Every verify and run takes its corrections from the frame; `table`
-    # derives them by search, so it meets the refusal.
+    # Every verify, run and table takes its corrections from the frame.
+    n, forced = str(n_senders), "7:" + ",".join("7" * (n_senders - 1))
+    if n_senders <= 3:
+        assert main(["table", "--senders", n]) == EXIT_PASS
+        unpatched = capsys.readouterr().out
+
     def refuse(*args):
         raise AssertionError("searched")
 
     monkeypatch.setattr(protocol, "_search_corrections", refuse)
-    n, forced = str(n_senders), "7:" + ",".join("7" * (n_senders - 1))
     for argv in (["verify", "--senders", n, "--exhaustive"], ["verify", "--senders", n, "--trials", "300"],
                  ["run", "--senders", n, "--seed", "3"], ["run", "--senders", n, "--force-outcome", forced]):
         assert main(argv) == EXIT_PASS, argv
-    assert main(["table", "--senders", n]) == EXIT_INTERNAL_ERROR
-    assert "internal error: AssertionError: searched" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["table", "--senders", n]) == EXIT_PASS
+    if n_senders <= 3:
+        assert capsys.readouterr().out == unpatched

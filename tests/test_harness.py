@@ -123,6 +123,13 @@ class TestRunConfig:
         with pytest.raises(ProfileError, match="a forced outcome runs one branch"):
             RunConfig(senders=2, mode=mode, trials=trials, force=(1, (2,)))
 
+    def test_exhaustive_excludes_a_trial_count(self):
+        # An exhaustive run enumerates every branch: its report would echo
+        # the trial count over all 64 of them.
+        with pytest.raises(ProfileError, match="an exhaustive run enumerates every branch, not 30 trials"):
+            RunConfig(senders=2, mode="exhaustive", trials=30)
+        assert RunConfig(senders=2, mode="exhaustive", trials=1).trials == 1
+
     def test_trials_positive(self):
         with pytest.raises(ProfileError):
             RunConfig(trials=0)
@@ -372,6 +379,15 @@ class TestCmdRun:
         with pytest.raises(ProfileError):
             cmd_run(RunConfig(senders=3, force=(1, (2,))))
 
+    @pytest.mark.parametrize("campaign", [{"mode": "exhaustive"}, {"trials": 50}], ids=["exhaustive", "50 trials"])
+    def test_run_takes_one_branch(self, campaign, tmp_path):
+        # A run prints one transcript, so it runs one sampled trial or a
+        # forced outcome, never a campaign of which it would print row 0.
+        out = tmp_path / "run.json"
+        with pytest.raises(ProfileError, match="run executes one branch, not mode"):
+            cmd_run(RunConfig(senders=2, out_path=str(out), **campaign))
+        assert not out.exists()
+
     @pytest.mark.parametrize("force", [(1, (-3,)), (-1, (2,)), (8, (0,)), (0, (8,))])
     def test_force_digit_range_checked(self, force, tmp_path):
         # A negative digit would run the branch it indexes from the end and
@@ -428,14 +444,14 @@ class TestCmdTable:
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
         # Row 5, outcome (0, 5), gets the next triple in search order, which
         # the check profile rejects. The outcome prints as plain ints.
-        real = protocol._search_corrections
+        real = protocol._corrections
 
-        def shifted(states, target3):
-            found = real(states, target3)
+        def shifted(outcomes, states, target3):
+            found = real(outcomes, states, target3)
             found[5] = (found[5] + 1) % len(protocol._TRIPLES)
             return found
 
-        monkeypatch.setattr(protocol, "_search_corrections", shifted)
+        monkeypatch.setattr(protocol, "_corrections", shifted)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
