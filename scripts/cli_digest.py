@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-524 CLI commands, and the digest of the file that each `--out` command writes.
+531 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -49,6 +49,12 @@ The set:
   `bases.SIGN_PATTERN` swapped (4): the bases stay orthonormal but relabel
   the phase senders' outcomes, so the Pauli frame misses on some branches,
   the correction search decides those, and each exits 0;
+- with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
+  `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
+  `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis
+  fails its check, which the profile reports as `amplitude profile not
+  normalized: ...`, so the random profiles and `table` exit 4 and the
+  profile document exits 2;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports.
@@ -192,6 +198,23 @@ def sign_pattern(change):
         bases.SIGN_PATTERN = real
 
 
+@contextlib.contextmanager
+def negated_layout_entry():
+    """Build every amplitude layout with entry (1, 0) negated."""
+    real = bases.amplitude_basis_matrix
+
+    def negated(profile):
+        f = real(profile)
+        f[1, 0] = -f[1, 0]
+        return f
+
+    bases.amplitude_basis_matrix = negated
+    try:
+        yield
+    finally:
+        bases.amplitude_basis_matrix = real
+
+
 def flip_entry(pattern):
     pattern[2, 5] *= -1
 
@@ -226,6 +249,14 @@ def main() -> None:
                     for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "1"],
                                  ["table", "--senders", str(n)]):
                         lines.append((" ".join(argv) + " [sign pattern rows swapped]", *run(argv)))
+            with negated_layout_entry():
+                for argv in (
+                    *(["verify", "--senders", str(n), "--exhaustive", "--seed", "1"] for n in (2, 3)),
+                    *(["run", "--senders", str(n), "--seed", "1"] for n in (2, 3)),
+                    *(["table", "--senders", str(n)] for n in (2, 3)),
+                    ["verify", "--senders", "2", "--profile", "delta2.json", "--exhaustive"],
+                ):
+                    lines.append((" ".join(argv) + " [amplitude layout entry negated]", *run(argv)))
             for argv in out_commands():
                 code, stdout, stderr = run([*argv, "--out", "report.out"])
                 with open("report.out", "rb") as f:

@@ -4,8 +4,9 @@ The target family is parameterized by eight real magnitudes x_j and eight
 phases. The magnitude-knowing sender measures in a basis built from an 8x8
 signed layout of the x_j; each phase-knowing sender measures, conditioned on
 the announced outcome k, in a basis whose entries are unit phases arranged
-under a fixed 8x8 sign pattern. Both layouts are transcribed literally and
-pinned by tests; orthonormality is a consequence of the sign structure.
+under a fixed 8x8 sign pattern. Both layouts derive from one Walsh index,
+and tests pin them to the paper's printed tables; orthonormality is a
+consequence of the sign structure.
 """
 
 from __future__ import annotations
@@ -18,38 +19,19 @@ from .qstate import NORM_TOL, BasisSet, gram_deviation, require_orthonormal
 
 _INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
-# Sign pattern shared by all phase bases. Row p, column m carries the sign
-# applied to the m-th unit-phase argument in basis vector p. Rows are
-# pairwise orthogonal as +-1 vectors, which makes every phase basis
-# orthonormal after the 1/(2 sqrt 2) row scaling.
-SIGN_PATTERN = np.array(
-    [
-        [1, 1, 1, 1, 1, 1, 1, 1],
-        [1, -1, 1, -1, 1, -1, 1, -1],
-        [1, -1, -1, 1, -1, 1, 1, -1],
-        [1, 1, -1, -1, 1, 1, -1, -1],
-        [1, -1, 1, -1, -1, 1, -1, 1],
-        [1, 1, -1, -1, -1, -1, 1, 1],
-        [1, -1, -1, 1, 1, -1, -1, 1],
-        [1, 1, 1, 1, -1, -1, -1, -1],
-    ],
-    dtype=float,
-)
-
-# Which unit phase r_i goes into argument slot m of the basis for announced
-# outcome k; subscript 0 stands for the constant 1. The table equals
-# PHASE_ARG_INDEX[k][m] == k ^ m, a property pinned by tests.
-PHASE_ARG_INDEX = (
-    (0, 1, 2, 3, 4, 5, 6, 7),
-    (1, 0, 3, 2, 5, 4, 7, 6),
-    (2, 3, 0, 1, 6, 7, 4, 5),
-    (3, 2, 1, 0, 7, 6, 5, 4),
-    (4, 5, 6, 7, 0, 1, 2, 3),
-    (5, 4, 7, 6, 1, 0, 3, 2),
-    (6, 7, 4, 5, 2, 3, 0, 1),
-    (7, 6, 5, 4, 3, 2, 1, 0),
-)
-_PHASE_ARGS = np.array(PHASE_ARG_INDEX)
+# The one definition of both layouts. Row j of the sign table is the Walsh
+# character (-1)**popcount(WALSH_INDEX[j] & m), and argument slot m of row k
+# holds entry k ^ m: the phase bases take unit phase r_(k^m) there (r_0 is
+# the constant 1), the amplitude layout magnitude x_(k^m). The Pauli frame
+# reads the same index. Rows are pairwise orthogonal as +-1 vectors, which
+# makes every phase basis orthonormal after the 1/(2 sqrt 2) scaling.
+WALSH_INDEX = np.array((0, 1, 7, 2, 5, 6, 3, 4))
+_PHASE_ARGS = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+PHASE_ARG_INDEX = tuple(map(tuple, _PHASE_ARGS.tolist()))
+# The amplitude layout reads this import-time copy, so a replaced
+# SIGN_PATTERN, as the mutant checks swap in, reaches only the phase bases.
+_SIGNS = np.array([[(-1.0) ** bin(s & m).count("1") for m in range(8)] for s in WALSH_INDEX.tolist()])
+SIGN_PATTERN = _SIGNS.copy()
 
 
 @dataclass(frozen=True)
@@ -134,23 +116,11 @@ class PhaseShares:
 def amplitude_basis_matrix(profile: AmplitudeProfile) -> np.ndarray:
     """8x8 signed layout of the magnitudes; rows are the basis vectors.
 
-    Orthogonality of the rows for any normalized profile follows from the
-    layout itself (each row pairs every magnitude once, with signs that
-    cancel pairwise); tests check it over random profiles.
+    Row k, column m is the sign table's entry times x[k ^ m]: each row pairs
+    every magnitude once, with signs that cancel pairwise, so the rows are
+    orthogonal for any normalized profile; tests check it over random profiles.
     """
-    x0, x1, x2, x3, x4, x5, x6, x7 = profile.x
-    return np.array(
-        [
-            [x0, x1, x2, x3, x4, x5, x6, x7],
-            [x1, -x0, x3, -x2, x5, -x4, x7, -x6],
-            [x2, -x3, -x0, x1, -x6, x7, x4, -x5],
-            [x3, x2, -x1, -x0, x7, x6, -x5, -x4],
-            [x4, -x5, x6, -x7, -x0, x1, -x2, x3],
-            [x5, x4, -x7, -x6, -x1, -x0, x3, x2],
-            [x6, -x7, -x4, x5, x2, -x3, -x0, x1],
-            [x7, x6, x5, x4, -x3, -x2, -x1, -x0],
-        ]
-    )
+    return _SIGNS * profile.x[_PHASE_ARGS]
 
 
 def amplitude_basis(profile: AmplitudeProfile) -> BasisSet:

@@ -77,11 +77,10 @@ _TRIPLE_MATRIX = np.array([np.kron(np.kron(_OP_MATRIX[a], _OP_MATRIX[b]), _OP_MA
 _TRIPLE_PERM = np.abs(_TRIPLE_MATRIX).argmax(axis=2)
 _TRIPLE_SIGN = np.take_along_axis(_TRIPLE_MATRIX, _TRIPLE_PERM[..., None], axis=2)[..., 0].real
 
-# Row j of SIGN_PATTERN and of the amplitude layout is the Walsh character
-# (-1)**popcount(_WALSH_INDEX[j] & m). _SPREAD[v] is the _TRIPLES index of X
-# (twice it: Z) on the receiver qubits set in v, as each qubit's op index is
-# x + 2z: the XOR of two indices is the Pauli product up to sign.
-_WALSH_INDEX = np.array((0, 1, 7, 2, 5, 6, 3, 4))
+# _SPREAD[v] is the _TRIPLES index of X (twice it: Z) on the receiver qubits
+# set in v, as each qubit's op index is x + 2z: the XOR of two indices is the
+# Pauli product up to sign. The frame's Z bits come from bases.WALSH_INDEX,
+# the index whose Walsh characters are the rows of both measurement layouts.
 _SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)])
 
 # Indices of the eight even-parity four-qubit kets, in target order: the
@@ -385,12 +384,13 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
 
 def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     """Each branch's correction, as the search picks it: on the paper's layout
-    the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ..., so
-    its ties are the frame XOR the target's own, and the search takes the least.
+    the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ...
+    for s = bases.WALSH_INDEX, so its ties are the frame XOR the target's own,
+    and the search takes the least.
     The frame stands wherever it passes the search's test; the rows it misses
     (a NaN misses) are searched."""
     weights = _correction_weights(target3)
-    z = np.bitwise_xor.reduce(_WALSH_INDEX[outcomes], axis=1)
+    z = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
     ties = np.flatnonzero(np.abs(target3 @ weights) ** 2 >= 1.0 - FIDELITY_TOL)
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
     missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, found])) ** 2 >= 1.0 - FIDELITY_TOL)

@@ -1,8 +1,9 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chi_jrsp import bases, qstate
@@ -29,6 +30,57 @@ from chi_jrsp.protocol import measurement_bases
 from chi_jrsp.qstate import BasisSet, gram_deviation
 
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
+
+# The paper's printed tables, the oracle of the layouts `bases` derives from
+# its Walsh index. PRINTED_SIGNS row p, column m is the sign of argument slot
+# m in basis vector p; PRINTED_PHASE_ARGS[k][m] is the entry that fills slot m
+# of the basis for announced outcome k (a unit phase; x for the magnitudes).
+PRINTED_SIGNS = np.array(
+    [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [1, -1, 1, -1, 1, -1, 1, -1],
+        [1, -1, -1, 1, -1, 1, 1, -1],
+        [1, 1, -1, -1, 1, 1, -1, -1],
+        [1, -1, 1, -1, -1, 1, -1, 1],
+        [1, 1, -1, -1, -1, -1, 1, 1],
+        [1, -1, -1, 1, 1, -1, -1, 1],
+        [1, 1, 1, 1, -1, -1, -1, -1],
+    ],
+    dtype=float,
+)
+PRINTED_PHASE_ARGS = (
+    (0, 1, 2, 3, 4, 5, 6, 7),
+    (1, 0, 3, 2, 5, 4, 7, 6),
+    (2, 3, 0, 1, 6, 7, 4, 5),
+    (3, 2, 1, 0, 7, 6, 5, 4),
+    (4, 5, 6, 7, 0, 1, 2, 3),
+    (5, 4, 7, 6, 1, 0, 3, 2),
+    (6, 7, 4, 5, 2, 3, 0, 1),
+    (7, 6, 5, 4, 3, 2, 1, 0),
+)
+
+
+def printed_layout(x):
+    """The paper's printed amplitude layout of the magnitudes x, entry by entry."""
+    return np.array(
+        [
+            [x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]],
+            [x[1], -x[0], x[3], -x[2], x[5], -x[4], x[7], -x[6]],
+            [x[2], -x[3], -x[0], x[1], -x[6], x[7], x[4], -x[5]],
+            [x[3], x[2], -x[1], -x[0], x[7], x[6], -x[5], -x[4]],
+            [x[4], -x[5], x[6], -x[7], -x[0], x[1], -x[2], x[3]],
+            [x[5], x[4], -x[7], -x[6], -x[1], -x[0], x[3], x[2]],
+            [x[6], -x[7], -x[4], x[5], x[2], -x[3], -x[0], x[1]],
+            [x[7], x[6], x[5], x[4], -x[3], -x[2], -x[1], -x[0]],
+        ]
+    )
+
+
+def assert_bits_equal(a, b):
+    """Equal shapes, dtypes and bits: -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def distinct_profile():
@@ -62,7 +114,7 @@ class TestProfiles:
         x = distinct_profile()
         sets = measurement_bases(x, distinct_phases(), 2)
         assert len(built) == 1 and x.basis is built[0]
-        assert np.array_equal(x.basis.vectors, amplitude_basis_matrix(x))
+        assert_bits_equal(x.basis.vectors, amplitude_basis_matrix(x).astype(complex))
         assert all(np.array_equal(sets.vectors[0, k], x.basis.vectors) for k in range(8))
 
     def test_amplitude_profile_rejects_wrong_length(self):
@@ -96,22 +148,19 @@ class TestProfiles:
 
 
 class TestAmplitudeBasisMatrix:
-    def test_exact_entry_layout(self):
-        # Transcription pin: every entry and sign of the 8x8 layout.
-        x = distinct_profile().x
-        expected = np.array(
-            [
-                [x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]],
-                [x[1], -x[0], x[3], -x[2], x[5], -x[4], x[7], -x[6]],
-                [x[2], -x[3], -x[0], x[1], -x[6], x[7], x[4], -x[5]],
-                [x[3], x[2], -x[1], -x[0], x[7], x[6], -x[5], -x[4]],
-                [x[4], -x[5], x[6], -x[7], -x[0], x[1], -x[2], x[3]],
-                [x[5], x[4], -x[7], -x[6], -x[1], -x[0], x[3], x[2]],
-                [x[6], -x[7], -x[4], x[5], x[2], -x[3], -x[0], x[1]],
-                [x[7], x[6], x[5], x[4], -x[3], -x[2], -x[1], -x[0]],
-            ]
-        )
-        assert np.array_equal(amplitude_basis_matrix(distinct_profile()), expected)
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]), st.floats(-2.0, 2.0)),
+        min_size=8, max_size=8,
+    ))
+    @example(x=distinct_profile().x.tolist())
+    def test_exact_entry_layout(self, x):
+        # Every entry and sign of the 8x8 layout is the printed one, bit for
+        # bit, signed zeros, subnormals and +-1e300 entries included. Most
+        # such magnitudes fail the profile's normalization, so the layout
+        # reads them from a bare record.
+        x = np.array(x)
+        assert_bits_equal(amplitude_basis_matrix(SimpleNamespace(x=x)), printed_layout(x))
 
     def test_second_row(self):
         x = distinct_profile().x
@@ -153,21 +202,9 @@ class TestAmplitudeBasis:
 
 class TestSignedPhaseMatrix:
     def test_exact_sign_layout(self):
-        # Transcription pin: the sign pattern with all arguments equal to 1.
-        expected = np.array(
-            [
-                [1, 1, 1, 1, 1, 1, 1, 1],
-                [1, -1, 1, -1, 1, -1, 1, -1],
-                [1, -1, -1, 1, -1, 1, 1, -1],
-                [1, 1, -1, -1, 1, 1, -1, -1],
-                [1, -1, 1, -1, -1, 1, -1, 1],
-                [1, 1, -1, -1, -1, -1, 1, 1],
-                [1, -1, -1, 1, 1, -1, -1, 1],
-                [1, 1, 1, 1, -1, -1, -1, -1],
-            ]
-        )
-        assert np.array_equal(signed_phase_matrix(np.ones(8)), expected)
-        assert np.array_equal(SIGN_PATTERN, expected)
+        # The sign pattern, alone and with all arguments equal to 1, is the printed one.
+        assert_bits_equal(signed_phase_matrix(np.ones(8)), PRINTED_SIGNS.astype(complex))
+        assert_bits_equal(SIGN_PATTERN, PRINTED_SIGNS)
 
     def test_rows_orthogonal_norm_eight(self):
         m = signed_phase_matrix(np.ones(8))
@@ -229,9 +266,9 @@ class TestPhaseBasis:
         assert np.allclose(basis.vectors[0], expected, atol=1e-15)
 
     def test_argument_table_is_xor(self):
-        for k in range(8):
-            for m in range(8):
-                assert PHASE_ARG_INDEX[k][m] == k ^ m
+        # The printed table is k ^ m, and the derived one is the printed one.
+        assert PRINTED_PHASE_ARGS == tuple(tuple(k ^ m for m in range(8)) for k in range(8))
+        assert PHASE_ARG_INDEX == PRINTED_PHASE_ARGS
 
     def test_entry_moduli_constant(self):
         basis = phase_basis(5, distinct_phases())
@@ -283,10 +320,18 @@ PHASE_ROWS = st.lists(
 
 
 def per_k_vectors(row, k):
-    """Basis k of a phase row, entry by entry: sign (d, m) times the unit
-    phase of entry k xor m, over 2 sqrt 2."""
+    """Basis k of a phase row, from the printed tables: sign (d, m) times the
+    unit phase of entry PRINTED_PHASE_ARGS[k][m], over 2 sqrt 2."""
     units = np.exp(-1j * np.asarray(row, dtype=float))
-    return SIGN_PATTERN * units[[k ^ m for m in range(8)]][None, :] * INV_2SQRT2
+    return PRINTED_SIGNS * units[list(PRINTED_PHASE_ARGS[k])][None, :] * INV_2SQRT2
+
+
+def flip_entry(pattern):
+    pattern[2, 5] *= -1
+
+
+def swap_rows(pattern):
+    pattern[[1, 2]] = pattern[[2, 1]]
 
 
 class TestStackedPhaseBases:
@@ -367,6 +412,18 @@ class TestStackedPhaseBases:
         x, phases = random_inputs(n_senders, 3)
         with pytest.raises(ValueError, match=rf"^basis {re.escape(first)} not orthonormal: deviation 0.25$"):
             measurement_bases(x, phases, n_senders)
+
+    @pytest.mark.parametrize("change", [flip_entry, swap_rows], ids=["flipped", "rows swapped"])
+    def test_a_replaced_sign_pattern_reaches_only_the_phase_bases(self, change, monkeypatch):
+        # The mutant checks swap in an edited SIGN_PATTERN to break the phase
+        # bases alone: the magnitude sender's basis keeps its bits.
+        x, row = distinct_profile(), distinct_phases().delta
+        before = bases._phase_vectors([row])
+        mutant = SIGN_PATTERN.copy()
+        change(mutant)
+        monkeypatch.setattr(bases, "SIGN_PATTERN", mutant)
+        assert_bits_equal(AmplitudeProfile(x.x).basis.vectors, x.basis.vectors)
+        assert not np.array_equal(bases._phase_vectors([row]), before)
 
     @pytest.mark.parametrize("n_rows", [1, 4])
     def test_stack_is_contiguous_so_the_flat_view_shares_it(self, n_rows):

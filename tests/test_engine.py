@@ -497,16 +497,16 @@ def walsh_character(s):
 
 
 def test_walsh_index_is_the_sign_pattern_rows():
-    for j, s in enumerate(protocol._WALSH_INDEX.tolist()):
+    for j, s in enumerate(bases.WALSH_INDEX.tolist()):
         assert np.array_equal(SIGN_PATTERN[j], walsh_character(s))
-    assert sorted(protocol._WALSH_INDEX.tolist()) == list(range(8))
+    assert sorted(bases.WALSH_INDEX.tolist()) == list(range(8))
 
 
 def test_walsh_index_is_the_amplitude_layout_rows():
     # At the uniform profile, row k, column m of the layout is
     # chi_{s(k)}(m) x[k ^ m] = chi_{s(k)}(m) / sqrt 8.
     layout = amplitude_basis_matrix(AmplitudeProfile(np.full(8, 8**-0.5)))
-    for k, s in enumerate(protocol._WALSH_INDEX.tolist()):
+    for k, s in enumerate(bases.WALSH_INDEX.tolist()):
         assert np.array_equal(np.sign(layout[k]), walsh_character(s))
 
 
