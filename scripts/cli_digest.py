@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-531 CLI commands, and the digest of the file that each `--out` command writes.
+533 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -37,8 +37,8 @@ The set:
   under `verify --exhaustive` in both formats (4): the triples that tie on
   this profile differ in their X bits, where those of `x = e0` differ in
   their Z bits;
-- input errors (9), among them N = 6 under `verify --exhaustive` and
-  `table`;
+- input errors (10), among them N = 6 under `verify --exhaustive` and
+  `table`, and `table --out` into a missing directory;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
   runs, and the report lists all 64 or 512 of them with `bases_pass` false;
@@ -57,7 +57,9 @@ The set:
   profile document exits 2;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
-  through `--out` (6), as the benchmark writes its reports.
+  through `--out` (6), as the benchmark writes its reports, and the table
+  format of `verify --exhaustive` on `prøfil.json` (1), whose report echoes
+  that non-ASCII path into the file.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ TIE_PROFILES = {
     "e01_2.json": (2, {"x": _E01, "delta": [0.0] * 8}),
     "e01_3.json": (3, {"x": _E01, "shares": [[0.0] * 8] * 2}),
 }
+# A profile whose path, echoed in the report, is not ASCII: written through `--out`.
+OUT_PROFILE = "prøfil.json"
 
 
 def commands() -> list[list[str]]:
@@ -144,6 +148,7 @@ def commands() -> list[list[str]]:
         ["run", "--senders", "3", "--force-outcome", "1:2"],
         ["verify", "--profile", "missing.json"],
         ["table", "--senders", "6"],
+        ["table", "--senders", "2", "--out", "missing/r.json"],
     ]
     return out
 
@@ -155,7 +160,8 @@ def out_commands() -> list[list[str]]:
         ["table", "--senders", "3"],
         ["verify", "--senders", "5", "--trials", "100", "--seed", "7"],
     ]
-    return [[*argv, "--format", fmt] for argv in campaigns for fmt in ("structured", "table")]
+    out = [[*argv, "--format", fmt] for argv in campaigns for fmt in ("structured", "table")]
+    return [*out, ["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE, "--format", "table"]]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -229,7 +235,7 @@ def main() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for name, (_, doc) in {**PROFILES, **TIE_PROFILES}.items():
+            for name, (_, doc) in {**PROFILES, **TIE_PROFILES, OUT_PROFILE: PROFILES["delta2.json"]}.items():
                 with open(name, "w", encoding="utf-8") as f:
                     json.dump(doc, f)
             for argv in commands():

@@ -155,27 +155,18 @@ def _phase_vectors(rows) -> np.ndarray:
     return signed_phase_matrix(units.take(_PHASE_ARGS, axis=1)) * _INV_2SQRT2
 
 
-PHASE_LABELS = tuple(f"phase[k={k}]" for k in range(8))
-
-
-def share_labels(l: int) -> tuple[str, ...]:
-    """Labels of sender l's eight share bases, entry k for announced outcome k."""
-    return tuple(f"share[l={l},k={k}]" for k in range(8))
-
-
 def phase_bases_from_rows(rows, labels) -> tuple[np.ndarray, np.ndarray]:
     """The eight phase bases of each row of eight phases, as `_phase_vectors`
-    lays them out, and their (rows, 8) Gram deviations; basis [i, k] is
-    labelled labels[i][k].
-
-    Every row shares one exp, one `signed_phase_matrix` call and one stacked
-    Gram product, and the build raises for the first basis in (i, k) order
-    that is not orthonormal.
-    """
+    lays them out, and their (rows, 8) Gram deviations, from one exp, one
+    `signed_phase_matrix` call and one stacked Gram product. One comparison
+    tests every deviation (never NaN); only a failure reads the labels, to
+    raise for the first basis [i, k] in (i, k) order, labelled labels[i][k]."""
     vectors = _phase_vectors(rows)
     deviations = gram_deviation(vectors)
-    for label, deviation in zip([label for row in labels for label in row], deviations.reshape(-1).tolist()):
-        require_orthonormal(label, deviation)
+    failed = np.flatnonzero(deviations > NORM_TOL)
+    if failed.size:
+        i, k = divmod(int(failed[0]), 8)
+        require_orthonormal(labels[i][k], deviations[i, k].item())
     return vectors, deviations
 
 

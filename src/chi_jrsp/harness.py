@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -342,11 +344,19 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 
 def _write_output(text: str, out_path: str | None) -> None:
+    """To stdout, or to `out_path` with no `io` stack: encoded as a text-mode write
+    would, before the open (a failure leaves the file), then `os.write` to the end."""
     if out_path is None:
         sys.stdout.write(text)
         return
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
     try:
-        Path(out_path).write_text(text)
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ProfileError(f"cannot write {out_path}: {exc}") from exc
 

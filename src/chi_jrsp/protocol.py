@@ -10,7 +10,7 @@ four-qubit chi-type support with an ancilla and three CNOTs. Every one of the
 8**N joint outcomes succeeds with certainty, at 3N classical bits per run.
 The two-sender protocol is the N = 2 case with one share row, so every path
 takes the phase input as a PhaseProfile or as PhaseShares, and
-`measurement_bases` alone turns it into bases.
+`_bases_stack` alone turns it into bases, one profile or several.
 
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
@@ -58,6 +58,10 @@ from .qstate import (  # noqa: F401
 
 MAX_SENDERS = 5
 FIDELITY_TOL = 1e-10
+
+# Basis labels, entry k for outcome k, of a PhaseProfile's sender and of share senders l = 1, 2, ...
+_PHASE_LABELS = (tuple(f"phase[k={k}]" for k in range(8)),)
+_SHARE_LABELS = tuple(tuple(f"share[l={l},k={k}]" for k in range(8)) for l in range(1, MAX_SENDERS))
 
 # Per-qubit correction alphabet in deterministic search order. "ZX" means
 # Z applied after X, i.e. the matrix product Z @ X.
@@ -163,11 +167,18 @@ class Branches:
         return corrections_of(self.triples)
 
 
+def _target_amps(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> np.ndarray:
+    """The compressed target's amplitudes x_j e^(i delta_j), shares composed first.
+    The checks of `compose_phases` and `StateVector` cannot fail on validated
+    records: the rows sum to finite phases with entry 0 a sum of zeros, and
+    |x_j e^(i delta_j)| is x_j to an ulp, whose squares sum to 1 within NORM_TOL."""
+    delta = np.sum(phases.shares, axis=0) if isinstance(phases, PhaseShares) else phases.delta
+    return x.x * np.exp(1j * delta)
+
+
 def compressed_target(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> StateVector:
     """Three-qubit form of the target, one amplitude per index 0..7; shares compose first."""
-    if isinstance(phases, PhaseShares):
-        phases = bases.compose_phases(phases)
-    return StateVector(x.x * np.exp(1j * phases.delta))
+    return StateVector(_target_amps(x, phases))
 
 
 def target_state(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> StateVector:
@@ -247,27 +258,36 @@ class MeasurementBases:
     deviations: np.ndarray  # (N, 8)
 
 
-def measurement_bases(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int) -> MeasurementBases:
-    """Every party's measurement bases for one profile; the magnitude
-    sender's is the one the profile built (`x.basis`). A PhaseProfile is the
-    one row of the one phase sender of a two-sender run, and PhaseShares give
-    phase sender l its share row l; every phase sender's bases come from one
-    stacked build."""
+def _require_senders(n_senders: int) -> None:
     if not 2 <= n_senders <= MAX_SENDERS:
         raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
-    if isinstance(phases, PhaseShares):
-        rows, labels = phases.shares, [bases.share_labels(l) for l in range(1, phases.n_senders)]
-    else:
-        rows, labels = [phases.delta], [bases.PHASE_LABELS]
-    phase_vectors, phase_deviations = bases.phase_bases_from_rows(rows, labels)
-    if len(phase_vectors) != n_senders - 1:
-        raise ValueError(f"the phase input covers {len(phase_vectors) + 1} senders, expected {n_senders}")
-    vectors = np.empty((n_senders, 8, 8, 8), dtype=complex)
-    vectors[0], vectors[1:] = x.basis.vectors, phase_vectors
-    deviations = np.empty((n_senders, 8))
-    deviations[0], deviations[1:] = x.basis.deviation, phase_deviations
+
+
+def _bases_stack(profiles, n_senders: int) -> tuple[np.ndarray, list[tuple[tuple[str, ...], ...]], np.ndarray]:
+    """`MeasurementBases`'s read-only vectors, labels and deviations of each (x, phases)
+    of `profiles`, stacked: x's own basis, then one build of every profile's phase
+    rows, which names the first failing basis in (profile, sender, k) order."""
+    _require_senders(n_senders)
+    vectors = np.empty((len(profiles), n_senders, 8, 8, 8), dtype=complex)
+    deviations, rows, labels = np.empty((len(profiles), n_senders, 8)), [], []
+    for p, (x, phases) in enumerate(profiles):
+        shared = isinstance(phases, PhaseShares)
+        rows.append(phases.shares if shared else phases.delta[None])
+        if len(rows[p]) != n_senders - 1:
+            raise ValueError(f"the phase input covers {len(rows[p]) + 1} senders, expected {n_senders}")
+        labels.append(((x.basis.label,) * 8, *(_SHARE_LABELS[: len(rows[p])] if shared else _PHASE_LABELS)))
+        vectors[p, 0], deviations[p, 0] = x.basis.vectors, x.basis.deviation
+    phase_labels = [row for profile in labels for row in profile[1:]]
+    phase_vectors, phase_deviations = bases.phase_bases_from_rows(np.concatenate(rows), phase_labels)
+    vectors[:, 1:] = phase_vectors.reshape(vectors[:, 1:].shape)
+    deviations[:, 1:] = phase_deviations.reshape(deviations[:, 1:].shape)
     vectors.setflags(write=False)
-    return MeasurementBases(vectors, ((x.basis.label,) * 8, *labels), deviations)
+    return vectors, labels, deviations
+
+
+def measurement_bases(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int) -> MeasurementBases:
+    """Every party's measurement bases for one profile: `_bases_stack` of that one."""
+    return MeasurementBases(*(stack[0] for stack in _bases_stack([(x, phases)], n_senders)))
 
 
 def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,15 +489,15 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     """Derive (and independently verify) corrections for all 8**n_senders
     outcomes, at any sender count in 2..MAX_SENDERS. Derivation and
     verification use two independently seeded generic profiles, so a table
-    entry only survives if it is profile-independent. Both profiles'
-    branches come from one walk that keeps every child, with their rows
-    stacked."""
+    entry only survives if it is profile-independent. Both profiles' bases
+    come from one stack, and their branches from one walk of it."""
+    _require_senders(n_senders)
     derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
-    rows = np.stack([measurement_bases(x, phases, n_senders).vectors for x, phases in (derive, check)]).conj()
-    (derived, checked), _ = _walk(rows)
+    vectors, _, _ = _bases_stack((derive, check), n_senders)
+    (derived, checked), _ = _walk(vectors.conj())
     outcomes = _all_outcomes(n_senders)
-    found = _corrections(outcomes, derived, compressed_target(*derive).amps)
-    fidelities = np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
+    found = _corrections(outcomes, derived, _target_amps(*derive))
+    fidelities = np.abs(_apply_corrections(checked, found).conj() @ _target_amps(*check)) ** 2
     failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
     if failed.size:
         b = failed[0]
@@ -544,7 +564,7 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
         outcomes = _all_outcomes(n_senders)
         states, steps = _walk(rows)
 
-    target3 = compressed_target(x, phases).amps
+    target3 = _target_amps(x, phases)
     found = _corrections(outcomes, states, target3)
     finals, fidelities = _corrected(states, found, target3)
     return Branches(sets.labels, outcomes, steps, found, finals, fidelities)

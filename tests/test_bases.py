@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chi_jrsp import bases, qstate
+from chi_jrsp import bases, protocol, qstate
 from chi_jrsp.bases import (
     PHASE_ARG_INDEX,
     SIGN_PATTERN,
@@ -27,7 +27,7 @@ from chi_jrsp.bases import (
     validate_orthonormal,
 )
 from chi_jrsp.protocol import measurement_bases
-from chi_jrsp.qstate import BasisSet, gram_deviation
+from chi_jrsp.qstate import NORM_TOL, BasisSet, gram_deviation
 
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
@@ -401,6 +401,43 @@ class TestStackedPhaseBases:
         labels = [[f"b{i}{k}" for k in range(8)] for i in range(3)]
         with pytest.raises(ValueError, match=r"^basis b13 not orthonormal: deviation 2$"):
             bases.phase_bases_from_rows(np.zeros((3, 8)), labels)
+
+    @pytest.mark.parametrize(
+        ("perturbed", "first"), [([(1, 5)], "share[l=2,k=5]"), ([(1, 2), (0, 7)], "share[l=1,k=7]")]
+    )
+    def test_one_comparison_names_the_first_failure(self, perturbed, first, monkeypatch):
+        # One comparison tests every deviation; the labels name the first
+        # failing basis in (sender, k) order, whatever order they broke in.
+        real = bases._phase_vectors
+
+        def perturb(rows):
+            vectors = real(rows)
+            for i, k in perturbed:
+                vectors[i, k, 0, 0] += 1e-6
+            return vectors
+
+        rows = random_phase_shares(np.random.default_rng(111), 4).shares
+        bases.phase_bases_from_rows(rows, protocol._SHARE_LABELS)
+        monkeypatch.setattr(bases, "_phase_vectors", perturb)
+        with pytest.raises(ValueError, match=rf"^basis {re.escape(first)} not orthonormal: deviation \S+$"):
+            bases.phase_bases_from_rows(rows, protocol._SHARE_LABELS)
+
+    @pytest.mark.parametrize(
+        ("deviation", "fails"), [(NORM_TOL, False), (np.nextafter(NORM_TOL, 1.0), True), (np.inf, True)]
+    )
+    def test_one_comparison_at_the_tolerance(self, deviation, fails, monkeypatch):
+        # A deviation of exactly NORM_TOL passes, so a later failure is the first.
+        deviations = np.zeros((2, 8))
+        deviations[1, 6] = deviation
+        monkeypatch.setattr(bases, "gram_deviation", lambda vectors: deviations)
+        if fails:
+            with pytest.raises(ValueError, match=rf"^basis share\[l=2,k=6\] not orthonormal: deviation {deviation:g}$"):
+                bases.phase_bases_from_rows(np.zeros((2, 8)), protocol._SHARE_LABELS)
+            return
+        assert bases.phase_bases_from_rows(np.zeros((2, 8)), protocol._SHARE_LABELS)[1] is deviations
+        deviations[1, 7] = 2.0
+        with pytest.raises(ValueError, match=r"^basis share\[l=2,k=7\] not orthonormal: deviation 2$"):
+            bases.phase_bases_from_rows(np.zeros((2, 8)), protocol._SHARE_LABELS)
 
     @pytest.mark.parametrize(("n_senders", "first"), [(2, "phase[k=0]"), (3, "share[l=1,k=0]"), (5, "share[l=1,k=0]")])
     def test_flipped_sign_names_the_first_basis(self, n_senders, first, monkeypatch):

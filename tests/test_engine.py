@@ -627,3 +627,73 @@ def test_runs_never_search_on_the_paper_layout(n_senders, monkeypatch, capsys):
     assert main(["table", "--senders", n]) == EXIT_PASS
     if n_senders <= 3:
         assert capsys.readouterr().out == unpatched
+
+
+def composed_target(x, phases):
+    """The compressed target through the records' own checks: the shares
+    composed into a PhaseProfile, the product held in a StateVector."""
+    if isinstance(phases, PhaseShares):
+        phases = bases.compose_phases(phases)
+    return StateVector(x.x * np.exp(1j * phases.delta)).amps
+
+
+def assert_run_target_is_compressed_target(x, phases, n_senders):
+    # Runs compute the target straight from the validated records: the one
+    # a run hands to its corrections is compressed_target's, bit for bit.
+    seen, real = [], protocol._corrections
+    sets = measurement_bases(x, phases, n_senders)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_corrections", lambda o, s, t: seen.append(t) or real(o, s, t))
+        run_branches(x, phases, sets, "sampled", None, 1, (0, (0,) * (n_senders - 1)))
+    assert len(seen) == 1
+    assert_bits_equal(seen[0], compressed_target(x, phases).amps)
+    assert_bits_equal(seen[0], composed_target(x, phases))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_run_target_is_compressed_target(n_senders, data):
+    assert_run_target_is_compressed_target(*data.draw(profiles(n_senders)), n_senders)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_run_target_is_compressed_target_on_edge_profiles(n_senders):
+    # x = e0, the zero-phase (e0 + e1)/sqrt 2 profile, and shares near 1e6 rad.
+    gen = np.random.default_rng(50 + n_senders)
+    generic = gen.uniform(0.0, 2.0 * np.pi, (n_senders - 1, 8))
+    signs = np.where(gen.random((n_senders - 1, 8)) < 0.5, -1.0, 1.0)
+    near_1e6 = signs * (1e6 + gen.uniform(-10.0, 10.0, (n_senders - 1, 8)))
+    generic[:, 0] = near_1e6[:, 0] = 0.0
+    for magnitudes, rows in ((TIED_MAGNITUDES["e0"], generic), (TIED_MAGNITUDES["e0+e1"], np.zeros((n_senders - 1, 8))),
+                             (random_amplitude_profile(gen).x, near_1e6)):
+        x = AmplitudeProfile(magnitudes)
+        assert_run_target_is_compressed_target(x, PhaseShares(rows), n_senders)
+        if n_senders == 2:
+            assert_run_target_is_compressed_target(x, PhaseProfile(rows[0]), n_senders)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_the_table_walks_one_basis_stack_of_both_profiles(n_senders, monkeypatch):
+    # Both profiles' phase rows take one build and one Gram product; the
+    # rows the walk reads are the per-profile stacks, conjugated, bit for bit.
+    derive, check = (random_inputs(n_senders, protocol._TABLE_SEED + i) for i in (0, 1))
+    expected = np.stack([measurement_bases(x, phases, n_senders).vectors for x, phases in (derive, check)]).conj()
+    for p, (x, phases) in enumerate((derive, check)):
+        for k in range(8):
+            assert_bits_equal(expected[p, 0, k], x.basis.vectors.conj())
+            for l in range(1, n_senders):
+                single = bases.phase_basis(k, phases) if n_senders == 2 else bases.share_basis(k, l, phases)
+                assert_bits_equal(expected[p, l, k], single.vectors.conj())
+    walked, builds, grams, targets = [], [], [], []
+    walk, build, gram = protocol._walk, bases.phase_bases_from_rows, bases.gram_deviation
+    corrections = protocol._corrections
+    monkeypatch.setattr(protocol, "_walk", lambda rows, *args: walked.append(rows) or walk(rows, *args))
+    monkeypatch.setattr(bases, "phase_bases_from_rows", lambda rows, lab: builds.append(len(rows)) or build(rows, lab))
+    monkeypatch.setattr(bases, "gram_deviation", lambda vectors: grams.append(vectors.shape) or gram(vectors))
+    monkeypatch.setattr(protocol, "_corrections", lambda o, s, t: targets.append(t) or corrections(o, s, t))
+    build_correction_table(n_senders)
+    assert builds == [2 * (n_senders - 1)] and grams == [(2 * (n_senders - 1), 8, 8, 8)]
+    assert len(walked) == 1
+    assert_bits_equal(walked[0], expected)
+    assert_bits_equal(targets[0], composed_target(*derive))

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import locale
 import math
 import operator
 import os
@@ -547,9 +548,45 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [["verify", "--exhaustive"], ["run"], ["table"]])
     def test_unwritable_out_is_input_error(self, argv, tmp_path, capsys):
-        code = main([*argv, "--out", str(tmp_path / "missing" / "r.json")])
-        assert code == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err.startswith("error: cannot write ")
+        path = str(tmp_path / "missing" / "r.json")
+        assert main([*argv, "--out", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: cannot write {path}: [Errno 2] No such file or directory: {path!r}\n"
+        directory = str(tmp_path)
+        assert main([*argv, "--out", directory]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: cannot write {directory}: [Errno 21] Is a directory: {directory!r}\n"
+
+    def test_out_bytes_are_the_text_in_the_locale_encoding(self, tmp_path, monkeypatch, capsys):
+        # The report echoes its profile's non-ASCII path; `--out` writes the
+        # stdout text in the encoding a text-mode write uses, over an older,
+        # longer file.
+        monkeypatch.chdir(tmp_path)
+        write_profile(tmp_path, valid_doc(), name="prøfil.json")
+        argv = ["verify", "--senders", "2", "--exhaustive", "--profile", "prøfil.json", "--format", "table"]
+        assert main(argv) == EXIT_PASS
+        text = capsys.readouterr().out
+        assert "prøfil.json" in text
+        out = tmp_path / "r.out"
+        out.write_bytes(b"x" * (2 * len(text)))
+        assert main([*argv, "--out", str(out)]) == EXIT_PASS
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == text.encode(locale.getpreferredencoding(False))
+
+    def test_unencodable_report_leaves_the_file(self, tmp_path, monkeypatch):
+        # The report is encoded before the file is opened.
+        out = tmp_path / "r.out"
+        out.write_bytes(b"before")
+        monkeypatch.setattr(harness.locale, "getpreferredencoding", lambda do_setlocale=True: "ascii")
+        with pytest.raises(UnicodeEncodeError):
+            harness._write_output("prøfil", str(out))
+        assert out.read_bytes() == b"before"
+
+    def test_write_loops_until_every_byte_is_out(self, tmp_path, monkeypatch):
+        # os.write may write fewer bytes than it is given.
+        written, real = [], os.write
+        monkeypatch.setattr(harness.os, "write", lambda fd, data: written.append(len(data)) or real(fd, data[:3]))
+        out = tmp_path / "r.out"
+        harness._write_output("0123456789", str(out))
+        assert out.read_bytes() == b"0123456789" and written == [10, 7, 4, 1]
 
     def test_sampled_outcomes_pinned(self, capsys):
         # The map from seed to drawn outcomes is part of the output contract.
