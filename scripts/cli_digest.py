@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-533 CLI commands, and the digest of the file that each `--out` command writes.
+535 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -57,9 +57,11 @@ The set:
   profile document exits 2;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
-  through `--out` (6), as the benchmark writes its reports, and the table
-  format of `verify --exhaustive` on `prøfil.json` (1), whose report echoes
-  that non-ASCII path into the file.
+  through `--out` (6), as the benchmark writes its reports;
+- `verify --senders 2 --exhaustive` on `prøfil.json`, whose report echoes
+  that non-ASCII path: in the structured format to stdout and through
+  `--out`, and in the table format through `--out` (3). The structured
+  report's head writes the path with the escape `\u00f8`.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def commands() -> list[list[str]]:
     for name, (n, _) in TIE_PROFILES.items():
         out += [["verify", "--senders", str(n), "--profile", name, "--exhaustive", "--format", fmt]
                 for fmt in ("structured", "table")]
+    out.append(["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE])
     out += [
         ["verify", "--senders", "1"],
         ["verify", "--senders", "6"],
@@ -161,7 +164,8 @@ def out_commands() -> list[list[str]]:
         ["verify", "--senders", "5", "--trials", "100", "--seed", "7"],
     ]
     out = [[*argv, "--format", fmt] for argv in campaigns for fmt in ("structured", "table")]
-    return [*out, ["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE, "--format", "table"]]
+    return [*out, *(["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE, "--format", fmt]
+                    for fmt in ("structured", "table"))]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

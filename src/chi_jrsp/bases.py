@@ -47,7 +47,7 @@ class AmplitudeProfile:
         x = np.array(self.x, dtype=float).reshape(-1)
         if x.size != 8:
             raise ValueError(f"amplitude profile needs 8 entries, got {x.size}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("amplitude profile entries must be finite")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -68,7 +68,7 @@ class PhaseProfile:
         delta = np.array(self.delta, dtype=float).reshape(-1)
         if delta.size != 8:
             raise ValueError(f"phase profile needs 8 entries, got {delta.size}")
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise ValueError("phase profile entries must be finite")
         if delta[0] != 0.0:
             raise ValueError("phase profile entry 0 must be exactly 0")
@@ -91,13 +91,13 @@ class PhaseShares:
         shares = np.array(self.shares, dtype=float)
         if shares.ndim != 2 or shares.shape[1] != 8 or shares.shape[0] < 1:
             raise ValueError(f"phase shares need shape (rows>=1, 8), got {shares.shape}")
-        if not np.all(np.isfinite(shares)):
+        if not np.isfinite(shares).all():
             raise ValueError("phase share entries must be finite")
-        if np.any(shares[:, 0] != 0.0):
+        if (shares[:, 0] != 0.0).any():
             raise ValueError("every phase share row must have entry 0 exactly 0")
         with np.errstate(over="ignore"):
-            composed = np.sum(shares, axis=0)
-        if not np.all(np.isfinite(composed)):
+            composed = np.add.reduce(shares, axis=0)
+        if not np.isfinite(composed).all():
             raise ValueError("phase share rows must sum to finite phases")
         shares.setflags(write=False)
         object.__setattr__(self, "shares", shares)
@@ -133,11 +133,11 @@ def signed_phase_matrix(units) -> np.ndarray:
 
     A stack of argument rows (..., 8) gives a stack of matrices (..., 8, 8).
     """
-    units = np.atleast_1d(np.asarray(units, dtype=complex))
-    if units.shape[-1] != 8:
-        raise ValueError(f"expected 8 arguments, got {units.shape[-1]}")
+    units = np.asarray(units, dtype=complex)
+    if units.ndim == 0 or units.shape[-1] != 8:
+        raise ValueError(f"expected 8 arguments, got {units.shape[-1] if units.ndim else 1}")
     # Written so that NaN, which compares false, fails the check.
-    if not np.max(np.abs(np.abs(units) - 1.0)) <= NORM_TOL:
+    if not np.maximum.reduce(np.abs(np.abs(units) - 1.0), axis=None) <= NORM_TOL:
         raise ValueError("arguments must have unit modulus")
     return SIGN_PATTERN * units[..., None, :]
 
@@ -163,7 +163,7 @@ def phase_bases_from_rows(rows, labels) -> tuple[np.ndarray, np.ndarray]:
     raise for the first basis [i, k] in (i, k) order, labelled labels[i][k]."""
     vectors = _phase_vectors(rows)
     deviations = gram_deviation(vectors)
-    failed = np.flatnonzero(deviations > NORM_TOL)
+    failed = (deviations > NORM_TOL).reshape(-1).nonzero()[0]
     if failed.size:
         i, k = divmod(int(failed[0]), 8)
         require_orthonormal(labels[i][k], deviations[i, k].item())
@@ -207,7 +207,7 @@ def validate_orthonormal(basis: BasisSet) -> OrthonormalityReport:
 def random_amplitude_profile(rng: np.random.Generator) -> AmplitudeProfile:
     """Uniform draw on the positive orthant of the 7-sphere."""
     v = rng.standard_normal(8)
-    return AmplitudeProfile(np.abs(v) / np.linalg.norm(v))
+    return AmplitudeProfile(np.abs(v) / np.sqrt(v.dot(v)))  # np.linalg.norm(v)'s bits
 
 
 def random_phase_profile(rng: np.random.Generator) -> PhaseProfile:

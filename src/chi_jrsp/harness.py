@@ -18,8 +18,10 @@ import functools
 import json
 import locale
 import os
+import struct
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +216,8 @@ def _outcome_strings(outcomes: np.ndarray) -> list[str]:
     """Each row of announced digits (each in 0..7) as its digit string,
     decoded from one ASCII buffer of the rows, each ended by a newline."""
     rows, n = outcomes.shape
-    text = np.full((rows, n + 1), ord("\n"), dtype=np.uint8)
+    text = np.empty((rows, n + 1), dtype=np.uint8)
+    text.fill(ord("\n"))
     np.add(outcomes, ord("0"), out=text[:, :n], casting="unsafe")
     return text.tobytes().decode("ascii").split("\n")[:-1]
 
@@ -222,7 +225,7 @@ def _outcome_strings(outcomes: np.ndarray) -> list[str]:
 def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches) -> VerificationReport:
     """The report of one campaign: the one judge of its branches and bases.
 
-    `probability_sum` adds the rows left to right (np.cumsum; np.sum adds
+    `probability_sum` adds the rows left to right (np.add.accumulate; np.sum adds
     pairwise, which gives other bits), and `min_fidelity` is Python's `min`
     over the rows, which keeps a NaN only in the first row (np.min keeps
     any); `fidelity_pass` asks every row, so a NaN anywhere fails it. A
@@ -231,16 +234,16 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches)
     bits = 3 * run.outcomes.shape[1]
     probabilities = run.probabilities
     min_fid = min(run.fidelities.tolist())
-    prob_sum = float(np.cumsum(probabilities)[-1])
+    prob_sum = float(np.add.accumulate(probabilities)[-1])
     bases_pass = all(dev <= bases.NORM_TOL for dev in basis_devs.values())
-    fid_pass = bool(np.all(run.fidelities >= 1.0 - FIDELITY_TOL))
+    fid_pass = bool((run.fidelities >= 1.0 - FIDELITY_TOL).all())
     bits_pass = bits == protocol.classical_cost(n)
     if config.mode == "exhaustive":
         rule = "sum-to-one"
         prob_pass = abs(prob_sum - 1.0) <= FIDELITY_TOL
     else:
         rule = "uniform-branch"
-        prob_pass = bool(np.all(np.abs(probabilities - 8.0**-n) <= FIDELITY_TOL))
+        prob_pass = bool((np.abs(probabilities - 8.0**-n) <= FIDELITY_TOL).all())
     aggregates = {
         "branch_count": len(probabilities),
         "min_fidelity": min_fid,
@@ -267,6 +270,7 @@ def build_report(config: RunConfig, basis_devs: dict[str, float], run: Branches)
 # Structured rows sit at depth 2 of the document, outcomes are digit strings
 # and corrections triples over CORRECTION_OPS, indexed as protocol._TRIPLES.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_BITS = struct.Struct("<d").pack
 _JSON_CORRECTION = np.array(
     ["[\n" + ",\n".join(f"        {json.dumps(op)}" for op in triple) + "\n      ]" for triple in protocol._TRIPLES],
     dtype=object,
@@ -285,7 +289,7 @@ def _float_texts(values: np.ndarray, spelling: dict[str, str]) -> list[str]:
     and -0.0 stay apart: a campaign's column is mostly one run, since its
     rows share one probability and one fidelity."""
     bits = values.view(np.uint64)
-    starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()] if len(bits) else []
+    starts = [0, *((bits[1:] != bits[:-1]).nonzero()[0] + 1).tolist()] if len(bits) else []
     texts = []
     for start, stop, value in zip(starts, [*starts[1:], len(bits)], values[starts].tolist()):
         text = float.__repr__(value)
@@ -309,10 +313,37 @@ def _fill_rows(head: str, template: str, columns: list[list[str]], sep: str, tai
     return "".join(parts)
 
 
+def _json_scalar(value, float_texts: dict[bytes, str]) -> str:
+    """`json.dumps(value)` of a float, string, None, bool or int, else TypeError. Float
+    texts are kept in `float_texts` by bit pattern, so 0.0 and -0.0 stay apart."""
+    if isinstance(value, float):
+        bits = _FLOAT_BITS(value)
+        if bits not in float_texts:
+            text = float.__repr__(value)
+            float_texts[bits] = _JSON_NONFINITE.get(text, text)
+        return float_texts[bits]
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_document(head: dict, key: str, template: str, columns: list[list[str]]) -> str:
-    """`json.dumps({**head, key: [...]}, indent=2) + "\n"`, with the list's
-    items written as `template` over the columns; `head` must not be empty."""
-    head_text = f"{json.dumps(head, indent=2)[:-2]},\n  {json.dumps(key)}: "
+    """`json.dumps({**head, key: [...]}, indent=2) + "\n"`, the items written as `template` over the columns;
+    `head` is not empty, its keys strings (else TypeError) and its values `_json_scalar`s or dicts of them."""
+    fields, float_texts = [], {}
+    for name, value in head.items():
+        if isinstance(value, dict):
+            inner = ",\n    ".join([encode_basestring_ascii(k) + ": " + _json_scalar(v, float_texts)
+                                     for k, v in value.items()])
+            value = "{\n    " + inner + "\n  }" if inner else "{}"
+        else:
+            value = _json_scalar(value, float_texts)
+        fields.append(encode_basestring_ascii(name) + ": " + value)
+    head_text = "{\n  " + ",\n  ".join(fields) + ",\n  " + encode_basestring_ascii(key) + ": "
     if not len(columns[0]):
         return head_text + "[]\n}\n"
     return _fill_rows(head_text + "[\n", template, columns, ",\n", "\n  ]\n}\n")

@@ -32,6 +32,7 @@ onto the compressed target, so the runners double as verification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -160,7 +161,8 @@ class Branches:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.prod(self.steps, axis=1)
+        """Each row's steps multiplied left to right: np.prod(steps, axis=1)'s bits."""
+        return functools.reduce(np.multiply, self.steps.T)
 
     @property
     def corrections(self) -> list[CorrectionTriple]:
@@ -172,7 +174,7 @@ def _target_amps(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares) -> np.
     The checks of `compose_phases` and `StateVector` cannot fail on validated
     records: the rows sum to finite phases with entry 0 a sum of zeros, and
     |x_j e^(i delta_j)| is x_j to an ulp, whose squares sum to 1 within NORM_TOL."""
-    delta = np.sum(phases.shares, axis=0) if isinstance(phases, PhaseShares) else phases.delta
+    delta = np.add.reduce(phases.shares, axis=0) if isinstance(phases, PhaseShares) else phases.delta
     return x.x * np.exp(1j * delta)
 
 
@@ -311,6 +313,14 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     return state, steps
 
 
+def _sum8(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) of a C-contiguous (..., 8) float array, bit for bit and faster: numpy
+    adds an axis of 8 as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) onto +0.0 (checked on numpy 2.4)."""
+    a = a[..., ::2] + a[..., 1::2]
+    a = a[..., ::2] + a[..., 1::2]
+    return a[..., 0] + a[..., 1] + 0.0
+
+
 def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, np.ndarray]:
     """`_collapse_branches` of the branches that `select` keeps, bit for bit,
     for `rows` (..., n, 8, 8, 8): states (..., B, 8) and steps (..., B, n).
@@ -320,22 +330,23 @@ def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, n
     no k yet, row d of basis d). `select(p, probs)` maps the (..., S, 8) child
     probabilities to one digit per state (a lone root broadcasts) or to None,
     keeping all children in lexicographic order. Every elementwise operation
-    is `_collapse_branches`'s, in order, each sum over a contiguous axis of 8.
+    is `_collapse_branches`'s, in order, each sum over 8 by `_sum8`.
     """
     *lead, n = rows.shape[:-3]
     diagonal = np.arange(8)
-    state = np.full((*lead, 1, 8), _CHANNEL_AMPLITUDE, dtype=complex)
+    state = np.empty((*lead, 1, 8), dtype=complex)
+    state.fill(_CHANNEL_AMPLITUDE)
     taken = []
     for p in range(n):
         # Gathered ("clip" never clips 0..7), then multiplied in place: a fresh product is slower.
         children = (rows[..., 0, diagonal, diagonal, :][..., None, :, :] if p == 0
-                    else np.take(rows[..., p, :, :, :], k, axis=-3, mode="clip"))
+                    else rows[..., p, :, :, :].take(k, axis=-3, mode="clip"))
         children *= state[..., :, None, :]
-        probs = (np.abs(children) ** 2).sum(axis=-1)
+        probs = _sum8(np.abs(children) ** 2)
         digits = select(p, probs)
         if digits is None:
             state, step = children.reshape(*lead, -1, 8), probs.reshape(*lead, -1)
-            k = diagonal if p == 0 else np.repeat(k, 8)
+            k = diagonal if p == 0 else k.repeat(8)
         else:
             held = np.arange(probs.shape[-2])
             state, step = children[..., held, digits, :], probs[..., held, digits]
@@ -361,7 +372,7 @@ def _forced_outcome(alice_k: int, bob_j, n_senders: int) -> np.ndarray:
     outcome = np.array([[alice_k, *bob_j]], dtype=np.intp)
     if outcome.shape[1] != n_senders:
         raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {n_senders}")
-    if np.any((outcome < 0) | (outcome > 7)):
+    if ((outcome < 0) | (outcome > 7)).any():
         raise ValueError("outcome digits must be in 0..7")
     return outcome
 
@@ -402,21 +413,21 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     return found
 
 
-def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> np.ndarray:
-    """Each branch's correction, as the search picks it: on the paper's layout
-    the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ...
-    for s = bases.WALSH_INDEX, so its ties are the frame XOR the target's own,
-    and the search takes the least.
-    The frame stands wherever it passes the search's test; the rows it misses
-    (a NaN misses) are searched."""
-    weights = _correction_weights(target3)
+def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's correction as the search picks it, and its corrected state. On the paper's layout the
+    branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX: its ties
+    are the frame XOR the target's own, and the search takes the least. Rows whose corrected state misses
+    |corrected . conj(target3)|^2 >= 1 - FIDELITY_TOL (a NaN misses) are searched and corrected again; that
+    test sums in another order than the search's, so a value within an ulp or two of the threshold could flip."""
     z = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
-    ties = np.flatnonzero(np.abs(target3 @ weights) ** 2 >= 1.0 - FIDELITY_TOL)
+    ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
-    missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, found])) ** 2 >= 1.0 - FIDELITY_TOL)
+    corrected = _apply_corrections(states, found)
+    missed = ~(np.abs(corrected @ target3.conj()) ** 2 >= 1.0 - FIDELITY_TOL)
     if missed.any():
         found[missed] = _search_corrections(states[missed], target3)
-    return found
+        corrected[missed] = _apply_corrections(states[missed], found[missed])
+    return found, corrected
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
@@ -426,15 +437,18 @@ def _search_correction(collapsed: StateVector, target3: StateVector) -> Correcti
 
 def _apply_corrections(states: np.ndarray, found: np.ndarray) -> np.ndarray:
     """Apply triple _TRIPLES[found[b]] to row b of `states`."""
-    return _TRIPLE_SIGN[found] * np.take_along_axis(states, _TRIPLE_PERM[found], axis=1)
+    return _TRIPLE_SIGN[found] * states[np.arange(len(states))[:, None], _TRIPLE_PERM[found]]
 
 
-def _corrected(states: np.ndarray, found: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Corrected, parity-expanded states and their fidelities with the target. A
-    one-row batch is padded to two, so a branch's bits do not depend on its batch."""
-    finals = _expand_parity(_apply_corrections(states, found))
-    padded = np.repeat(finals, 2, axis=0) if len(finals) == 1 else finals
-    return finals, (np.abs(padded.conj() @ _expand_parity(target3[None])[0]) ** 2)[: len(finals)]
+def _corrected(corrected: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parity-expanded corrected states and their fidelities with the target. A one-row
+    batch is padded to two, so a branch's bits do not depend on its batch. The product
+    conjugates the rows in place and back, which is exact and spares a (B, 16) copy."""
+    finals = _expand_parity(corrected)
+    padded = finals.repeat(2, axis=0) if len(finals) == 1 else finals
+    fidelities = np.abs(np.conjugate(padded, out=padded) @ _expand_parity(target3[None])[0]) ** 2
+    np.conjugate(padded, out=padded)
+    return finals, fidelities[: len(finals)]
 
 
 def _apply_correction(state3: StateVector, triple: CorrectionTriple) -> StateVector:
@@ -496,9 +510,9 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     vectors, _, _ = _bases_stack((derive, check), n_senders)
     (derived, checked), _ = _walk(vectors.conj())
     outcomes = _all_outcomes(n_senders)
-    found = _corrections(outcomes, derived, _target_amps(*derive))
+    found, _ = _corrections(outcomes, derived, _target_amps(*derive))
     fidelities = np.abs(_apply_corrections(checked, found).conj() @ _target_amps(*check)) ** 2
-    failed = np.flatnonzero(fidelities < 1.0 - FIDELITY_TOL)
+    failed = (fidelities < 1.0 - FIDELITY_TOL).nonzero()[0]
     if failed.size:
         b = failed[0]
         raise NoCorrectionFound(
@@ -528,7 +542,7 @@ def _sampled_outcomes(
         chunk = slice(start, start + len(u))
 
         def draw(p, probs, u=u, drawn=outcomes[chunk]):
-            cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+            cdf = (probs / _sum8(probs)[..., None]).cumsum(axis=-1)
             cdf /= cdf[:, -1:]
             if not np.isfinite(cdf).all():
                 raise ValueError("probabilities contain NaN")
@@ -565,8 +579,8 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
         states, steps = _walk(rows)
 
     target3 = _target_amps(x, phases)
-    found = _corrections(outcomes, states, target3)
-    finals, fidelities = _corrected(states, found, target3)
+    found, corrected = _corrections(outcomes, states, target3)
+    finals, fidelities = _corrected(corrected, target3)
     return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
 
 

@@ -359,6 +359,63 @@ def test_sampler_rejects_non_finite_probabilities():
         _sampled_outcomes(rows, 3, np.random.default_rng(0), 4)
 
 
+# Signed zeros, subnormals, the largest finite double (whose sums overflow),
+# infinities of both signs and NaN.
+SUM8_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+SUM8_ROWS = np.array([
+    [0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0],
+    [-0.0] * 8,
+    [5e-324, -5e-324, 5e-324, 5e-324, 2.2250738585072014e-308, -0.0, 5e-324, 0.0],
+    [1.7976931348623157e308] * 4 + [-1.7976931348623157e308] * 4,
+    [1.7976931348623157e308, 1.0, 1.7976931348623157e308, -1e308, 1e308, 1e308, -1.0, 1.0],
+    [np.inf, 1.0, -np.inf, 2.0, 3.0, 4.0, 5.0, 6.0],
+    [1.0, np.nan, 2.0, -np.nan, np.inf, 0.0, -0.0, 1e-300],
+    [1e16, 1.0, -1e16, 1.0, 1e-16, 3.0, -3.0, 0.1],
+])
+
+
+def assert_bits_equal_but_nan_payloads(got, expected):
+    """Bit for bit, but a NaN may carry another of its row's NaN payloads:
+    which of two NaN operands an add or a multiply keeps is the compiled
+    loop's choice (numpy's own scalar adds keep either one), not an effect of
+    the order of the operations."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    nan = np.isnan(expected)
+    assert got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lead=st.lists(st.integers(1, 5), max_size=3))
+def test_sum8_is_numpy_sum(data, lead):
+    # `_walk` and the sampler sum their 8-wide axes with `_sum8`, which must
+    # add in numpy's own pairwise order, from its +0.0 start.
+    size = 8 * int(np.prod(lead))
+    values = data.draw(st.lists(st.one_of(st.sampled_from(SUM8_EDGES), st.floats()), min_size=size, max_size=size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in (np.array(values).reshape(*lead, 8), SUM8_ROWS):
+            assert_bits_equal_but_nan_payloads(protocol._sum8(a), a.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_probabilities_are_numpy_prod(n_senders, data):
+    # The left-to-right column products of `Branches.probabilities` against
+    # np.prod over each row: on a run's steps, and on drawn steps whose
+    # products round, underflow, overflow or meet inf and NaN.
+    x, phases = data.draw(profiles(n_senders))
+    run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "sampled", 0, 50, None)
+    rows = data.draw(st.integers(1, 40))
+    values = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(SUM8_EDGES), st.floats()),
+                                min_size=rows * n_senders, max_size=rows * n_senders))
+    drawn = protocol.Branches(run.labels, None, np.array(values).reshape(rows, n_senders), None, None, None)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for branches in (run, drawn):
+            assert_bits_equal_but_nan_payloads(branches.probabilities, np.prod(branches.steps, axis=1))
+
+
 def assert_tree_equals_collapse(rows):
     n = rows.shape[-4]
     states, steps = _walk(rows)
@@ -486,7 +543,7 @@ def test_fidelities_do_not_depend_on_the_batch(n_senders):
     for size in range(1, 10):
         for start in range(0, len(rows), size):
             b = rows[start : start + size]
-            finals, fidelities = protocol._corrected(states[b], run.triples[b], target3)
+            finals, fidelities = protocol._corrected(_apply_corrections(states[b], run.triples[b]), target3)
             assert_bits_equal(finals, run.finals[b])
             assert_bits_equal(fidelities, run.fidelities[b])
 
@@ -525,7 +582,7 @@ def assert_frame_is_the_search(x, phases, n_senders):
         patch.setattr(protocol, "_search_corrections", refuse)
         run = run_branches(x, phases, sets, "exhaustive", None, 1, None)
     assert np.array_equal(run.triples, searched)
-    assert_bits_equal(run.fidelities, protocol._corrected(states, searched, target3)[1])
+    assert_bits_equal(run.fidelities, protocol._corrected(_apply_corrections(states, searched), target3)[1])
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -560,6 +617,60 @@ def test_frame_is_the_search_on_tied_profiles(magnitudes, n_senders):
         assert_frame_is_the_search(x, PhaseShares(rows), n_senders)
         if n_senders == 2:
             assert_frame_is_the_search(x, PhaseProfile(first), n_senders)
+
+
+def assert_one_pass_decides_as_the_search(x, phases, n_senders):
+    """`_corrections` corrects once and tests the corrected states: its miss
+    mask is the one the frame's weight columns gave (`einsum` over the
+    (8, B) columns), it searches those rows alone, and its triples, corrected
+    states and fidelities are the search's, bit for bit."""
+    states, _ = _walk(sender_rows(x, phases, n_senders))
+    outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
+    frames, searched_rows = [], []
+    apply, search = protocol._apply_corrections, protocol._search_corrections
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_apply_corrections", lambda s, f: frames.append(f.copy()) or apply(s, f))
+        patch.setattr(protocol, "_search_corrections", lambda s, t: searched_rows.append(s) or search(s, t))
+        found, corrected = protocol._corrections(outcomes, states, target3)
+    frame = frames[0]
+    weights = protocol._correction_weights(target3)
+    einsum_missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, frame])) ** 2 >= 1.0 - FIDELITY_TOL)
+    missed = ~(np.abs(_apply_corrections(states, frame) @ target3.conj()) ** 2 >= 1.0 - FIDELITY_TOL)
+    assert np.array_equal(missed, einsum_missed)
+    assert_bits_equal(np.concatenate([states[:0], *searched_rows]), states[einsum_missed])
+    searched = _search_corrections(states, target3)
+    assert np.array_equal(found, searched)
+    assert_bits_equal(corrected, _apply_corrections(states, searched))
+    expected = protocol._corrected(_apply_corrections(states, searched), target3)
+    for got, want in zip(protocol._corrected(corrected, target3), expected):
+        assert_bits_equal(got, want)
+    return einsum_missed.sum()
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_one_pass_decides_as_the_search_on_random_profiles(n_senders, data):
+    assert_one_pass_decides_as_the_search(*data.draw(profiles(n_senders)), n_senders)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@pytest.mark.parametrize("case", ["e0", "e0+e1 zero-phase", "sign rows swapped"])
+def test_one_pass_decides_as_the_search_on_edge_cases(case, n_senders, monkeypatch):
+    # x = e0 under generic shares and the zero-phase (e0 + e1)/sqrt 2 profile
+    # tie several triples, and swapped SIGN_PATTERN rows make the frame miss.
+    generic = random_phase_shares(np.random.default_rng(60 + n_senders), n_senders)
+    if case == "sign rows swapped":
+        swapped = SIGN_PATTERN.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
+        x, phases = random_inputs(n_senders, 1)
+    elif case == "e0":
+        x, phases = AmplitudeProfile(TIED_MAGNITUDES["e0"]), generic
+    else:
+        x, phases = AmplitudeProfile(TIED_MAGNITUDES["e0+e1"]), PhaseShares(np.zeros((n_senders - 1, 8)))
+    missed = assert_one_pass_decides_as_the_search(x, phases, n_senders)
+    assert (missed > 0) == (case == "sign rows swapped")
 
 
 def searched_table(n_senders):

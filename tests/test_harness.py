@@ -448,9 +448,9 @@ class TestCmdTable:
         real = protocol._corrections
 
         def shifted(outcomes, states, target3):
-            found = real(outcomes, states, target3)
+            found, corrected = real(outcomes, states, target3)
             found[5] = (found[5] + 1) % len(protocol._TRIPLES)
-            return found
+            return found, corrected
 
         monkeypatch.setattr(protocol, "_corrections", shifted)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR

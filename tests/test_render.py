@@ -114,15 +114,37 @@ def assert_table_renders_as_oracles(table: CorrectionTable) -> None:
 
 
 @st.composite
+def configs(draw, n: int, rows: int) -> RunConfig:
+    """An exhaustive, sampled or forced config, its profile random or any path:
+    quotes, backslashes, control characters, non-ASCII text and lone surrogates."""
+    kind = draw(st.sampled_from(["exhaustive", "sampled", "forced"]))
+    force = None
+    if kind == "forced":
+        k, *js = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+        force = (k, tuple(js))
+    return RunConfig(
+        senders=n,
+        mode="exhaustive" if kind == "exhaustive" else "sampled",
+        trials=max(rows, 1) if kind == "sampled" else 1,
+        seed=draw(st.integers(0, 2**63)),
+        # Every code point, lone surrogates included, which st.text() leaves out by default.
+        profile_path=draw(st.one_of(st.none(), st.text(st.characters(exclude_categories=())))),
+        force=force,
+    )
+
+
+@st.composite
 def reports(draw) -> VerificationReport:
     n = draw(st.integers(2, MAX_SENDERS))
     rows = draw(ROW_COUNTS)
-    config = RunConfig(senders=n, trials=max(rows, 1), seed=draw(st.integers(0, 2**63)))
-    labels = ["amplitude", *(f"phase[{k}]" for k in range(8))]
+    config = draw(configs(n, rows))
+    # The labels a run reports: a two-sender profile's phase[k=..] or any run's share[l=..,k=..].
+    phase_labels = protocol._PHASE_LABELS if n == 2 and draw(st.booleans()) else protocol._SHARE_LABELS[: n - 1]
+    labels = ["amplitude", *(label for row in phase_labels for label in row)]
     return VerificationReport(
         engine_version=__version__,
         config=config.echo(),
-        basis_validation=dict(zip(labels, draw(st.lists(FLOATS, min_size=9, max_size=9)))),
+        basis_validation=dict(zip(labels, draw(st.lists(FLOATS, min_size=len(labels), max_size=len(labels))))),
         aggregates={
             "branch_count": rows,
             "min_fidelity": draw(FLOATS),
@@ -131,7 +153,7 @@ def reports(draw) -> VerificationReport:
         },
         checks={
             "fidelity_pass": draw(st.booleans()),
-            "probability_rule": "uniform-branch",
+            "probability_rule": "sum-to-one" if config.mode == "exhaustive" else "uniform-branch",
             "probability_pass": draw(st.booleans()),
             "bases_pass": draw(st.booleans()),
             "bits_pass": draw(st.booleans()),
