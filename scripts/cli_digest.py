@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-535 CLI commands, and the digest of the file that each `--out` command writes.
+549 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -61,7 +61,13 @@ The set:
 - `verify --senders 2 --exhaustive` on `prøfil.json`, whose report echoes
   that non-ASCII path: in the structured format to stdout and through
   `--out`, and in the table format through `--out` (3). The structured
-  report's head writes the path with the escape `\u00f8`.
+  report's head writes the path with the escape `\u00f8`;
+- argv that `harness._parse` hands to argparse (14): an `=` form, an
+  abbreviation, an exclusive pair, a repeated option (the last value wins),
+  a missing value, a stray word, a bad choice, a bad integer, a second
+  exclusive pair, options another command lacks, `-h` at the top and after
+  a command, and no arguments at all. Their usage, help and error bytes are
+  argparse's.
 """
 
 from __future__ import annotations
@@ -152,6 +158,22 @@ def commands() -> list[list[str]]:
         ["verify", "--profile", "missing.json"],
         ["table", "--senders", "6"],
         ["table", "--senders", "2", "--out", "missing/r.json"],
+    ]
+    out += [
+        ["verify", "--senders=3", "--exhaustive"],
+        ["verify", "--sen", "3", "--exhaustive"],
+        ["verify", "--exhaustive", "--trials", "5"],
+        ["verify", "--trials", "5", "--trials", "7", "--seed", "1"],
+        ["verify", "--out"],
+        ["verify", "extra"],
+        ["verify", "--format", "xml"],
+        ["verify", "--senders", "three"],
+        ["verify", "--profile", "p.json", "--random"],
+        ["run", "--trials", "3"],
+        ["table", "--seed", "1"],
+        ["-h"],
+        ["verify", "-h"],
+        [],
     ]
     return out
 

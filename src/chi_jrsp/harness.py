@@ -476,39 +476,87 @@ def parse_force(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.cache  # built once per process: building costs about ten parses
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[dict[str, argparse.Action], dict]]]:
+    """The parser, and per command its actions by long option and the exclusive
+    group of each grouped action, as `add_argument` returned them."""
     parser = argparse.ArgumentParser(prog="chi-jrsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, inputs=True):
-        p.add_argument("--senders", type=int, default=2, metavar="N")
+    def command(name, help, inputs=True):
+        p = sub.add_parser(name, help=help)
+        options, groups = commands[name] = {}, {}
+
+        def add(flag, group=None, **kwargs):
+            options[flag] = (group or p).add_argument(flag, **kwargs)
+            if group is not None:
+                groups[options[flag]] = group
+
+        add("--senders", type=int, default=2, metavar="N")
         if inputs:
-            p.add_argument("--seed", type=int, default=0, metavar="S")
+            add("--seed", type=int, default=0, metavar="S")
             group = p.add_mutually_exclusive_group()
-            group.add_argument("--profile", metavar="PATH")
-            group.add_argument("--random", action="store_true", help="draw a seeded random profile (default)")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--format", choices=("structured", "table"), default="structured")
+            add("--profile", group, metavar="PATH")
+            add("--random", group, action="store_true", help="draw a seeded random profile (default)")
+        add("--out", metavar="PATH")
+        add("--format", choices=("structured", "table"), default="structured")
+        return p, add
 
-    verify = sub.add_parser("verify", help="run a verification campaign")
-    common(verify)
+    verify, add = command("verify", "run a verification campaign")
     mode = verify.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", help="enumerate every outcome branch")
+    add("--exhaustive", mode, action="store_true", help="enumerate every outcome branch")
     # No default here, so that argparse sees any --trials, even "--trials 1".
-    mode.add_argument("--trials", type=int, metavar="T", help="sampled-mode branch count (default 1)")
+    add("--trials", mode, type=int, metavar="T", help="sampled-mode branch count (default 1)")
 
-    run = sub.add_parser("run", help="run a single protocol execution")
-    common(run)
-    run.add_argument("--force-outcome", metavar="K:J1[,J2,...]", help="run this branch instead of sampling")
+    _, add = command("run", "run a single protocol execution")
+    add("--force-outcome", metavar="K:J1[,J2,...]", help="run this branch instead of sampling")
 
-    table = sub.add_parser("table", help="emit the verified correction table")
-    common(table, inputs=False)
+    command("table", "emit the verified correction table", inputs=False)
+    return parser, commands
 
-    return parser
+
+def _direct_fields(argv: list[str], commands: dict) -> dict | None:
+    """The fields of `parse_args(argv)` when argv is a command followed by its
+    long options alone: each spelled in full and given once, at most one from
+    each exclusive group, every value the next word, which does not start with
+    "-" and passes the action's type and choices. Else None."""
+    if not argv or argv[0] not in commands:
+        return None
+    options, groups = commands[argv[0]]
+    values, taken, words = {}, set(), iter(argv[1:])
+    for word in words:
+        action = options.get(word)
+        group = groups.get(action, action)  # an ungrouped action is its own group
+        if action is None or group in taken:
+            return None
+        taken.add(group)
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return {"command": argv[0], **{action.dest: action.default for action in options.values()}, **values}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """`parse_args(argv)`, read directly where `_direct_fields` can; argparse reads
+    every other argv and writes every usage, help and error text."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    fields = _direct_fields(argv, commands)
+    return parser.parse_args(argv) if fields is None else argparse.Namespace(**fields)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         force = parse_force(args.force_outcome) if getattr(args, "force_outcome", None) else None
         trials = getattr(args, "trials", None)

@@ -81,6 +81,15 @@ _TRIPLES = tuple(itertools.product(CORRECTION_OPS, repeat=3))
 _TRIPLE_MATRIX = np.array([np.kron(np.kron(_OP_MATRIX[a], _OP_MATRIX[b]), _OP_MATRIX[c]) for a, b, c in _TRIPLES])
 _TRIPLE_PERM = np.abs(_TRIPLE_MATRIX).argmax(axis=2)
 _TRIPLE_SIGN = np.take_along_axis(_TRIPLE_MATRIX, _TRIPLE_PERM[..., None], axis=2)[..., 0].real
+# The signs as complex, the type numpy casts them to before it multiplies a
+# complex state; and each column t of the permutations inverted, with its
+# signs in that order: _INVERSE_PERM[_TRIPLE_PERM[t, m], t] == m (a scatter,
+# not argsort, whose sort kernels a fresh process would page in).
+_TRIPLE_CSIGN = _TRIPLE_SIGN.astype(complex)
+_INVERSE_PERM = np.empty((8, len(_TRIPLES)), dtype=np.intp)
+_INVERSE_PERM[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = np.arange(8)
+_INVERSE_CSIGN = np.empty((8, len(_TRIPLES)), dtype=complex)
+_INVERSE_CSIGN[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = _TRIPLE_SIGN
 
 # _SPREAD[v] is the _TRIPLES index of X (twice it: Z) on the receiver qubits
 # set in v, as each qubit's op index is x + 2z: the XOR of two indices is the
@@ -91,6 +100,7 @@ _SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)
 # Indices of the eight even-parity four-qubit kets, in target order: the
 # fourth bit of each ket is the parity of the first three.
 CHI_SUPPORT = (0, 3, 5, 6, 9, 10, 12, 15)
+_CHI_INDEX = np.array(CHI_SUPPORT)
 
 # Amplitude of each of the channel's eight terms.
 _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
@@ -206,7 +216,7 @@ def parity_expand(state3: StateVector) -> StateVector:
 def _expand_parity(states3: np.ndarray) -> np.ndarray:
     """parity_expand over a batch: row m of each state goes to CHI_SUPPORT[m]."""
     out = np.zeros((len(states3), 16), dtype=complex)
-    out[:, CHI_SUPPORT] = states3
+    out[:, _CHI_INDEX] = states3
     return out
 
 
@@ -391,10 +401,9 @@ def _collapse_branch(
 
 def _correction_weights(target3: np.ndarray) -> np.ndarray:
     """(8, 64) matrix whose column t is triple t applied to the conjugated target:
-    (states @ weights)[b, t] is the target's overlap with row b corrected by t."""
-    weights = np.empty((8, len(_TRIPLES)), dtype=complex)
-    weights[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = _TRIPLE_SIGN * target3.conj()
-    return weights
+    (states @ weights)[b, t] is the target's overlap with row b corrected by t.
+    Entry [_TRIPLE_PERM[t, m], t] is _TRIPLE_SIGN[t, m] * conj(target3[m]), gathered."""
+    return _INVERSE_CSIGN * target3.conj().take(_INVERSE_PERM)
 
 
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
@@ -413,13 +422,18 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     return found
 
 
+def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
+    """s(k) ^ s(j_1) ^ ... of each outcome row, for s = bases.WALSH_INDEX, one XOR per column."""
+    return functools.reduce(np.bitwise_xor, bases.WALSH_INDEX[outcomes.T])
+
+
 def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each branch's correction as the search picks it, and its corrected state. On the paper's layout the
     branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX: its ties
     are the frame XOR the target's own, and the search takes the least. Rows whose corrected state misses
     |corrected . conj(target3)|^2 >= 1 - FIDELITY_TOL (a NaN misses) are searched and corrected again; that
     test sums in another order than the search's, so a value within an ulp or two of the threshold could flip."""
-    z = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
+    z = _walsh_xor(outcomes)
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
     corrected = _apply_corrections(states, found)
@@ -436,8 +450,12 @@ def _search_correction(collapsed: StateVector, target3: StateVector) -> Correcti
 
 
 def _apply_corrections(states: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Apply triple _TRIPLES[found[b]] to row b of `states`."""
-    return _TRIPLE_SIGN[found] * states[np.arange(len(states))[:, None], _TRIPLE_PERM[found]]
+    """Apply triple _TRIPLES[found[b]] to row b of `states`: one gather from the
+    flat rows, then the signs, in place."""
+    index = _TRIPLE_PERM.take(found, axis=0)
+    index += np.arange(0, 8 * len(states), 8)[:, None]
+    corrected = states.reshape(-1).take(index)
+    return np.multiply(_TRIPLE_CSIGN.take(found, axis=0), corrected, out=corrected)
 
 
 def _corrected(corrected: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

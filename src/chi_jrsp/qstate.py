@@ -26,6 +26,7 @@ NEGLIGIBLE_PROBABILITY = 1e-14
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_EYE8 = np.eye(8)
 
 
 def ket_index(bits) -> int:
@@ -131,13 +132,13 @@ def require_orthonormal(label: str, deviation: float) -> None:
 def gram_deviation(vectors: np.ndarray) -> float | np.ndarray:
     """Max entrywise deviation of the Gram matrix from the identity; inf, not NaN, on overflow.
 
-    A stack of matrices (..., n, n) gives one deviation per matrix; one
-    matrix gives a float.
+    A stack of bases (..., 8, 8) gives one deviation per basis; one basis
+    gives a float.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = vectors @ vectors.conj().swapaxes(-1, -2)
-        gram -= np.eye(vectors.shape[-2])
-        dev = np.abs(gram).reshape(*gram.shape[:-2], -1).max(axis=-1)
+        gram -= _EYE8
+        dev = np.maximum.reduce(np.abs(gram).reshape(*gram.shape[:-2], -1), axis=-1)
     if dev.ndim == 0:
         return float(dev) if np.isfinite(dev) else np.inf
     dev[~np.isfinite(dev)] = np.inf

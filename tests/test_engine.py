@@ -50,6 +50,7 @@ from chi_jrsp.protocol import (
     _sampled_outcomes,
     _search_corrections,
     _walk,
+    _walsh_xor,
     build_correction_table,
     compressed_target,
     derive_correction,
@@ -808,3 +809,40 @@ def test_the_table_walks_one_basis_stack_of_both_profiles(n_senders, monkeypatch
     assert len(walked) == 1
     assert_bits_equal(walked[0], expected)
     assert_bits_equal(targets[0], composed_target(*derive))
+
+
+def special_rows(rng, rows):
+    """Random complex rows; about a third of their parts, in every third row, are +-0, +-inf or NaN."""
+    states = rng.standard_normal((rows, 8)) + 1j * rng.standard_normal((rows, 8))
+    parts = states[::3].view(float)
+    hit = rng.random(parts.shape) < 1 / 3
+    parts[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], hit.sum())
+    return states
+
+
+@pytest.mark.parametrize("rows", [*range(1, 10), 512])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")  # inf * 0, on both sides
+def test_flat_gathers_are_the_fancy_index_and_scatter_bit_for_bit(rows):
+    # _apply_corrections and _correction_weights against the 2-D gather and
+    # the (8, 64) scatter they replace, on every triple and random ones.
+    rng = np.random.default_rng(rows)
+    states = special_rows(rng, rows)
+    for found in (*(np.full(rows, t) for t in range(len(_TRIPLES))), rng.integers(0, len(_TRIPLES), rows)):
+        expected = protocol._TRIPLE_SIGN[found] * states[np.arange(rows)[:, None], protocol._TRIPLE_PERM[found]]
+        assert_bits_equal(_apply_corrections(states, found), expected)
+    for target3 in states:
+        expected = np.empty((8, len(_TRIPLES)), dtype=complex)
+        expected[protocol._TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = protocol._TRIPLE_SIGN * target3.conj()
+        weights = protocol._correction_weights(target3)
+        assert weights.flags.c_contiguous
+        assert_bits_equal(weights, expected)
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_walsh_xor_is_the_xor_reduce(n_senders):
+    rng = np.random.default_rng(n_senders)
+    for outcomes in (_all_outcomes(n_senders), *(rng.integers(0, 8, (rows, n_senders)) for rows in range(1, 10))):
+        expected = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
+        got = _walsh_xor(outcomes)
+        assert got.dtype == expected.dtype
+        assert_bits_equal(got, expected)

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import locale
 import math
@@ -8,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chi_jrsp.bases as bases_mod
 from chi_jrsp import harness, protocol
@@ -735,3 +739,76 @@ class TestMain:
         path.write_bytes(b"\xff\xfe")
         assert main(["verify", "--profile", str(path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"error: profile {path} is not UTF-8 text")
+
+
+LONG_OPTIONS = ("--senders", "--seed", "--profile", "--random", "--out", "--format", "--exhaustive", "--trials",
+                "--force-outcome")
+# Values that int() reads, that argparse reads as an option, or that name a command.
+VALUES = ("3", " 3", "+3", "3_0", "\u0663", "-1", "", "x", "table", "1:2,3")
+# Every option with its prefixes and `=` forms, help, `--`, and the values.
+ARGV_WORDS = st.one_of(
+    st.sampled_from(LONG_OPTIONS),
+    st.sampled_from([option[:i] for option in LONG_OPTIONS for i in range(3, len(option))]),
+    st.builds("{}={}".format, st.sampled_from(LONG_OPTIONS), st.sampled_from(VALUES)),
+    st.sampled_from(("-h", "--help", "--")),
+    st.sampled_from(VALUES),
+)
+COMMANDS = ("verify", "run", "table", "bogus")
+
+
+@st.composite
+def option_argv(draw):
+    """A command and distinct options of its own, each but a flag followed by a value: three times in four one that
+    the option accepts, else any word. Mostly an argv that `_parse` reads itself; one in five loses its last word."""
+    command = draw(st.sampled_from(COMMANDS[:3]))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(list(harness._build_parser()[1][command][0])), unique=True,
+                                max_size=4)):
+        if option in ("--random", "--exhaustive"):
+            argv.append(option)
+        elif draw(st.integers(0, 3)):
+            argv += [option, {"--format": "table", "--force-outcome": "1:2,3"}.get(option, "3")]
+        else:
+            argv += [option, draw(ARGV_WORDS)]
+    return argv[:-1] if len(argv) > 1 and not draw(st.integers(0, 4)) else argv
+
+
+ARGV = st.one_of(st.lists(st.one_of(st.sampled_from(COMMANDS), ARGV_WORDS), max_size=7), option_argv())
+
+
+def parsed(parse, argv):
+    """(namespace items or SystemExit code, stdout, stderr) of one parse."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = [(k, type(v), v) for k, v in vars(parse(argv)).items()]
+        except SystemExit as exc:
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=ARGV)
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["--", "verify"])
+def test_parse_is_argparse(argv):
+    parser, _ = harness._build_parser()
+    assert parsed(harness._parse, argv) == parsed(parser.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--senders", "3", "--exhaustive", "--seed", "7", "--out", "r.json"],
+        ["verify", "--senders", "5", "--trials", "100", "--seed", "7", "--out", "r.json"],
+        ["table", "--senders", "3", "--out", "r.json"],
+        ["run", "--force-outcome", "1:2", "--format", "table", "--random"],
+        ["verify"],
+    ],
+)
+def test_canonical_argv_is_read_without_argparse(argv, monkeypatch):
+    parser, _ = harness._build_parser()
+    expected = parsed(parser.parse_args, argv)
+    monkeypatch.setattr(parser, "parse_args", lambda argv: pytest.fail(f"argparse read {argv}"))
+    assert parsed(harness._parse, argv) == expected
