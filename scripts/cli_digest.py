@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-549 CLI commands, and the digest of the file that each `--out` command writes.
+550 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -37,8 +37,9 @@ The set:
   under `verify --exhaustive` in both formats (4): the triples that tie on
   this profile differ in their X bits, where those of `x = e0` differ in
   their Z bits;
-- input errors (10), among them N = 6 under `verify --exhaustive` and
-  `table`, and `table --out` into a missing directory;
+- input errors (11), among them N = 6 under `verify --exhaustive` and
+  `table`, `table --out` into a missing directory, and an empty forced
+  outcome, which must be parsed (and rejected), not taken for no flag;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
   runs, and the report lists all 64 or 512 of them with `bases_pass` false;
@@ -48,13 +49,14 @@ The set:
 - `verify --exhaustive` and `table`, N = 2, 3, with rows 1 and 2 of
   `bases.SIGN_PATTERN` swapped (4): the bases stay orthonormal but relabel
   the phase senders' outcomes, so the Pauli frame misses on some branches,
-  the correction search decides those, and each exits 0;
+  and each exits 3 and names the first as an oracle failure;
 - with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
   `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
   `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis
   fails its check, which the profile reports as `amplitude profile not
   normalized: ...`, so the random profiles and `table` exit 4 and the
-  profile document exits 2;
+  profile document exits 2. `table` draws the profile of
+  `protocol._TABLE_SEED`, so its two lines print that profile's deviation;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports;
@@ -155,6 +157,7 @@ def commands() -> list[list[str]]:
         ["verify", "--seed", "-1"],
         ["run", "--force-outcome", "9:1"],
         ["run", "--senders", "3", "--force-outcome", "1:2"],
+        ["run", "--force-outcome", ""],
         ["verify", "--profile", "missing.json"],
         ["table", "--senders", "6"],
         ["table", "--senders", "2", "--out", "missing/r.json"],

@@ -558,7 +558,7 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        force = parse_force(args.force_outcome) if getattr(args, "force_outcome", None) else None
+        force = parse_force(args.force_outcome) if getattr(args, "force_outcome", None) is not None else None
         trials = getattr(args, "trials", None)
         config = RunConfig(
             senders=args.senders,

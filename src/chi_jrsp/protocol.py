@@ -10,7 +10,7 @@ four-qubit chi-type support with an ancilla and three CNOTs. Every one of the
 8**N joint outcomes succeeds with certainty, at 3N classical bits per run.
 The two-sender protocol is the N = 2 case with one share row, so every path
 takes the phase input as a PhaseProfile or as PhaseShares, and
-`_bases_stack` alone turns it into bases, one profile or several.
+`measurement_bases` alone turns it into bases.
 
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
@@ -24,10 +24,10 @@ the row view that `run_two_sender`, `run_n_sender` and the `run` command
 share. The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test
 oracle, and `_collapse_branches` the tests' bit-for-bit reference walk.
 
-Runs and `table` take each correction from the digits, as a Pauli frame. Where
-it misses, and always in `derive_correction`, a brute-force oracle searches all
-64 per-qubit Pauli triples for the one that maps the receiver's collapsed state
-onto the compressed target, so the runners double as verification.
+Runs and `table` take each correction from the digits, as a Pauli frame; a
+branch the frame misses is an oracle failure, a defective layout. The
+independent oracle, `derive_correction`, searches all 64 per-qubit Pauli
+triples for the one that maps the receiver's collapsed state onto the target.
 """
 
 from __future__ import annotations
@@ -105,19 +105,13 @@ _CHI_INDEX = np.array(CHI_SUPPORT)
 # Amplitude of each of the channel's eight terms.
 _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
 
-# build_correction_table derives its corrections on the profile of this
-# seed and checks them on the profile of the next one.
-_TABLE_SEED = 7042
+# build_correction_table corrects and checks every branch of the profile of this seed.
+_TABLE_SEED = 7043
 
 # Trials per sampler chunk, each walked at once: keeps the walk's (chunk, 8, 8)
 # intermediates at 256 KiB however many trials a campaign draws. On five-sender
 # runs of 20000 trials, 1024 raised the process's peak RSS by about 0.7 MiB; 256 did not.
 _SAMPLE_CHUNK = 256
-
-# Rows per correction-search chunk: keeps the (chunk, 64) complex overlap
-# block at 64 KiB however many branches a run has. One unchunked product
-# over 512 three-sender branches added about 1 MiB to the process's RSS.
-_SEARCH_CHUNK = 64
 
 CorrectionTriple = tuple[str, str, str]
 
@@ -275,31 +269,20 @@ def _require_senders(n_senders: int) -> None:
         raise ValueError(f"n_senders must be in 2..{MAX_SENDERS}, got {n_senders}")
 
 
-def _bases_stack(profiles, n_senders: int) -> tuple[np.ndarray, list[tuple[tuple[str, ...], ...]], np.ndarray]:
-    """`MeasurementBases`'s read-only vectors, labels and deviations of each (x, phases)
-    of `profiles`, stacked: x's own basis, then one build of every profile's phase
-    rows, which names the first failing basis in (profile, sender, k) order."""
-    _require_senders(n_senders)
-    vectors = np.empty((len(profiles), n_senders, 8, 8, 8), dtype=complex)
-    deviations, rows, labels = np.empty((len(profiles), n_senders, 8)), [], []
-    for p, (x, phases) in enumerate(profiles):
-        shared = isinstance(phases, PhaseShares)
-        rows.append(phases.shares if shared else phases.delta[None])
-        if len(rows[p]) != n_senders - 1:
-            raise ValueError(f"the phase input covers {len(rows[p]) + 1} senders, expected {n_senders}")
-        labels.append(((x.basis.label,) * 8, *(_SHARE_LABELS[: len(rows[p])] if shared else _PHASE_LABELS)))
-        vectors[p, 0], deviations[p, 0] = x.basis.vectors, x.basis.deviation
-    phase_labels = [row for profile in labels for row in profile[1:]]
-    phase_vectors, phase_deviations = bases.phase_bases_from_rows(np.concatenate(rows), phase_labels)
-    vectors[:, 1:] = phase_vectors.reshape(vectors[:, 1:].shape)
-    deviations[:, 1:] = phase_deviations.reshape(deviations[:, 1:].shape)
-    vectors.setflags(write=False)
-    return vectors, labels, deviations
-
-
 def measurement_bases(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, n_senders: int) -> MeasurementBases:
-    """Every party's measurement bases for one profile: `_bases_stack` of that one."""
-    return MeasurementBases(*(stack[0] for stack in _bases_stack([(x, phases)], n_senders)))
+    """Every party's measurement bases for one profile: x's own basis, then one build of
+    the phase rows, which names the first failing basis in (sender, k) order."""
+    _require_senders(n_senders)
+    shared = isinstance(phases, PhaseShares)
+    rows = phases.shares if shared else phases.delta[None]
+    if len(rows) != n_senders - 1:
+        raise ValueError(f"the phase input covers {len(rows) + 1} senders, expected {n_senders}")
+    labels = ((x.basis.label,) * 8, *(_SHARE_LABELS[: len(rows)] if shared else _PHASE_LABELS))
+    vectors, deviations = np.empty((n_senders, 8, 8, 8), dtype=complex), np.empty((n_senders, 8))
+    vectors[0], deviations[0] = x.basis.vectors, x.basis.deviation
+    vectors[1:], deviations[1:] = bases.phase_bases_from_rows(rows, labels[1:])
+    vectors.setflags(write=False)
+    return MeasurementBases(vectors, labels, deviations)
 
 
 def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,39 +316,37 @@ def _sum8(a: np.ndarray) -> np.ndarray:
 
 def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, np.ndarray]:
     """`_collapse_branches` of the branches that `select` keeps, bit for bit,
-    for `rows` (..., n, 8, 8, 8): states (..., B, 8) and steps (..., B, n).
+    for `rows` (n, 8, 8, 8): states (B, 8) and steps (B, n).
 
     From the channel's diagonal, party p measures each of its S states with
     all eight rows of the state's basis for its k (the magnitude sender, with
-    no k yet, row d of basis d). `select(p, probs)` maps the (..., S, 8) child
+    no k yet, row d of basis d). `select(p, probs)` maps the (S, 8) child
     probabilities to one digit per state (a lone root broadcasts) or to None,
     keeping all children in lexicographic order. Every elementwise operation
     is `_collapse_branches`'s, in order, each sum over 8 by `_sum8`.
     """
-    *lead, n = rows.shape[:-3]
     diagonal = np.arange(8)
-    state = np.empty((*lead, 1, 8), dtype=complex)
+    state = np.empty((1, 8), dtype=complex)
     state.fill(_CHANNEL_AMPLITUDE)
     taken = []
-    for p in range(n):
+    for p in range(len(rows)):
         # Gathered ("clip" never clips 0..7), then multiplied in place: a fresh product is slower.
-        children = (rows[..., 0, diagonal, diagonal, :][..., None, :, :] if p == 0
-                    else rows[..., p, :, :, :].take(k, axis=-3, mode="clip"))
-        children *= state[..., :, None, :]
+        children = rows[0, diagonal, diagonal][None] if p == 0 else rows[p].take(k, axis=0, mode="clip")
+        children *= state[:, None, :]
         probs = _sum8(np.abs(children) ** 2)
         digits = select(p, probs)
         if digits is None:
-            state, step = children.reshape(*lead, -1, 8), probs.reshape(*lead, -1)
+            state, step = children.reshape(-1, 8), probs.reshape(-1)
             k = diagonal if p == 0 else k.repeat(8)
         else:
-            held = np.arange(probs.shape[-2])
-            state, step = children[..., held, digits, :], probs[..., held, digits]
+            held = np.arange(len(probs))
+            state, step = children[held, digits], probs[held, digits]
             k = digits if p == 0 else k
-        state /= np.sqrt(step)[..., None]
+        state /= np.sqrt(step)[:, None]
         taken.append(step)
-    steps = np.empty((*state.shape[:-1], n))
+    steps = np.empty((len(state), len(rows)))
     for p, step in enumerate(taken):  # each state's step, to every branch below it
-        steps.reshape(*step.shape, -1, n)[..., p] = step[..., None]
+        steps.reshape(len(step), -1, len(rows))[:, :, p] = step[:, None]
     return state, steps
 
 
@@ -409,17 +390,13 @@ def _correction_weights(target3: np.ndarray) -> np.ndarray:
 def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     """For each row of `states`, the index into _TRIPLES of the first triple in
     search order whose corrected state reaches fidelity 1 - FIDELITY_TOL
-    with `target3`, a chunk of rows in one product. `derive_correction`
-    searches every branch, and `_corrections` the rows its frame misses.
+    with `target3`, all rows in one product: the oracle of `derive_correction`
+    and of the tests, which no run or table calls.
     """
-    weights = _correction_weights(target3)
-    found = np.empty(len(states), dtype=np.intp)
-    for start in range(0, len(states), _SEARCH_CHUNK):
-        hit = np.abs(states[start : start + _SEARCH_CHUNK] @ weights) ** 2 >= 1.0 - FIDELITY_TOL
-        if not np.all(hit.any(axis=1)):
-            raise NoCorrectionFound("no Pauli triple reaches the fidelity threshold")
-        found[start : start + _SEARCH_CHUNK] = hit.argmax(axis=1)
-    return found
+    hit = np.abs(states @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL
+    if not hit.any(axis=1).all():
+        raise NoCorrectionFound("no Pauli triple reaches the fidelity threshold")
+    return hit.argmax(axis=1)
 
 
 def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
@@ -427,21 +404,24 @@ def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
     return functools.reduce(np.bitwise_xor, bases.WALSH_INDEX[outcomes.T])
 
 
-def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's correction as the search picks it, and its corrected state. On the paper's layout the
-    branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX: its ties
-    are the frame XOR the target's own, and the search takes the least. Rows whose corrected state misses
-    |corrected . conj(target3)|^2 >= 1 - FIDELITY_TOL (a NaN misses) are searched and corrected again; that
-    test sums in another order than the search's, so a value within an ulp or two of the threshold could flip."""
+def _corrections(outcomes: np.ndarray, states: np.ndarray,
+                 target3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each branch's correction as the search picks it, its corrected state and its fidelity |corrected .
+    conj(target3)|^2. On the paper's layout the branch is the target under the frame Z^z X^k, z = s(k) ^
+    s(j_1) ^ ... for s = bases.WALSH_INDEX: its ties are the frame XOR the target's own, and the search takes
+    the least. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the first such branch;
+    it sums in another order than the search's, so a value within an ulp or two of the threshold could flip."""
     z = _walsh_xor(outcomes)
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
     corrected = _apply_corrections(states, found)
-    missed = ~(np.abs(corrected @ target3.conj()) ** 2 >= 1.0 - FIDELITY_TOL)
-    if missed.any():
-        found[missed] = _search_corrections(states[missed], target3)
-        corrected[missed] = _apply_corrections(states[missed], found[missed])
-    return found, corrected
+    fidelities = np.abs(corrected @ target3.conj()) ** 2
+    missed = (~(fidelities >= 1.0 - FIDELITY_TOL)).nonzero()[0]
+    if missed.size:
+        b = missed[0]
+        raise NoCorrectionFound(f"correction {_TRIPLES[found[b]]} for outcome {tuple(outcomes[b].tolist())}"
+                                f" misses the target (fidelity {float(fidelities[b])!r})")
+    return found, corrected, fidelities
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
@@ -498,14 +478,14 @@ class CorrectionTable:
     """Corrections for every enumerated outcome, with verification fidelities.
 
     Row b of each column is outcome row b, and rows come in lexicographic
-    order. Each correction was checked at build time on a profile drawn
-    independently of the one the triples were derived from.
+    order. Each correction is the Pauli frame of its digits, checked at build
+    time on a generic seeded profile.
     """
 
     n_senders: int
     outcomes: np.ndarray  # (B, N) digits k, j_1, ..., j_{N-1}
     triples: np.ndarray  # (B,) index into _TRIPLES of each row's correction
-    fidelities: np.ndarray  # (B,) fidelity of each correction on the check profile
+    fidelities: np.ndarray  # (B,) fidelity of each correction on the seeded profile
 
     @property
     def corrections(self) -> list[CorrectionTriple]:
@@ -518,25 +498,14 @@ class CorrectionTable:
 
 
 def build_correction_table(n_senders: int) -> CorrectionTable:
-    """Derive (and independently verify) corrections for all 8**n_senders
-    outcomes, at any sender count in 2..MAX_SENDERS. Derivation and
-    verification use two independently seeded generic profiles, so a table
-    entry only survives if it is profile-independent. Both profiles' bases
-    come from one stack, and their branches from one walk of it."""
+    """The corrections of all 8**n_senders outcomes, at any sender count in 2..MAX_SENDERS, each
+    checked on every branch of the generic profile of _TABLE_SEED. That profile has no ties, so
+    the frame's triples are the ones the search derives there, as on any generic profile."""
     _require_senders(n_senders)
-    derive, check = bases.random_inputs(n_senders, _TABLE_SEED), bases.random_inputs(n_senders, _TABLE_SEED + 1)
-    vectors, _, _ = _bases_stack((derive, check), n_senders)
-    (derived, checked), _ = _walk(vectors.conj())
+    x, phases = bases.random_inputs(n_senders, _TABLE_SEED)
+    states, _ = _walk(measurement_bases(x, phases, n_senders).vectors.conj())
     outcomes = _all_outcomes(n_senders)
-    found, _ = _corrections(outcomes, derived, _target_amps(*derive))
-    fidelities = np.abs(_apply_corrections(checked, found).conj() @ _target_amps(*check)) ** 2
-    failed = (fidelities < 1.0 - FIDELITY_TOL).nonzero()[0]
-    if failed.size:
-        b = failed[0]
-        raise NoCorrectionFound(
-            f"correction {_TRIPLES[found[b]]} for outcome {tuple(outcomes[b].tolist())} fails on a fresh profile"
-            f" (fidelity {float(fidelities[b])!r})"
-        )
+    found, _, fidelities = _corrections(outcomes, states, _target_amps(x, phases))
     return CorrectionTable(n_senders, outcomes, found, fidelities)
 
 
@@ -597,7 +566,7 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
         states, steps = _walk(rows)
 
     target3 = _target_amps(x, phases)
-    found, corrected = _corrections(outcomes, states, target3)
+    found, corrected, _ = _corrections(outcomes, states, target3)
     finals, fidelities = _corrected(corrected, target3)
     return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
 

@@ -4,8 +4,9 @@ The runners compute every branch in one walk from the channel's 8-term
 diagonal (`_walk`), which keeps every child for exhaustive runs and tables,
 the named digits for forced runs, and the drawn digits for a chunk of
 sampled trials; then they correct and expand the receiver's 8-vectors
-batched, runs with the Pauli frame of each branch's digits, which must pick
-the search's triple on every profile, and tables with the search.
+batched, with the Pauli frame of each branch's digits, which must pick the
+search's triple on every profile and never search; a layout the frame misses
+is an oracle failure.
 `_collapse_branches`, which gathers one row per branch, is the
 reference that the walk equals bit for bit in every mode, and no run calls
 it. `_dense_branch` measures the full register with the dense engine, and
@@ -34,7 +35,7 @@ from chi_jrsp.bases import (
     random_phase_profile,
     random_phase_shares,
 )
-from chi_jrsp.harness import EXIT_PASS, RunConfig, cmd_verify, main
+from chi_jrsp.harness import EXIT_ORACLE_ERROR, EXIT_PASS, main
 from chi_jrsp.protocol import (
     _TRIPLES,
     FIDELITY_TOL,
@@ -145,20 +146,12 @@ def three_sender_search(seed):
     return states, compressed_target(x, phases).amps
 
 
-def test_search_does_not_depend_on_chunk_size(monkeypatch):
-    # 512 branches in chunks of 7 are 74 chunks, the last one a single row.
-    states, target3 = three_sender_search(5)
-    whole = _search_corrections(states, target3)
-    monkeypatch.setattr(protocol, "_SEARCH_CHUNK", 7)
-    assert np.array_equal(_search_corrections(states, target3), whole)
-
-
-@pytest.mark.parametrize("chunk", [protocol._SEARCH_CHUNK, 7])
-def test_unmatched_row_in_last_short_chunk_raises(chunk, monkeypatch):
-    monkeypatch.setattr(protocol, "_SEARCH_CHUNK", chunk)
+@pytest.mark.parametrize("rows", [64, 7])
+def test_unmatched_row_in_last_short_chunk_raises(rows):
+    # The search is one product over the whole batch; an unmatched final row
+    # must still raise whatever the batch length.
     states, target3 = three_sender_search(6)
-    states = states[:100].copy()
-    assert len(states) % chunk
+    states = states[:rows].copy()
     _search_corrections(states, target3)
     states[-1] = np.roll(states[-1], 1)
     with pytest.raises(NoCorrectionFound):
@@ -450,21 +443,6 @@ def test_tree_equals_collapse_on_unnormalized_rows(n_senders):
         assert_tree_equals_collapse(rows)
 
 
-@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
-def test_stacked_tree_equals_single_trees(n_senders):
-    # build_correction_table walks its two profiles' rows stacked as (2, ...).
-    x, phases = random_inputs(n_senders, 1)
-    gen = np.random.default_rng(30 + n_senders)
-    skewed = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
-    stack = np.stack([sender_rows(x, phases, n_senders), skewed])
-    states, steps = _walk(stack)
-    assert states.shape == (2, 8**n_senders, 8) and steps.shape == (2, 8**n_senders, n_senders)
-    for i, rows in enumerate(stack):
-        single_states, single_steps = _walk(rows)
-        assert_bits_equal(states[i], single_states)
-        assert_bits_equal(steps[i], single_steps)
-
-
 def test_enumerations_walk_the_tree(monkeypatch):
     # Exhaustive runs, correction tables and forced branches never gather
     # rows per branch: `_collapse_branches` is the tests' reference alone.
@@ -490,14 +468,29 @@ def test_enumerations_walk_the_tree(monkeypatch):
     assert [r.probability for r in records] == expected_steps[0].tolist()
 
 
+# A generic profile other than the table's: its entries must not depend on the profile.
+OTHER_SEED = protocol._TABLE_SEED - 1
+
+
+@pytest.mark.parametrize("n_senders", [2, 3, 4])
+def test_the_table_holds_on_another_profile(n_senders):
+    # The table corrects and checks one seeded profile; every entry is the
+    # one-branch oracle's on that profile and on another generic one.
+    table = build_correction_table(n_senders)
+    for seed in (OTHER_SEED, protocol._TABLE_SEED):
+        x, phases = random_inputs(n_senders, seed)
+        derived = {o: derive_correction(o[0], o[1:], x, phases) for o in table.entries}
+        assert derived == dict(table.entries), seed
+
+
 @pytest.mark.parametrize("n_senders", [4, 5])
 def test_large_tables_match_derive_correction(n_senders):
-    # The enumerated table against the one-branch oracle on both table
-    # seeds' profiles: the digit corners and 18 seeded outcomes.
+    # The enumerated table against the one-branch oracle on the table's
+    # profile and another: the digit corners and 18 seeded outcomes.
     table = build_correction_table(n_senders)
     drawn = np.random.default_rng(n_senders).integers(0, 8, (18, n_senders))
     outcomes = [(0,) * n_senders, (7,) * n_senders, *map(tuple, drawn.tolist())]
-    for seed in (protocol._TABLE_SEED, protocol._TABLE_SEED + 1):
+    for seed in (OTHER_SEED, protocol._TABLE_SEED):
         x, phases = random_inputs(n_senders, seed)
         for o in outcomes:
             assert table.entries[o] == derive_correction(o[0], o[1:], x, phases), (seed, o)
@@ -620,31 +613,41 @@ def test_frame_is_the_search_on_tied_profiles(magnitudes, n_senders):
             assert_frame_is_the_search(x, PhaseProfile(first), n_senders)
 
 
+def refuse_search(*args):
+    raise AssertionError("searched for a correction")
+
+
 def assert_one_pass_decides_as_the_search(x, phases, n_senders):
-    """`_corrections` corrects once and tests the corrected states: its miss
-    mask is the one the frame's weight columns gave (`einsum` over the
-    (8, B) columns), it searches those rows alone, and its triples, corrected
-    states and fidelities are the search's, bit for bit."""
+    """`_corrections` corrects once with the frame and never searches. Its miss
+    mask is the one the frame's weight columns give (`einsum` over the (8, B)
+    columns). With no miss, its triples are the search's and its corrected
+    states and fidelities those of the search's triples, bit for bit; a miss
+    raises NoCorrectionFound, which names the first missed branch."""
     states, _ = _walk(sender_rows(x, phases, n_senders))
     outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
-    frames, searched_rows = [], []
-    apply, search = protocol._apply_corrections, protocol._search_corrections
+    frames, apply, failure = [], protocol._apply_corrections, None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_apply_corrections", lambda s, f: frames.append(f.copy()) or apply(s, f))
-        patch.setattr(protocol, "_search_corrections", lambda s, t: searched_rows.append(s) or search(s, t))
-        found, corrected = protocol._corrections(outcomes, states, target3)
-    frame = frames[0]
+        patch.setattr(protocol, "_search_corrections", refuse_search)
+        try:
+            found, corrected, fidelities = protocol._corrections(outcomes, states, target3)
+        except NoCorrectionFound as exc:
+            failure = str(exc)
+    (frame,) = frames
     weights = protocol._correction_weights(target3)
     einsum_missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, frame])) ** 2 >= 1.0 - FIDELITY_TOL)
-    missed = ~(np.abs(_apply_corrections(states, frame) @ target3.conj()) ** 2 >= 1.0 - FIDELITY_TOL)
-    assert np.array_equal(missed, einsum_missed)
-    assert_bits_equal(np.concatenate([states[:0], *searched_rows]), states[einsum_missed])
-    searched = _search_corrections(states, target3)
-    assert np.array_equal(found, searched)
-    assert_bits_equal(corrected, _apply_corrections(states, searched))
-    expected = protocol._corrected(_apply_corrections(states, searched), target3)
-    for got, want in zip(protocol._corrected(corrected, target3), expected):
-        assert_bits_equal(got, want)
+    frame_fidelities = np.abs(_apply_corrections(states, frame) @ target3.conj()) ** 2
+    assert np.array_equal(~(frame_fidelities >= 1.0 - FIDELITY_TOL), einsum_missed)
+    if einsum_missed.any():
+        b = einsum_missed.nonzero()[0][0]
+        assert failure == (f"correction {_TRIPLES[frame[b]]} for outcome {tuple(outcomes[b].tolist())}"
+                           f" misses the target (fidelity {float(frame_fidelities[b])!r})")
+    else:
+        assert failure is None
+        searched = _search_corrections(states, target3)
+        assert np.array_equal(found, searched)
+        assert_bits_equal(corrected, _apply_corrections(states, searched))
+        assert_bits_equal(fidelities, frame_fidelities)
     return einsum_missed.sum()
 
 
@@ -659,7 +662,8 @@ def test_one_pass_decides_as_the_search_on_random_profiles(n_senders, data):
 @pytest.mark.parametrize("case", ["e0", "e0+e1 zero-phase", "sign rows swapped"])
 def test_one_pass_decides_as_the_search_on_edge_cases(case, n_senders, monkeypatch):
     # x = e0 under generic shares and the zero-phase (e0 + e1)/sqrt 2 profile
-    # tie several triples, and swapped SIGN_PATTERN rows make the frame miss.
+    # tie several triples, and swapped SIGN_PATTERN rows make the frame miss,
+    # which raises.
     generic = random_phase_shares(np.random.default_rng(60 + n_senders), n_senders)
     if case == "sign rows swapped":
         swapped = SIGN_PATTERN.copy()
@@ -674,50 +678,43 @@ def test_one_pass_decides_as_the_search_on_edge_cases(case, n_senders, monkeypat
     assert (missed > 0) == (case == "sign rows swapped")
 
 
-def searched_table(n_senders):
-    """`build_correction_table`'s triples and check fidelities, with every
-    branch of the derive profile searched."""
-    derive, check = (random_inputs(n_senders, protocol._TABLE_SEED + i) for i in (0, 1))
-    (derived, checked), _ = _walk(np.stack([sender_rows(*derive, n_senders), sender_rows(*check, n_senders)]))
-    found = _search_corrections(derived, compressed_target(*derive).amps)
-    return found, np.abs(_apply_corrections(checked, found).conj() @ compressed_target(*check).amps) ** 2
-
-
-def assert_table_is_the_search(n_senders):
-    table, (found, fidelities) = build_correction_table(n_senders), searched_table(n_senders)
-    assert np.array_equal(table.triples, found)
-    assert_bits_equal(table.fidelities, fidelities)
-
-
 @pytest.mark.parametrize("n_senders", [2, 3, 4])
 def test_the_table_is_the_searched_table(n_senders):
-    assert_table_is_the_search(n_senders)
-
-
-@pytest.mark.parametrize("n_senders", [2, 3])
-def test_a_relabelled_layout_falls_back_to_the_search(n_senders, monkeypatch, capsys):
-    # Swapped SIGN_PATTERN rows keep every basis orthonormal but relabel the
-    # phase senders' outcomes: the frame misses on 16 of 64 branches (192 of
-    # 512), the search decides those alone, and the campaign still passes with
-    # the search's triples; the table is the one a search of every branch derives.
-    missed = {2: 16, 3: 192}[n_senders]
-    swapped = SIGN_PATTERN.copy()
-    swapped[[1, 2]] = swapped[[2, 1]]
-    monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
-    x, phases = random_inputs(n_senders, 1)
+    # The table's triples are those a search of every branch of its profile
+    # derives, and its fidelities those triples' on that profile, in either
+    # order of the conjugation.
+    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
     states, _ = _walk(sender_rows(x, phases, n_senders))
-    searched = _search_corrections(states, compressed_target(x, phases).amps)
-    searched_rows, search = [], protocol._search_corrections
-    monkeypatch.setattr(protocol, "_search_corrections",
-                        lambda states, target3: searched_rows.append(len(states)) or search(states, target3))
-    config = RunConfig(senders=n_senders, mode="exhaustive", seed=1)
-    status, report = cmd_verify(config)
-    capsys.readouterr()
-    assert status == EXIT_PASS and searched_rows == [missed]
-    assert np.array_equal(report.triples, searched)
-    searched_rows.clear()
-    assert_table_is_the_search(n_senders)
-    assert searched_rows == [missed]
+    target3 = compressed_target(x, phases).amps
+    found = _search_corrections(states, target3)
+    table = build_correction_table(n_senders)
+    assert np.array_equal(table.triples, found)
+    assert_bits_equal(table.fidelities, np.abs(_apply_corrections(states, found) @ target3.conj()) ** 2)
+    assert_bits_equal(table.fidelities, np.abs(_apply_corrections(states, found).conj() @ target3) ** 2)
+
+
+ROW_SWAP_COMMANDS = {
+    "verify-2": ["verify", "--senders", "2", "--exhaustive"],
+    "verify-3": ["verify", "--senders", "3", "--exhaustive"],
+    "table-2": ["table", "--senders", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", ROW_SWAP_COMMANDS.values(), ids=ROW_SWAP_COMMANDS.keys())
+def test_every_row_swapped_layout_is_an_oracle_failure(argv, monkeypatch, capsys):
+    # Each of the 28 swaps of two SIGN_PATTERN rows keeps every basis
+    # orthonormal but relabels the phase senders' outcomes, so the frame
+    # misses a branch: the command exits 3 with one oracle-failure line and
+    # nothing on stdout, and nothing searches.
+    monkeypatch.setattr(protocol, "_search_corrections", refuse_search)
+    for rows in itertools.combinations(range(8), 2):
+        swapped = SIGN_PATTERN.copy()
+        swapped[list(rows)] = swapped[list(rows[::-1])]
+        monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
+        assert main(argv) == EXIT_ORACLE_ERROR, rows
+        out, err = capsys.readouterr()
+        assert out == "", rows
+        assert err.startswith("oracle failure: correction ") and err.count("\n") == 1, (rows, err)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -786,17 +783,17 @@ def test_run_target_is_compressed_target_on_edge_profiles(n_senders):
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
-def test_the_table_walks_one_basis_stack_of_both_profiles(n_senders, monkeypatch):
-    # Both profiles' phase rows take one build and one Gram product; the
-    # rows the walk reads are the per-profile stacks, conjugated, bit for bit.
-    derive, check = (random_inputs(n_senders, protocol._TABLE_SEED + i) for i in (0, 1))
-    expected = np.stack([measurement_bases(x, phases, n_senders).vectors for x, phases in (derive, check)]).conj()
-    for p, (x, phases) in enumerate((derive, check)):
-        for k in range(8):
-            assert_bits_equal(expected[p, 0, k], x.basis.vectors.conj())
-            for l in range(1, n_senders):
-                single = bases.phase_basis(k, phases) if n_senders == 2 else bases.share_basis(k, l, phases)
-                assert_bits_equal(expected[p, l, k], single.vectors.conj())
+def test_the_table_walks_one_basis_stack(n_senders, monkeypatch):
+    # The profile's phase rows take one build and one Gram product; the rows
+    # the walk reads are its basis stack, conjugated, each basis bit for bit
+    # the one built alone.
+    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
+    expected = measurement_bases(x, phases, n_senders).vectors.conj()
+    for k in range(8):
+        assert_bits_equal(expected[0, k], x.basis.vectors.conj())
+        for l in range(1, n_senders):
+            single = bases.phase_basis(k, phases) if n_senders == 2 else bases.share_basis(k, l, phases)
+            assert_bits_equal(expected[l, k], single.vectors.conj())
     walked, builds, grams, targets = [], [], [], []
     walk, build, gram = protocol._walk, bases.phase_bases_from_rows, bases.gram_deviation
     corrections = protocol._corrections
@@ -805,10 +802,10 @@ def test_the_table_walks_one_basis_stack_of_both_profiles(n_senders, monkeypatch
     monkeypatch.setattr(bases, "gram_deviation", lambda vectors: grams.append(vectors.shape) or gram(vectors))
     monkeypatch.setattr(protocol, "_corrections", lambda o, s, t: targets.append(t) or corrections(o, s, t))
     build_correction_table(n_senders)
-    assert builds == [2 * (n_senders - 1)] and grams == [(2 * (n_senders - 1), 8, 8, 8)]
+    assert builds == [n_senders - 1] and grams == [(n_senders - 1, 8, 8, 8)]
     assert len(walked) == 1
     assert_bits_equal(walked[0], expected)
-    assert_bits_equal(targets[0], composed_target(*derive))
+    assert_bits_equal(targets[0], composed_target(x, phases))
 
 
 def special_rows(rng, rows):

@@ -447,22 +447,23 @@ class TestCmdTable:
         assert len((tmp_path / "t4.tsv").read_text().splitlines()) == 1 + 8**4
 
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
-        # Row 5, outcome (0, 5), gets the next triple in search order, which
-        # the check profile rejects. The outcome prints as plain ints.
-        real = protocol._corrections
+        # The frame of row 5, outcome (0, 5), takes one more Z on the last
+        # receiver qubit, which the table's profile rejects. The outcome
+        # prints as plain ints.
+        real = protocol._walsh_xor
 
-        def shifted(outcomes, states, target3):
-            found, corrected = real(outcomes, states, target3)
-            found[5] = (found[5] + 1) % len(protocol._TRIPLES)
-            return found, corrected
+        def shifted(outcomes):
+            z = real(outcomes)
+            z[5] ^= 1
+            return z
 
-        monkeypatch.setattr(protocol, "_corrections", shifted)
+        monkeypatch.setattr(protocol, "_walsh_xor", shifted)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "oracle failure: correction ('Z', 'Z', 'X') for outcome (0, 5) fails on a fresh profile"
-            " (fidelity 0.2950504753950318)\n"
+            "oracle failure: correction ('Z', 'Z', 'Z') for outcome (0, 5) misses the target"
+            " (fidelity 0.003628923136128456)\n"
         )
 
 
@@ -520,6 +521,14 @@ class TestMain:
     def test_run_force_wrong_arity(self, capsys):
         code = main(["run", "--senders", "3", "--force-outcome", "1:2"])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [["--force-outcome", ""], ["--force-outcome="]], ids=["direct", "argparse"])
+    def test_run_force_empty_is_input_error(self, argv, capsys):
+        # An empty forced outcome is parsed, and rejected, not taken as no flag.
+        assert main(["run", *argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot parse forced outcome '': expected K:J1[,J2,...]\n"
 
     def test_table_command(self, tmp_path):
         out = tmp_path / "table.tsv"

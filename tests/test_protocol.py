@@ -324,13 +324,14 @@ class TestCorrectionTable:
 
     def test_four_sender_table(self):
         # Tables enumerate every sender count in 2..MAX_SENDERS; their entries
-        # are the corrections that derive_correction finds on both table seeds.
+        # are the corrections that derive_correction finds on the table's
+        # profile and on another generic one.
         table = build_correction_table(4)
         assert len(table.entries) == 4096
         assert table.fidelities.min() >= 1 - TOL
         assert table.entries[(0, 0, 0, 0)] == ("I", "I", "I")
         assert table.entries[(0, 1, 0, 0)] == ("I", "I", "Z")
-        for seed in (_TABLE_SEED, _TABLE_SEED + 1):
+        for seed in (_TABLE_SEED - 1, _TABLE_SEED):
             x, shares = random_inputs(4, seed)
             assert derive_correction(0, (0, 0, 0), x, shares) == ("I", "I", "I")
             assert derive_correction(0, (1, 0, 0), x, shares) == ("I", "I", "Z")
