@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-550 CLI commands, and the digest of the file that each `--out` command writes.
+553 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -37,9 +37,14 @@ The set:
   under `verify --exhaustive` in both formats (4): the triples that tie on
   this profile differ in their X bits, where those of `x = e0` differ in
   their Z bits;
-- input errors (11), among them N = 6 under `verify --exhaustive` and
-  `table`, `table --out` into a missing directory, and an empty forced
-  outcome, which must be parsed (and rejected), not taken for no flag;
+- a profile document whose shares lose precision when composed,
+  fl(1e16 + 0.5) = 1e16, under `verify --exhaustive` and `run` (2): each
+  exits 2, as its bases would carry a phase that its target drops;
+- input errors (12), among them N = 6 under `verify --exhaustive` and
+  `table`, `table --out` into a missing directory, an empty forced
+  outcome, which must be parsed (and rejected), not taken for no flag, and
+  the forced outcome `1:\u0663`, an Arabic-Indic three, which `int()` reads
+  but the K:J1[,J2,...] grammar of ASCII digits does not;
 - the report of a failed basis validation, with the amplitude basis
   perturbed by 1e-6, N = 2, 3, in both formats (4): every branch still
   runs, and the report lists all 64 or 512 of them with `bases_pass` false;
@@ -109,6 +114,10 @@ TIE_PROFILES = {
     "e01_2.json": (2, {"x": _E01, "delta": [0.0] * 8}),
     "e01_3.json": (3, {"x": _E01, "shares": [[0.0] * 8] * 2}),
 }
+# Shares whose sum drops a phase, fl(1e16 + 0.5) = 1e16: run under `verify --exhaustive` and `run` alone.
+PRECISION_PROFILES = {
+    "precision3.json": (3, {"x": [0.5] * 4 + [0.0] * 4, "shares": [[0.0, 1e16] + [0.0] * 6, [0.0, 0.5] + [0.0] * 6]}),
+}
 # A profile whose path, echoed in the report, is not ASCII: written through `--out`.
 OUT_PROFILE = "prøfil.json"
 
@@ -148,6 +157,9 @@ def commands() -> list[list[str]]:
     for name, (n, _) in TIE_PROFILES.items():
         out += [["verify", "--senders", str(n), "--profile", name, "--exhaustive", "--format", fmt]
                 for fmt in ("structured", "table")]
+    for name, (n, _) in PRECISION_PROFILES.items():
+        out += [["verify", "--senders", str(n), "--profile", name, "--exhaustive"],
+                ["run", "--senders", str(n), "--profile", name]]
     out.append(["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE])
     out += [
         ["verify", "--senders", "1"],
@@ -158,6 +170,7 @@ def commands() -> list[list[str]]:
         ["run", "--force-outcome", "9:1"],
         ["run", "--senders", "3", "--force-outcome", "1:2"],
         ["run", "--force-outcome", ""],
+        ["run", "--force-outcome", "1:\u0663"],
         ["verify", "--profile", "missing.json"],
         ["table", "--senders", "6"],
         ["table", "--senders", "2", "--out", "missing/r.json"],
@@ -264,7 +277,8 @@ def main() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for name, (_, doc) in {**PROFILES, **TIE_PROFILES, OUT_PROFILE: PROFILES["delta2.json"]}.items():
+            documents = {**PROFILES, **TIE_PROFILES, **PRECISION_PROFILES, OUT_PROFILE: PROFILES["delta2.json"]}
+            for name, (_, doc) in documents.items():
                 with open(name, "w", encoding="utf-8") as f:
                     json.dump(doc, f)
             for argv in commands():

@@ -135,6 +135,10 @@ def load_profile(path: str, senders: int) -> tuple[AmplitudeProfile, PhaseProfil
         if shares.n_senders != senders:
             raise ProfileError(f"'shares' has {len(rows)} rows, expected {senders - 1} for {senders} senders")
         composed = bases.compose_phases(shares)
+        # A sum that drops a share's phase (fl(1e16 + 0.5) == 1e16) is a target the bases do not encode.
+        gap = np.max(np.abs(np.exp(1j * composed.delta) - np.prod(np.exp(1j * shares.shares), axis=0)))
+        if gap > COMPOSE_TOL:
+            raise ProfileError(f"'shares' lose precision when composed: their sum's phases are off by {gap:.3g}")
         if delta is not None and np.max(np.abs(composed.delta - delta.delta)) > COMPOSE_TOL:
             raise ProfileError("'shares' do not compose to 'delta'")
         return x, shares
@@ -465,14 +469,17 @@ def cmd_table(config: RunConfig) -> tuple[int, protocol.CorrectionTable]:
 
 
 def parse_force(text: str) -> tuple[int, tuple[int, ...]]:
-    """Parse a forced outcome written as K:J1[,J2,...]."""
+    """Parse a forced outcome written as K:J1[,J2,...], every field ASCII decimal digits
+    (int() alone would also read other scripts' digits, "_", signs and spaces)."""
+    head, _, tail = text.partition(":")
+    fields = [head, *tail.split(",")]
     try:
-        head, _, tail = text.partition(":")
-        k = int(head)
-        js = tuple(int(p) for p in tail.split(","))
+        if not all(field.isascii() and field.isdigit() for field in fields):
+            raise ValueError(text)
+        k, *js = map(int, fields)  # a field past int()'s digit limit raises ValueError too
     except ValueError as exc:
         raise ProfileError(f"cannot parse forced outcome {text!r}: expected K:J1[,J2,...]") from exc
-    return k, js
+    return k, tuple(js)
 
 
 @functools.cache  # built once per process: building costs about ten parses

@@ -18,11 +18,12 @@ by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
 normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Every run is one walk
 over that form, `_walk`, which keeps every branch for exhaustive runs and
 `table`, the named digits for forced runs, and the drawn digits for sampled
-runs. `run_branches` returns a run as one batched `Branches` record, which
-verify reports from; `transcripts` reads it as one transcript per branch,
-the row view that `run_two_sender`, `run_n_sender` and the `run` command
-share. The dense chain over all 3(N+1) qubits, `_dense_branch`, is the test
-oracle, and `_collapse_branches` the tests' bit-for-bit reference walk.
+runs. `run_branches` returns a run as one batched `Branches` record of the
+corrected 8-vectors and their fidelities, which verify reports from; the
+parity expansion is an isometry, so it keeps them. `transcripts` expands the
+states into one transcript per branch, the row view of `run_two_sender`,
+`run_n_sender` and `run`. The test oracle is the dense chain over all 3(N+1)
+qubits, `_dense_branch`; `_collapse_branches` is the tests' reference walk.
 
 Runs and `table` take each correction from the digits, as a Pauli frame; a
 branch the frame misses is an oracle failure, a defective layout. The
@@ -160,8 +161,8 @@ class Branches:
     outcomes: np.ndarray  # (B, N) announced digits k, j_1, ..., j_{N-1}
     steps: np.ndarray  # (B, N) each party's outcome probability given the outcomes before it
     triples: np.ndarray  # (B,) index into _TRIPLES of each branch's correction
-    finals: np.ndarray  # (B, 16) corrected, parity-expanded receiver states
-    fidelities: np.ndarray  # (B,) fidelity of each final state with the target
+    corrected: np.ndarray  # (B, 8) corrected receiver states, before the parity expansion
+    fidelities: np.ndarray  # (B,) fidelity of each corrected state with the compressed target
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -407,15 +408,17 @@ def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
 def _corrections(outcomes: np.ndarray, states: np.ndarray,
                  target3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each branch's correction as the search picks it, its corrected state and its fidelity |corrected .
-    conj(target3)|^2. On the paper's layout the branch is the target under the frame Z^z X^k, z = s(k) ^
-    s(j_1) ^ ... for s = bases.WALSH_INDEX: its ties are the frame XOR the target's own, and the search takes
-    the least. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the first such branch;
-    it sums in another order than the search's, so a value within an ulp or two of the threshold could flip."""
+    conj(target3)|^2, a one-row batch padded to two so that its bits are those of any batch. On the paper's
+    layout the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX:
+    its ties are the frame XOR the target's own, and the search takes the least. A fidelity below
+    1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the first such branch; it sums in another order
+    than the search's, so a value within an ulp or two of the threshold could flip."""
     z = _walsh_xor(outcomes)
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
     corrected = _apply_corrections(states, found)
-    fidelities = np.abs(corrected @ target3.conj()) ** 2
+    padded = corrected.repeat(2, axis=0) if len(corrected) == 1 else corrected
+    fidelities = (np.abs(padded @ target3.conj()) ** 2)[: len(corrected)]
     missed = (~(fidelities >= 1.0 - FIDELITY_TOL)).nonzero()[0]
     if missed.size:
         b = missed[0]
@@ -436,17 +439,6 @@ def _apply_corrections(states: np.ndarray, found: np.ndarray) -> np.ndarray:
     index += np.arange(0, 8 * len(states), 8)[:, None]
     corrected = states.reshape(-1).take(index)
     return np.multiply(_TRIPLE_CSIGN.take(found, axis=0), corrected, out=corrected)
-
-
-def _corrected(corrected: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-expanded corrected states and their fidelities with the target. A one-row
-    batch is padded to two, so a branch's bits do not depend on its batch. The product
-    conjugates the rows in place and back, which is exact and spares a (B, 16) copy."""
-    finals = _expand_parity(corrected)
-    padded = finals.repeat(2, axis=0) if len(finals) == 1 else finals
-    fidelities = np.abs(np.conjugate(padded, out=padded) @ _expand_parity(target3[None])[0]) ** 2
-    np.conjugate(padded, out=padded)
-    return finals, fidelities[: len(finals)]
 
 
 def _apply_correction(state3: StateVector, triple: CorrectionTriple) -> StateVector:
@@ -565,16 +557,13 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
         outcomes = _all_outcomes(n_senders)
         states, steps = _walk(rows)
 
-    target3 = _target_amps(x, phases)
-    found, corrected, _ = _corrections(outcomes, states, target3)
-    finals, fidelities = _corrected(corrected, target3)
-    return Branches(sets.labels, outcomes, steps, found, finals, fidelities)
+    return Branches(sets.labels, outcomes, steps, *_corrections(outcomes, states, _target_amps(x, phases)))
 
 
 def transcripts(run: Branches) -> list[ProtocolTranscript]:
     """One transcript per branch of `run`, in its branch order."""
     bits = 3 * run.outcomes.shape[1]
-    branches = zip(run.outcomes.tolist(), run.steps.tolist(), run.corrections, run.finals,
+    branches = zip(run.outcomes.tolist(), run.steps.tolist(), run.corrections, _expand_parity(run.corrected),
                    run.fidelities.tolist(), run.probabilities.tolist())
     return [
         ProtocolTranscript(

@@ -517,16 +517,16 @@ def test_run_branches_agree_across_modes(n_senders):
         sets = measurement_bases(x, phases, n_senders)
         every = run_branches(x, phases, sets, "exhaustive", None, 1, None)
         sampled = run_branches(x, phases, sets, "sampled", seed, 300, None)
-        assert_rows_of(sampled, every, ("steps", "finals", "fidelities"))
+        assert_rows_of(sampled, every, ("steps", "corrected", "fidelities"))
         for o in forced:
             run = run_branches(x, phases, sets, "sampled", seed, 1, (o[0], o[1:]))
-            assert_rows_of(run, every, ("steps", "finals", "fidelities"))
+            assert_rows_of(run, every, ("steps", "corrected", "fidelities"))
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_fidelities_do_not_depend_on_the_batch(n_senders):
     # numpy takes another product path for a one-row matrix than for two or
-    # more rows; `_corrected` pads a one-row batch, so every chunk size, and
+    # more rows; `_corrections` pads a one-row batch, so every chunk size, and
     # the short tail of 100 rows in chunks of 3, 6, 7, 8 or 9, gives the bits
     # of the whole batch.
     x, phases = random_inputs(n_senders, 0)
@@ -537,9 +537,22 @@ def test_fidelities_do_not_depend_on_the_batch(n_senders):
     for size in range(1, 10):
         for start in range(0, len(rows), size):
             b = rows[start : start + size]
-            finals, fidelities = protocol._corrected(_apply_corrections(states[b], run.triples[b]), target3)
-            assert_bits_equal(finals, run.finals[b])
+            found, corrected, fidelities = protocol._corrections(run.outcomes[b], states[b], target3)
+            assert np.array_equal(found, run.triples[b])
+            assert_bits_equal(corrected, run.corrected[b])
             assert_bits_equal(fidelities, run.fidelities[b])
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+def test_table_and_verify_agree(n_senders):
+    # `table` reports the corrections and fidelities of an exhaustive run on
+    # its profile, bit for bit: both take them from the one 8-vector product.
+    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
+    run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
+    table = build_correction_table(n_senders)
+    assert np.array_equal(run.outcomes, table.outcomes)
+    assert np.array_equal(run.triples, table.triples)
+    assert_bits_equal(run.fidelities, table.fidelities)
 
 
 def walsh_character(s):
@@ -576,7 +589,9 @@ def assert_frame_is_the_search(x, phases, n_senders):
         patch.setattr(protocol, "_search_corrections", refuse)
         run = run_branches(x, phases, sets, "exhaustive", None, 1, None)
     assert np.array_equal(run.triples, searched)
-    assert_bits_equal(run.fidelities, protocol._corrected(_apply_corrections(states, searched), target3)[1])
+    corrected = _apply_corrections(states, searched)
+    assert_bits_equal(run.corrected, corrected)
+    assert_bits_equal(run.fidelities, np.abs(corrected @ target3.conj()) ** 2)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))

@@ -101,6 +101,21 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match="compose"):
             load_profile(write_profile(tmp_path, doc), senders=3)
 
+    def test_shares_that_lose_precision_when_composed_rejected(self, tmp_path, capsys):
+        # fl(1e16 + 0.5) == 1e16: the composed target drops the 0.5 rad that
+        # the second sender's bases still carry, so every correction would miss.
+        doc = {"x": [0.5] * 4 + [0.0] * 4, "shares": [[0.0, 1e16] + [0.0] * 6, [0.0, 0.5] + [0.0] * 6]}
+        path = write_profile(tmp_path, doc)
+        with pytest.raises(ProfileError, match="lose precision when composed: .* off by 0.495"):
+            load_profile(path, senders=3)
+        for argv in (["verify", "--exhaustive"], ["run"]):
+            assert main([*argv, "--senders", "3", "--profile", path]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: 'shares' lose precision")
+        # Phases near 1e6 rad compose within an ulp of their unit phases' product.
+        doc["shares"] = [[0.0, 1e6, -1e6, 3.0, 0, 0, 0, 0], [0.0, 2.5, 1e6 + 1.0, 0, 0, 0, 0, 0]]
+        assert load_profile(write_profile(tmp_path, doc), senders=3)[1].n_senders == 3
+
     def test_share_row_count_must_match_senders(self, tmp_path):
         doc = valid_doc()
         del doc["delta"]
@@ -168,7 +183,7 @@ def hand_branches(probabilities: list[float], fidelities: list[float], n: int = 
         outcomes=np.zeros((rows, n), dtype=np.intp),
         steps=steps,
         triples=np.zeros(rows, dtype=np.intp),
-        finals=np.zeros((rows, 16), dtype=complex),
+        corrected=np.zeros((rows, 8), dtype=complex),
         fidelities=np.array(fidelities, dtype=float),
     )
 
@@ -476,6 +491,16 @@ class TestForceParsing:
         with pytest.raises(ProfileError):
             parse_force("1-3")
 
+    @pytest.mark.parametrize(
+        "text", ["1:\u0663", "1:2_3", "1:+2", " 1:2", "1:2 ", "\uff11:2", "1:2,", "1:" + "9" * 5000]
+    )
+    def test_rejects_what_int_reads_outside_the_grammar(self, text):
+        # Every field is ASCII decimal digits: int() alone would read an
+        # Arabic-Indic three, "_" separators, signs and spaces. A field past
+        # int()'s digit limit is rejected the same way.
+        with pytest.raises(ProfileError, match=r"^cannot parse forced outcome '.*': expected K:J1\[,J2,\.\.\.\]$"):
+            parse_force(text)
+
     def test_digit_range_is_a_config_check(self):
         # parse_force reads the digits; RunConfig checks their range for every caller.
         assert parse_force("9:1") == (9, (1,))
@@ -616,14 +641,16 @@ class TestMain:
         ("senders", "digest"),
         [
             (2, "3c5ac91877f984ad53827a6499758da01bc65dd95ac8302521447a755ae5a125"),
-            (3, "090f64ef8e02ae7adbddee53d92b467c24a5ab0adc270e8486658dae0dc1222e"),
+            (3, "6621f31deab799108cea19d827531e3dbe4353a703449704f591fec62f5d646f"),
             (4, "2016bf0b205a085fee5dfac8cfd1545aca0a187731a0c0d3ec88387303f43d5c"),
             (5, "3514344df62b3def49ea71ec6ca4b1449e0abb78d6e34d66f59f9443cbd3805d"),
         ],
     )
     def test_sampled_report_bytes_pinned(self, senders, digest, capsys):
-        # sha256 of the whole report as the trial-by-trial sampler wrote it;
-        # 2000 trials take the batched sampler over a chunk boundary.
+        # sha256 of the whole report as the trial-by-trial sampler wrote it,
+        # but for fidelities taken on the corrected 8-vectors, which moved the
+        # last bits of some at N = 3; 2000 trials take the batched sampler
+        # over a chunk boundary.
         argv = ["verify", "--senders", str(senders), "--trials", "2000", "--seed", "7"]
         assert main(argv) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -633,7 +660,7 @@ class TestMain:
         [
             (
                 "verify --senders 3 --exhaustive --seed 7",
-                "fde3ff8422678fffaa35bd565f9d0b621554189c8c4bf8110ec30d77cff16fbc",
+                "73940ee0fc3b8b994e316e0514088337c7c8e9fa5425daa49e892082411f9f60",
             ),
             (
                 "verify --senders 2 --exhaustive --seed 7 --format table",
@@ -641,10 +668,10 @@ class TestMain:
             ),
             ("table --senders 3", "9ad082bdcd9e3b2cdea165fca7ebe5ab29eabeeb2289ad58d06ed75f202d5591"),
             ("table --senders 3 --format table", "f9abfc046c9ec7d33397caaa7f6c706fff907e872e41c9b700210a17ded60c76"),
-            ("run --senders 3 --seed 7", "b9039913c497e81030387beba82217dd5aa9cb79b30dc3f0cb2d851c6c84a6b3"),
+            ("run --senders 3 --seed 7", "fd3c16daa5969126b5578fc71d224f1cf9c6df1b1173151d02eaadce81698467"),
             (
                 "run --senders 3 --seed 7 --format table",
-                "cabd29653832d01741ae7e761212d3f501a4fcd0672f560466746406ec2121d4",
+                "feae02cd56a97dd638abbc7c4b3ebe41f25d06a56449fb83cca6e341a7afdd22",
             ),
             (
                 "run --senders 5 --force-outcome 1:2,3,4,5",
@@ -661,7 +688,9 @@ class TestMain:
         # and the table lines written row by row from row dicts produced it;
         # for `run`, as it was written before `run` shared `verify`'s path,
         # except the fidelity, which a one-row batch now gets with the bits
-        # of its branch in any larger batch.
+        # of its branch in any larger batch. Fidelities are taken on the
+        # corrected 8-vectors, as `table` takes them, which moved the last
+        # bits of some in both N = 3 reports and the N = 3 `run`.
         assert main(argv.split()) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
