@@ -1,10 +1,11 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-553 CLI commands, and the digest of the file that each `--out` command writes.
+555 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
-file>`. Run it on two versions of the package and `diff` the outputs to
-check that a change keeps stdout, stderr and exit codes byte-identical:
+file>` (`-` where a failing command wrote none). Run it on two versions of
+the package and `diff` the outputs to check that a change keeps stdout,
+stderr and exit codes byte-identical:
 
     PYTHONPATH=<checkout of the parent commit>/src python3 scripts/cli_digest.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digest.py > after.txt
@@ -69,6 +70,10 @@ The set:
   that non-ASCII path: in the structured format to stdout and through
   `--out`, and in the table format through `--out` (3). The structured
   report's head writes the path with the escape `\u00f8`;
+- `verify --senders 2 --exhaustive` on the path b"p\xff.json", which is not
+  UTF-8, through `--out` in both formats (2): argv decodes it with
+  surrogateescape, and the table report writes it back as its own bytes.
+  The command is printed with the name escaped, `p\udcff.json`;
 - argv that `harness._parse` hands to argparse (14): an `=` form, an
   abbreviation, an exclusive pair, a repeated option (the last value wins),
   a missing value, a stray word, a bad choice, a bad integer, a second
@@ -120,6 +125,8 @@ PRECISION_PROFILES = {
 }
 # A profile whose path, echoed in the report, is not ASCII: written through `--out`.
 OUT_PROFILE = "prøfil.json"
+# A profile whose path is not UTF-8, as argv decodes it: written through `--out`.
+RAW_PROFILE = os.fsdecode(b"p\xff.json")
 
 
 def commands() -> list[list[str]]:
@@ -202,8 +209,8 @@ def out_commands() -> list[list[str]]:
         ["verify", "--senders", "5", "--trials", "100", "--seed", "7"],
     ]
     out = [[*argv, "--format", fmt] for argv in campaigns for fmt in ("structured", "table")]
-    return [*out, *(["verify", "--senders", "2", "--exhaustive", "--profile", OUT_PROFILE, "--format", fmt]
-                    for fmt in ("structured", "table"))]
+    return [*out, *(["verify", "--senders", "2", "--exhaustive", "--profile", name, "--format", fmt]
+                    for name in (OUT_PROFILE, RAW_PROFILE) for fmt in ("structured", "table"))]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -277,7 +284,8 @@ def main() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            documents = {**PROFILES, **TIE_PROFILES, **PRECISION_PROFILES, OUT_PROFILE: PROFILES["delta2.json"]}
+            documents = {**PROFILES, **TIE_PROFILES, **PRECISION_PROFILES, OUT_PROFILE: PROFILES["delta2.json"],
+                         RAW_PROFILE: PROFILES["delta2.json"]}
             for name, (_, doc) in documents.items():
                 with open(name, "w", encoding="utf-8") as f:
                     json.dump(doc, f)
@@ -308,14 +316,17 @@ def main() -> None:
                     lines.append((" ".join(argv) + " [amplitude layout entry negated]", *run(argv)))
             for argv in out_commands():
                 code, stdout, stderr = run([*argv, "--out", "report.out"])
-                with open("report.out", "rb") as f:
-                    written = hashlib.sha256(f.read()).hexdigest()
-                os.remove("report.out")
+                written = "-"
+                if os.path.exists("report.out"):
+                    with open("report.out", "rb") as f:
+                        written = hashlib.sha256(f.read()).hexdigest()
+                    os.remove("report.out")
                 lines.append((" ".join(argv) + " --out", code, stdout, stderr, written))
         finally:
             os.chdir(cwd)
     for line in lines:
-        print("\t".join(map(str, line)))
+        # A lone surrogate, from a name that is not UTF-8, is printed as its escape.
+        print("\t".join(map(str, line)).encode("utf-8", "backslashreplace").decode())
 
 
 if __name__ == "__main__":

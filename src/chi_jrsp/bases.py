@@ -19,18 +19,19 @@ from .qstate import NORM_TOL, BasisSet, gram_deviation, require_orthonormal
 
 _INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
-# The one definition of both layouts. Row j of the sign table is the Walsh
-# character (-1)**popcount(WALSH_INDEX[j] & m), and argument slot m of row k
-# holds entry k ^ m: the phase bases take unit phase r_(k^m) there (r_0 is
-# the constant 1), the amplitude layout magnitude x_(k^m). The Pauli frame
-# reads the same index. Rows are pairwise orthogonal as +-1 vectors, which
-# makes every phase basis orthonormal after the 1/(2 sqrt 2) scaling.
+# The one definition of both layouts. WALSH_CHARACTERS[z, m] is
+# (-1)**popcount(z & m); row j of the sign table is character WALSH_INDEX[j],
+# and argument slot m of row k holds entry k ^ m: the phase bases take unit
+# phase r_(k^m) there (r_0 is the constant 1), the amplitude layout magnitude
+# x_(k^m). The Pauli frame and the corrections read these tables. The +-1 rows
+# are orthogonal, so each phase basis is orthonormal after the 1/(2 sqrt 2) scaling.
 WALSH_INDEX = np.array((0, 1, 7, 2, 5, 6, 3, 4))
+WALSH_CHARACTERS = np.array([[(-1.0) ** bin(z & m).count("1") for m in range(8)] for z in range(8)])
 _PHASE_ARGS = np.bitwise_xor.outer(np.arange(8), np.arange(8))
 PHASE_ARG_INDEX = tuple(map(tuple, _PHASE_ARGS.tolist()))
 # The amplitude layout reads this import-time copy, so a replaced
 # SIGN_PATTERN, as the mutant checks swap in, reaches only the phase bases.
-_SIGNS = np.array([[(-1.0) ** bin(s & m).count("1") for m in range(8)] for s in WALSH_INDEX.tolist()])
+_SIGNS = WALSH_CHARACTERS[WALSH_INDEX]
 SIGN_PATTERN = _SIGNS.copy()
 
 

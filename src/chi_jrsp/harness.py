@@ -379,12 +379,12 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    """To stdout, or to `out_path` with no `io` stack: encoded as a text-mode write
-    would, before the open (a failure leaves the file), then `os.write` to the end."""
+    """To stdout, or to `out_path` with no `io` stack: encoded before the open (a failure leaves the file), with
+    surrogateescape, so a path that argv decoded that way is written as its own bytes; then `os.write` to the end."""
     if out_path is None:
         sys.stdout.write(text)
         return
-    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    data = memoryview(text.encode(locale.getpreferredencoding(False), "surrogateescape"))
     try:
         fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:

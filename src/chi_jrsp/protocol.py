@@ -46,9 +46,6 @@ from .bases import AmplitudeProfile, PhaseProfile, PhaseShares
 
 # fidelity_up_to_phase stays importable here: perfbench/tracer.py wraps it.
 from .qstate import (  # noqa: F401
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
     BasisSet,
     StateVector,
     apply_cnot,
@@ -68,34 +65,27 @@ _SHARE_LABELS = tuple(tuple(f"share[l={l},k={k}]" for k in range(8)) for l in ra
 # Per-qubit correction alphabet in deterministic search order. "ZX" means
 # Z applied after X, i.e. the matrix product Z @ X.
 CORRECTION_OPS = ("I", "X", "Z", "ZX")
-_OP_MATRIX = {
-    "I": PAULI_I,
-    "X": PAULI_X,
-    "Z": PAULI_Z,
-    "ZX": PAULI_Z @ PAULI_X,
-}
 
-# All 64 correction triples in search order, with their 8x8 matrices on the
-# receiver's triple (first receiver qubit most significant). Each matrix is a
-# signed permutation, applied as (P v)[m] == _TRIPLE_SIGN[t, m] * v[_TRIPLE_PERM[t, m]].
+# All 64 correction triples in search order, first receiver qubit outermost.
+# Triple t holds each qubit's op index as x + 2z, so _FLIPS[t] gathers its X
+# bits and _FLIPS[t >> 1] its Z bits. Z^z X^x is the signed permutation
+# (P v)[m] == _TRIPLE_SIGN[t, m] * v[_TRIPLE_PERM[t, m]] == (-1)**popcount(z & m) * v[m ^ x]:
+# row x of the layouts' XOR table, signed by Walsh character z. So the XOR of
+# two indices is their product up to sign.
 _TRIPLES = tuple(itertools.product(CORRECTION_OPS, repeat=3))
-_TRIPLE_MATRIX = np.array([np.kron(np.kron(_OP_MATRIX[a], _OP_MATRIX[b]), _OP_MATRIX[c]) for a, b, c in _TRIPLES])
-_TRIPLE_PERM = np.abs(_TRIPLE_MATRIX).argmax(axis=2)
-_TRIPLE_SIGN = np.take_along_axis(_TRIPLE_MATRIX, _TRIPLE_PERM[..., None], axis=2)[..., 0].real
+_FLIPS = np.array([t >> 2 & 4 | t >> 1 & 2 | t & 1 for t in range(len(_TRIPLES))])
+_TRIPLE_PERM = bases._PHASE_ARGS[_FLIPS]
+_TRIPLE_SIGN = bases.WALSH_CHARACTERS[_FLIPS[np.arange(len(_TRIPLES)) >> 1]]
 # The signs as complex, the type numpy casts them to before it multiplies a
-# complex state; and each column t of the permutations inverted, with its
-# signs in that order: _INVERSE_PERM[_TRIPLE_PERM[t, m], t] == m (a scatter,
-# not argsort, whose sort kernels a fresh process would page in).
+# complex state; and the permutations inverted, column t for triple t, with
+# their signs in that order. XOR undoes itself, so the inverse is the transpose.
 _TRIPLE_CSIGN = _TRIPLE_SIGN.astype(complex)
-_INVERSE_PERM = np.empty((8, len(_TRIPLES)), dtype=np.intp)
-_INVERSE_PERM[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = np.arange(8)
-_INVERSE_CSIGN = np.empty((8, len(_TRIPLES)), dtype=complex)
-_INVERSE_CSIGN[_TRIPLE_PERM, np.arange(len(_TRIPLES))[:, None]] = _TRIPLE_SIGN
+_INVERSE_PERM = _TRIPLE_PERM.T.copy()
+_INVERSE_CSIGN = np.take_along_axis(_TRIPLE_CSIGN, _TRIPLE_PERM, 1).T.copy()
 
 # _SPREAD[v] is the _TRIPLES index of X (twice it: Z) on the receiver qubits
-# set in v, as each qubit's op index is x + 2z: the XOR of two indices is the
-# Pauli product up to sign. The frame's Z bits come from bases.WALSH_INDEX,
-# the index whose Walsh characters are the rows of both measurement layouts.
+# set in v. The frame's Z bits come from bases.WALSH_INDEX, the index whose
+# Walsh characters are the rows of both measurement layouts.
 _SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)])
 
 # Indices of the eight even-parity four-qubit kets, in target order: the

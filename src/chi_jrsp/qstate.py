@@ -23,9 +23,6 @@ import numpy as np
 NORM_TOL = 1e-12
 NEGLIGIBLE_PROBABILITY = 1e-14
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _EYE8 = np.eye(8)
 
 

@@ -10,10 +10,10 @@ is an oracle failure.
 `_collapse_branches`, which gathers one row per branch, is the
 reference that the walk equals bit for bit in every mode, and no run calls
 it. `_dense_branch` measures the full register with the dense engine, and
-`_TRIPLE_MATRIX` and `parity_expand` are the dense correction and
-expansion. Both paths renormalize after every measurement, so states and
-step probabilities agree to rounding, entrywise and without any global
-phase alignment.
+`_TRIPLE_MATRIX`, Kronecker products of 2x2 Paulis, and `parity_expand`
+are the dense correction and expansion. Both paths renormalize after every
+measurement, so states and step probabilities agree to rounding, entrywise
+and without any global phase alignment.
 """
 
 import itertools
@@ -40,7 +40,6 @@ from chi_jrsp.protocol import (
     _TRIPLES,
     FIDELITY_TOL,
     MAX_SENDERS,
-    _TRIPLE_MATRIX,
     NoCorrectionFound,
     _all_outcomes,
     _apply_correction,
@@ -63,6 +62,12 @@ from chi_jrsp.protocol import (
 from chi_jrsp.qstate import StateVector, fidelity_up_to_phase
 
 ENGINE_TOL = 1e-15
+
+PAULI = {"I": np.eye(2, dtype=complex), "X": np.array([[0, 1], [1, 0]], dtype=complex),
+         "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+PAULI["ZX"] = PAULI["Z"] @ PAULI["X"]
+# The 8x8 matrix of each triple, in _TRIPLES order, first receiver qubit most significant.
+_TRIPLE_MATRIX = np.array([np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c]) for a, b, c in _TRIPLES])
 
 MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
 PHASES = st.one_of(st.floats(-7.0, 7.0), st.floats(1e6 - 10.0, 1e6 + 10.0), st.floats(-1e6 - 10.0, -1e6 + 10.0))
@@ -168,6 +173,14 @@ def test_batched_correction_and_expansion_match_dense_matrices():
         assert np.array_equal(row, matrix @ state)
         assert np.array_equal(row, _apply_correction(StateVector(state), triple).amps)
         assert np.array_equal(row16, parity_expand(StateVector(row)).amps)
+
+
+def test_product_of_two_triples_is_their_xor_up_to_sign():
+    # The frame's tie rule and _SPREAD compose triples by XOR of their indices.
+    index = np.arange(len(_TRIPLES))
+    products = np.einsum("sij,tjk->stik", _TRIPLE_MATRIX, _TRIPLE_MATRIX)
+    xor = _TRIPLE_MATRIX[index[:, None] ^ index]
+    assert ((products == xor).all(axis=(2, 3)) | (products == -xor).all(axis=(2, 3))).all()
 
 
 def replaying_sampler(rows, n_senders, rng, trials):

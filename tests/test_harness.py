@@ -508,6 +508,35 @@ class TestForceParsing:
             RunConfig(senders=2, force=(9, (1,)))
 
 
+# The sha256 of stdout for each argv of `TestMain.test_report_and_table_bytes_pinned`. The argv alone
+# names each case, so a planned re-pin keeps the test id (so does the sender count of the sampled pins).
+REPORT_PINS = [
+    (
+        "verify --senders 3 --exhaustive --seed 7",
+        "73940ee0fc3b8b994e316e0514088337c7c8e9fa5425daa49e892082411f9f60",
+    ),
+    (
+        "verify --senders 2 --exhaustive --seed 7 --format table",
+        "ed7aaadb4275a8f84846a4a6a3e0a45e8828600393de347fcab3611b5b2a06cc",
+    ),
+    ("table --senders 3", "9ad082bdcd9e3b2cdea165fca7ebe5ab29eabeeb2289ad58d06ed75f202d5591"),
+    ("table --senders 3 --format table", "f9abfc046c9ec7d33397caaa7f6c706fff907e872e41c9b700210a17ded60c76"),
+    ("run --senders 3 --seed 7", "fd3c16daa5969126b5578fc71d224f1cf9c6df1b1173151d02eaadce81698467"),
+    (
+        "run --senders 3 --seed 7 --format table",
+        "feae02cd56a97dd638abbc7c4b3ebe41f25d06a56449fb83cca6e341a7afdd22",
+    ),
+    (
+        "run --senders 5 --force-outcome 1:2,3,4,5",
+        "231594b0ca81889b3e0a7aa0117852d0f093dd3592e77fcd11e0e10a692a5bbf",
+    ),
+    (
+        "run --senders 5 --force-outcome 1:2,3,4,5 --format table",
+        "5fc9a38e747e8b24d4ce93c13204e6b9f415ea617e4ff7f6d15ec258880ee1d7",
+    ),
+]
+
+
 class TestMain:
     def test_verify_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -609,6 +638,14 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == text.encode(locale.getpreferredencoding(False))
 
+    def test_non_utf8_profile_path_is_written_as_its_bytes(self, tmp_path):
+        # argv decodes the path b"p\xff.json" with surrogateescape, and the
+        # table report that echoes it is encoded back the same way.
+        path = write_profile(tmp_path, valid_doc(), name=os.fsdecode(b"p\xff.json"))
+        out = tmp_path / "r.out"
+        assert main(["verify", "--exhaustive", "--profile", path, "--format", "table", "--out", str(out)]) == EXIT_PASS
+        assert b"p\xff.json" in out.read_bytes()
+
     def test_unencodable_report_leaves_the_file(self, tmp_path, monkeypatch):
         # The report is encoded before the file is opened.
         out = tmp_path / "r.out"
@@ -645,6 +682,7 @@ class TestMain:
             (4, "2016bf0b205a085fee5dfac8cfd1545aca0a187731a0c0d3ec88387303f43d5c"),
             (5, "3514344df62b3def49ea71ec6ca4b1449e0abb78d6e34d66f59f9443cbd3805d"),
         ],
+        ids=["2", "3", "4", "5"],
     )
     def test_sampled_report_bytes_pinned(self, senders, digest, capsys):
         # sha256 of the whole report as the trial-by-trial sampler wrote it,
@@ -655,34 +693,7 @@ class TestMain:
         assert main(argv) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        ("argv", "digest"),
-        [
-            (
-                "verify --senders 3 --exhaustive --seed 7",
-                "73940ee0fc3b8b994e316e0514088337c7c8e9fa5425daa49e892082411f9f60",
-            ),
-            (
-                "verify --senders 2 --exhaustive --seed 7 --format table",
-                "ed7aaadb4275a8f84846a4a6a3e0a45e8828600393de347fcab3611b5b2a06cc",
-            ),
-            ("table --senders 3", "9ad082bdcd9e3b2cdea165fca7ebe5ab29eabeeb2289ad58d06ed75f202d5591"),
-            ("table --senders 3 --format table", "f9abfc046c9ec7d33397caaa7f6c706fff907e872e41c9b700210a17ded60c76"),
-            ("run --senders 3 --seed 7", "fd3c16daa5969126b5578fc71d224f1cf9c6df1b1173151d02eaadce81698467"),
-            (
-                "run --senders 3 --seed 7 --format table",
-                "feae02cd56a97dd638abbc7c4b3ebe41f25d06a56449fb83cca6e341a7afdd22",
-            ),
-            (
-                "run --senders 5 --force-outcome 1:2,3,4,5",
-                "231594b0ca81889b3e0a7aa0117852d0f093dd3592e77fcd11e0e10a692a5bbf",
-            ),
-            (
-                "run --senders 5 --force-outcome 1:2,3,4,5 --format table",
-                "5fc9a38e747e8b24d4ce93c13204e6b9f415ea617e4ff7f6d15ec258880ee1d7",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize(("argv", "digest"), REPORT_PINS, ids=[argv for argv, _ in REPORT_PINS])
     def test_report_and_table_bytes_pinned(self, argv, digest, capsys):
         # sha256 of stdout as json.dumps(..., indent=2) of the whole document
         # and the table lines written row by row from row dicts produced it;
