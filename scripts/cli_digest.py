@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-555 CLI commands, and the digest of the file that each `--out` command writes.
+579 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -56,6 +56,14 @@ The set:
   `bases.SIGN_PATTERN` swapped (4): the bases stay orthonormal but relabel
   the phase senders' outcomes, so the Pauli frame misses on some branches,
   and each exits 3 and names the first as an oracle failure;
+- `verify --trials 30 --seed 7`, `verify --trials 257 --seed 7` and forced
+  runs at the digit corners 0:0,... and 7:7,..., N = 2, 3, 5, under those
+  swapped rows and under column 5 of `bases.SIGN_PATTERN` negated (24): both
+  mutants keep every basis orthonormal and every middle sender's rows equal
+  to its row 0 up to signs, so the sampler's step table holds. Under the
+  swap every `verify` exits 3 and the corners, whose digits it keeps, pass;
+  under the flip N = 2 exits 3, and N = 3, 5 pass, as their even number of
+  phase senders cancel each other's signs;
 - with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
   `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
   `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis
@@ -278,6 +286,19 @@ def swap_rows(pattern):
     pattern[[1, 2]] = pattern[[2, 1]]
 
 
+def flip_column(pattern):
+    pattern[:, 5] *= -1
+
+
+def sampler_commands() -> list[list[str]]:
+    """The sampled and forced commands run under a +-1 mutant of SIGN_PATTERN."""
+    out = []
+    for n in (2, 3, 5):
+        out += [["verify", "--senders", str(n), "--trials", t, "--seed", "7"] for t in ("30", "257")]
+        out += [["run", "--senders", str(n), "--force-outcome", f"{d}:{','.join(str(d) * (n - 1))}"] for d in (0, 7)]
+    return out
+
+
 def main() -> None:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -306,6 +327,10 @@ def main() -> None:
                     for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "1"],
                                  ["table", "--senders", str(n)]):
                         lines.append((" ".join(argv) + " [sign pattern rows swapped]", *run(argv)))
+            for change, tag in ((swap_rows, "rows swapped"), (flip_column, "column flipped")):
+                with sign_pattern(change):
+                    for argv in sampler_commands():
+                        lines.append((" ".join(argv) + f" [sign pattern {tag}]", *run(argv)))
             with negated_layout_entry():
                 for argv in (
                     *(["verify", "--senders", str(n), "--exhaustive", "--seed", "1"] for n in (2, 3)),

@@ -6,9 +6,9 @@ generator. Reports are rendered as JSON ("structured") or as a tab-delimited
 table ("table"); identical config and seed produce byte-identical output.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (including an
-unwritable output path), 3 internal oracle failure (no correction found,
-which signals a transcription bug), 4 internal error (any other exception,
-reported as one `internal error:` line on stderr).
+unwritable output path or stdout), 3 internal oracle failure (no correction
+found, which signals a transcription bug), 4 internal error (any other
+exception, reported as one `internal error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -379,13 +379,14 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    """To stdout, or to `out_path` with no `io` stack: encoded before the open (a failure leaves the file), with
-    surrogateescape, so a path that argv decoded that way is written as its own bytes; then `os.write` to the end."""
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    data = memoryview(text.encode(locale.getpreferredencoding(False), "surrogateescape"))
+    """To stdout, flushed, or to `out_path` with no `io` stack: encoded before the open (a failure leaves the file),
+    with surrogateescape, so a path that argv decoded that way is its own bytes; then `os.write` to the end."""
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        data = memoryview(text.encode(locale.getpreferredencoding(False), "surrogateescape"))
         fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
             while data:
@@ -393,7 +394,7 @@ def _write_output(text: str, out_path: str | None) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise ProfileError(f"cannot write {out_path}: {exc}") from exc
+        raise ProfileError(f"cannot write {'stdout' if out_path is None else out_path}: {exc}") from exc
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, VerificationReport]:

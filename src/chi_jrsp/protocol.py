@@ -15,15 +15,16 @@ takes the phase input as a PhaseProfile or as PhaseShares, and
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
 every measurement: measuring a triple in basis row b multiplies it entrywise
 by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Every run is one walk
-over that form, `_walk`, which keeps every branch for exhaustive runs and
-`table`, the named digits for forced runs, and the drawn digits for sampled
-runs. `run_branches` returns a run as one batched `Branches` record of the
-corrected 8-vectors and their fidelities, which verify reports from; the
-parity expansion is an isometry, so it keeps them. `transcripts` expands the
-states into one transcript per branch, the row view of `run_two_sender`,
-`run_n_sender` and `run`. The test oracle is the dense chain over all 3(N+1)
-qubits, `_dense_branch`; `_collapse_branches` is the tests' reference walk.
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Exhaustive runs and `table`
+walk every branch, `_walk`; a phase sender's rows for k differ by signs alone,
+so sampled and forced runs read each step from one table per op, `_step_table`,
+and collapse only their own branches. `run_branches` returns a run as one
+batched `Branches` record of the corrected 8-vectors and their fidelities,
+which verify reports from; the parity expansion is an isometry, so it keeps
+them. `transcripts` expands the states into one transcript per branch, the row
+view of `run_two_sender`, `run_n_sender` and `run`. The test oracle is the dense
+chain over all 3(N+1) qubits, `_dense_branch`; `_collapse_branches` is the
+tests' reference walk.
 
 Runs and `table` take each correction from the digits, as a Pauli frame; a
 branch the frame misses is an oracle failure, a defective layout. The
@@ -93,15 +94,14 @@ _SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)
 CHI_SUPPORT = (0, 3, 5, 6, 9, 10, 12, 15)
 _CHI_INDEX = np.array(CHI_SUPPORT)
 
-# Amplitude of each of the channel's eight terms.
+# Amplitude of each of the channel's eight terms, and the diagonal that they form.
 _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
+_CHANNEL = np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
 
 # build_correction_table corrects and checks every branch of the profile of this seed.
 _TABLE_SEED = 7043
 
-# Trials per sampler chunk, each walked at once: keeps the walk's (chunk, 8, 8)
-# intermediates at 256 KiB however many trials a campaign draws. On five-sender
-# runs of 20000 trials, 1024 raised the process's peak RSS by about 0.7 MiB; 256 did not.
+# Trials per sampler chunk: bounds its gathers of CDF and basis rows (64 and 160 KiB at N = 5).
 _SAMPLE_CHUNK = 256
 
 CorrectionTriple = tuple[str, str, str]
@@ -285,7 +285,7 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     it, so `steps[b, p]` is party p's outcome probability given the outcomes
     before it, and a prefix of the senders leaves the state that the next
     sender measures. No run calls it: it gathers one row per branch, and the
-    tests hold `_walk` to it bit for bit.
+    tests hold `_walk`, `_step_table` and `_collapse_drawn` to it bit for bit.
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -305,40 +305,61 @@ def _sum8(a: np.ndarray) -> np.ndarray:
     return a[..., 0] + a[..., 1] + 0.0
 
 
-def _walk(rows: np.ndarray, select=lambda p, probs: None) -> tuple[np.ndarray, np.ndarray]:
-    """`_collapse_branches` of the branches that `select` keeps, bit for bit,
-    for `rows` (n, 8, 8, 8): states (B, 8) and steps (B, n).
-
-    From the channel's diagonal, party p measures each of its S states with
-    all eight rows of the state's basis for its k (the magnitude sender, with
-    no k yet, row d of basis d). `select(p, probs)` maps the (S, 8) child
-    probabilities to one digit per state (a lone root broadcasts) or to None,
-    keeping all children in lexicographic order. Every elementwise operation
-    is `_collapse_branches`'s, in order, each sum over 8 by `_sum8`.
-    """
+def _walk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_collapse_branches` of every branch in lexicographic order, bit for bit, for `rows`
+    (n, 8, 8, 8): states (8**n, 8) and steps (8**n, n). From the channel's diagonal, party p
+    measures each of its states with all eight rows of the state's basis for its k (the magnitude
+    sender, with no k yet, row d of basis d) and keeps every child. Every elementwise operation is
+    `_collapse_branches`'s, in order, each sum over 8 by `_sum8`."""
     diagonal = np.arange(8)
-    state = np.empty((1, 8), dtype=complex)
-    state.fill(_CHANNEL_AMPLITUDE)
+    state = _CHANNEL[None]
     taken = []
     for p in range(len(rows)):
         # Gathered ("clip" never clips 0..7), then multiplied in place: a fresh product is slower.
         children = rows[0, diagonal, diagonal][None] if p == 0 else rows[p].take(k, axis=0, mode="clip")
         children *= state[:, None, :]
-        probs = _sum8(np.abs(children) ** 2)
-        digits = select(p, probs)
-        if digits is None:
-            state, step = children.reshape(-1, 8), probs.reshape(-1)
-            k = diagonal if p == 0 else k.repeat(8)
-        else:
-            held = np.arange(len(probs))
-            state, step = children[held, digits], probs[held, digits]
-            k = digits if p == 0 else k
+        step = _sum8(np.abs(children) ** 2).reshape(-1)
+        state = children.reshape(-1, 8)
+        k = diagonal if p == 0 else k.repeat(8)
         state /= np.sqrt(step)[:, None]
         taken.append(step)
     steps = np.empty((len(state), len(rows)))
     for p, step in enumerate(taken):  # each state's step, to every branch below it
         steps.reshape(len(step), -1, len(rows))[:, :, p] = step[:, None]
     return state, steps
+
+
+def _step_table(rows: np.ndarray, classes: slice) -> np.ndarray:
+    """(n, C, 8) table for `rows` (n, 8, 8, 8): [p, c, j] is party p's step for digit j on every branch of
+    the c-th k in `classes` (party 0's, whose digit is k, the root's on every c), from `_walk`'s operations on
+    one representative per k, which carries its row-0 child. A middle party's rows for k must be its row 0 up to
+    entrywise signs, or ValueError: a sign changes no bit of a magnitude, so every branch of k has these steps."""
+    middle, first = rows[1:-1, classes], rows[1:-1, classes, :1]
+    if len(rows) > 2 and not ((middle == first) | (middle == -first)).all():
+        raise ValueError("a middle sender's basis rows must equal its row 0 up to entrywise signs")
+    root = rows[0].diagonal().T * _CHANNEL  # row d of basis d
+    state = root[classes]
+    table = np.empty((len(rows), *state.shape))
+    # np.sum over these few rows: `_sum8`'s bits, and faster than it at this size.
+    table[0] = np.sum(np.abs(root) ** 2, axis=-1)
+    step = table[0, 0, classes, None]
+    for p in range(1, len(rows)):
+        state = state / np.sqrt(step)
+        children = rows[p, classes] * state[:, None]
+        np.sum(np.abs(children) ** 2, axis=-1, out=table[p])
+        state, step = children[:, 0], table[p, :, :1]
+    return table
+
+
+def _collapse_drawn(rows: np.ndarray, outcomes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """`_collapse_branches`'s states of `outcomes`, bit for bit, in one pass
+    that reads their `steps` (from a `_step_table`) instead of summing them."""
+    drawn = rows[np.arange(outcomes.shape[1]), outcomes[:, :1], outcomes]
+    state = _CHANNEL
+    for row, norm in zip(drawn.transpose(1, 0, 2), np.sqrt(steps).T[..., None]):
+        state = row * state
+        state /= norm
+    return state
 
 
 def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
@@ -348,15 +369,16 @@ def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[fl
     )
 
 
-def _forced_outcome(alice_k: int, bob_j, n_senders: int) -> np.ndarray:
-    """The outcome row (alice_k, *bob_j) as a (1, n_senders) array, checked:
-    a negative digit would index the bases from the end and run a branch."""
+def _forced_branch(rows: np.ndarray, alice_k: int, bob_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome row (alice_k, *bob_j) as a (1, n) array, checked (a negative digit would index the
+    bases from the end and run a branch), and its states (1, 8) and steps (1, n), tabulating its k alone."""
     outcome = np.array([[alice_k, *bob_j]], dtype=np.intp)
-    if outcome.shape[1] != n_senders:
-        raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {n_senders}")
+    if outcome.shape[1] != len(rows):
+        raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {len(rows)}")
     if ((outcome < 0) | (outcome > 7)).any():
         raise ValueError("outcome digits must be in 0..7")
-    return outcome
+    steps = _step_table(rows, slice(outcome[0, 0], outcome[0, 0] + 1))[np.arange(len(rows)), 0, outcome[0]][None]
+    return outcome, _collapse_drawn(rows, outcome, steps), steps
 
 
 def _collapse_branch(
@@ -365,8 +387,7 @@ def _collapse_branch(
     """Force the branch (alice_k, bob_j) and return the receiver's collapsed
     3-qubit state, the joint branch probability, and the step records."""
     sets = measurement_bases(x, phases, 1 + len(bob_j))
-    digits = _forced_outcome(alice_k, bob_j, 1 + len(bob_j))
-    states, steps = _walk(sets.vectors.conj(), lambda p, probs: digits[:, p])
+    digits, states, steps = _forced_branch(sets.vectors.conj(), alice_k, bob_j)
     records = _records(sets.labels, digits[0].tolist(), steps[0].tolist())
     return StateVector(states[0]), float(np.prod(steps[0])), records
 
@@ -494,31 +515,30 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
 def _sampled_outcomes(
     rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw `trials` branches from the true joint outcome distribution, and
-    return their outcomes, states and steps, walking chunks of _SAMPLE_CHUNK.
-
-    Each digit is `Generator.choice(8, p=q)` unrolled over the trial's child
-    probabilities q: one uniform u per (trial, party), in the row-major order
-    of a trial-by-trial loop, and the index is the number of entries of
-    cumsum(q) / cumsum(q)[-1] that are <= u. So the seed-to-outcome map is
-    that of one `rng.choice` per trial and party.
-    """
+    """Draw `trials` branches from the true joint outcome distribution, and return their outcomes,
+    states and steps, in chunks of _SAMPLE_CHUNK. Each digit is `Generator.choice(8, p=q)` unrolled
+    over q, row [p, k] of the op's `_step_table`: one uniform u per (trial, party), in the row-major
+    order of a trial-by-trial loop, and the index is the number of entries of cumsum(q) / cumsum(q)[-1]
+    that are <= u, as one `rng.choice` per trial and party draws. Zero or NaN steps raise ValueError
+    only at a drawn k, and never warn."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = _step_table(rows, slice(None))
+        cdf = (table / table.sum(axis=-1)[..., None]).cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+    finite = np.isfinite(cdf).all(axis=(0, 2))
     outcomes = np.empty((trials, n_senders), dtype=np.intp)
     states = np.empty((trials, 8), dtype=complex)
     steps = np.empty((trials, n_senders))
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), n_senders))
         chunk = slice(start, start + len(u))
-
-        def draw(p, probs, u=u, drawn=outcomes[chunk]):
-            cdf = (probs / _sum8(probs)[..., None]).cumsum(axis=-1)
-            cdf /= cdf[:, -1:]
-            if not np.isfinite(cdf).all():
-                raise ValueError("probabilities contain NaN")
-            # At the magnitude sender, the root's one CDF serves every trial.
-            return (cdf <= u[:, p, None]).sum(axis=1, out=drawn[:, p])
-
-        states[chunk], steps[chunk] = _walk(rows, draw)
+        drawn = outcomes[chunk]
+        k = (cdf[0, 0] <= u[:, :1]).sum(axis=1, out=drawn[:, 0])
+        if not finite[k].all():
+            raise ValueError("probabilities contain NaN")
+        (cdf[1:].take(k, axis=1) <= u.T[1:, :, None]).sum(axis=2, out=drawn[:, 1:].T)
+        steps[chunk] = table[np.arange(n_senders), k[:, None], drawn]
+        states[chunk] = _collapse_drawn(rows, drawn, steps[chunk])
     return outcomes, states, steps
 
 
@@ -539,8 +559,7 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
     n_senders = len(sets.vectors)
     rows = sets.vectors.conj()
     if force is not None:
-        outcomes = _forced_outcome(force[0], force[1], n_senders)
-        states, steps = _walk(rows, lambda p, probs: outcomes[:, p])
+        outcomes, states, steps = _forced_branch(rows, *force)
     elif mode == "sampled":
         outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     else:

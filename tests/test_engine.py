@@ -1,15 +1,16 @@
 """The reduced GHZ-diagonal engine against the dense statevector oracle.
 
-The runners compute every branch in one walk from the channel's 8-term
-diagonal (`_walk`), which keeps every child for exhaustive runs and tables,
-the named digits for forced runs, and the drawn digits for a chunk of
-sampled trials; then they correct and expand the receiver's 8-vectors
+Exhaustive runs and tables walk every branch from the channel's 8-term
+diagonal (`_walk`). Sampled and forced runs read each party's step
+probabilities from a step table, walked on one representative branch per
+announced k (`_step_table`), and collapse only their own branches in one
+pass. Then the runners correct and expand the receiver's 8-vectors
 batched, with the Pauli frame of each branch's digits, which must pick the
 search's triple on every profile and never search; a layout the frame misses
 is an oracle failure.
 `_collapse_branches`, which gathers one row per branch, is the
-reference that the walk equals bit for bit in every mode, and no run calls
-it. `_dense_branch` measures the full register with the dense engine, and
+reference that the walk, the table and the pass equal bit for bit in every
+mode, and no run calls it. `_dense_branch` measures the full register with the dense engine, and
 `_TRIPLE_MATRIX`, Kronecker products of 2x2 Paulis, and `parity_expand`
 are the dense correction and expansion. Both paths renormalize after every
 measurement, so states and step probabilities agree to rounding, entrywise
@@ -257,10 +258,18 @@ def test_sampler_matches_replaying_reference_on_random_profiles(n_senders, data,
     assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=10)
 
 
+def arbitrary_rows(gen, n_senders):
+    return gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+
+
 def skewed_rows(gen, n_senders):
-    """Arbitrary rows, then the same rows with the magnitude sender's bases
+    """Arbitrary rows for the magnitude sender and the last party, which the
+    step table reads as given; each middle party's rows for k are random +-1
+    signs times one arbitrary complex row, the form that a sign pattern gives
+    and the table needs. Then the same rows with the magnitude sender's bases
     all equal to her basis 0, the form that `measurement_bases` gives."""
-    rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+    rows = arbitrary_rows(gen, n_senders)
+    rows[1:-1] = gen.choice([-1.0, 1.0], (n_senders - 2, 8, 8, 8)) * rows[1:-1, :, :1]
     same = rows.copy()
     same[0] = same[0, 0]
     return rows, same
@@ -269,7 +278,9 @@ def skewed_rows(gen, n_senders):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_sampler_matches_replaying_reference_on_skewed_rows(n_senders):
     # Orthonormal bases make every conditional probability 1/8, so the draws
-    # barely depend on the walk; arbitrary rows make every step count. With
+    # barely depend on the walk; arbitrary rows at the magnitude sender and
+    # the last party make their steps count, and the middle parties' rows
+    # differ from one k to the next. With
     # the magnitude sender's rows depending on k, her branch d must use row d
     # of basis d, as the reference does.
     gen = np.random.default_rng(n_senders)
@@ -354,6 +365,85 @@ def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
         assert_sampler_collapses_as_engine(sender_rows(x, phases, n_senders), n_senders, seed, trials=300)
         for rows in skewed_rows(gen, n_senders):
             assert_sampler_collapses_as_engine(rows, n_senders, seed, trials=300)
+
+
+@pytest.mark.parametrize("n_senders", range(3, MAX_SENDERS + 1))
+def test_middle_rows_off_their_signs_raise(n_senders):
+    # The step table holds every branch's steps only if each middle party's
+    # rows for k are its row 0 up to entrywise signs. Arbitrary rows there,
+    # in both of the old skewed forms, raise from the sampler and from a
+    # forced run; so does one entry of a paper basis turned by a unit phase,
+    # which keeps every magnitude.
+    x, phases = random_inputs(n_senders, 0)
+    sets = measurement_bases(x, phases, n_senders)
+    turned = sets.vectors.copy()
+    turned[n_senders - 2, 3, 5, 2] *= 1j
+    arbitrary = arbitrary_rows(np.random.default_rng(30 + n_senders), n_senders)
+    same = arbitrary.copy()
+    same[0] = same[0, 0]
+    force = (3, (5,) * (n_senders - 1))
+    for rows in (arbitrary, same, turned.conj()):
+        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
+            _sampled_outcomes(rows, n_senders, np.random.default_rng(0), 20)
+        broken = protocol.MeasurementBases(rows.conj(), sets.labels, sets.deviations)
+        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
+            run_branches(x, phases, broken, "sampled", 0, 1, force)
+
+
+def flip_column(pattern):
+    pattern[:, 5] *= -1
+
+
+def swap_rows(pattern):
+    pattern[[1, 2]] = pattern[[2, 1]]
+
+
+def tied_profiles(n_senders):
+    """A tied magnitude profile under zero phases."""
+    return st.sampled_from(list(TIED_MAGNITUDES.values())).map(
+        lambda m: (AmplitudeProfile(m), PhaseShares(np.zeros((n_senders - 1, 8)))))
+
+
+@pytest.mark.parametrize("n_senders", [2, 3, 4])
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_step_table_is_every_branch_step(n_senders, data):
+    # Entry [p, k, j] of the table is, bit for bit, the exhaustive walk's step
+    # at party p of every branch with announced k and digit j (party 0's
+    # digit is k, on every row of hers), on random and tied profiles, under
+    # the paper's sign pattern and two +-1 mutants of it. A table of one k is
+    # that k's row of the full table.
+    x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
+    change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
+    with pytest.MonkeyPatch.context() as patch:
+        if change is not None:
+            pattern = SIGN_PATTERN.copy()
+            change(pattern)
+            patch.setattr(bases, "SIGN_PATTERN", pattern)
+        rows = sender_rows(x, phases, n_senders)
+    table = protocol._step_table(rows, slice(None))
+    _, steps = _walk(rows)
+    outcomes = _all_outcomes(n_senders)
+    for c in range(8):
+        assert_bits_equal(table[0, c, outcomes[:, 0]], steps[:, 0])
+    for p in range(1, n_senders):
+        assert_bits_equal(table[p, outcomes[:, 0], outcomes[:, p]], steps[:, p])
+    for k in range(8):
+        assert_bits_equal(protocol._step_table(rows, slice(k, k + 1))[:, 0], table[:, k])
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_undrawn_zero_class_is_silent():
+    # Row 3 of the magnitude sender's basis 3 is zero, so k = 3 has
+    # probability 0 and its table rows are 0/0. No trial draws it, so the
+    # sampler neither warns nor raises, and the drawn branches collapse as
+    # the reference collapses them.
+    x, phases = random_inputs(3, 0)
+    rows = sender_rows(x, phases, 3).copy()
+    rows[0, 3, 3] = 0.0
+    assert 3 not in _sampled_outcomes(rows, 3, np.random.default_rng(0), 300)[0][:, 0]
+    assert_sampler_collapses_as_engine(rows, 3, 0, 300)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -522,8 +612,8 @@ def assert_rows_of(run, every, columns):
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_run_branches_agree_across_modes(n_senders):
-    # One walk under three selections: every sampled or forced branch is, bit
-    # for bit, the exhaustive row of its outcome, the one-row forced batch too.
+    # Every sampled or forced branch is, bit for bit, the exhaustive row of
+    # its outcome, the one-row forced batch too.
     forced = [(0,) * n_senders, (7,) * n_senders, (1, 2, 3, 4, 5)[:n_senders], (6, 0, 5, 3, 1)[:n_senders]]
     for seed in range(3):
         x, phases = random_inputs(n_senders, seed)

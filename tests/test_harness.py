@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -621,6 +622,20 @@ class TestMain:
         directory = str(tmp_path)
         assert main([*argv, "--out", directory]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: cannot write {directory}: [Errno 21] Is a directory: {directory!r}\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "--exhaustive"], ["run"], ["table"]])
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_unwritable_stdout_is_input_error(self, argv, failing, monkeypatch, capsys):
+        # A full disk, as under `> /dev/full`: a large report fails in the
+        # write, a small one in the flush that a buffered stream defers.
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, failing, full)
+        monkeypatch.setattr(harness.sys, "stdout", stdout)
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
     def test_out_bytes_are_the_text_in_the_locale_encoding(self, tmp_path, monkeypatch, capsys):
         # The report echoes its profile's non-ASCII path; `--out` writes the
