@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-579 CLI commands, and the digest of the file that each `--out` command writes.
+591 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -64,13 +64,21 @@ The set:
   swap every `verify` exits 3 and the corners, whose digits it keeps, pass;
   under the flip N = 2 exits 3, and N = 3, 5 pass, as their even number of
   phase senders cancel each other's signs;
+- `verify --exhaustive` and `table`, N = 4, 5, under the same two mutants
+  (8): the class grid keys its classes by the live rows' sign masks, so the
+  swap misses on some branches and exits 3, and the flip passes at N = 5
+  and misses at N = 4, where the three phase senders' signs do not cancel;
+- `verify --exhaustive` and `table`, N = 2, 3, with columns 0 and 1 of
+  `bases.SIGN_PATTERN` turned by 45 degrees (4): the bases stay orthonormal,
+  but a phase sender's rows are no longer its row 0 up to signs, which the
+  class grid refuses, so each exits 4;
 - with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
   `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
   `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis
   fails its check, which the profile reports as `amplitude profile not
   normalized: ...`, so the random profiles and `table` exit 4 and the
-  profile document exits 2. `table` draws the profile of
-  `protocol._TABLE_SEED`, so its two lines print that profile's deviation;
+  profile document exits 2. `table` builds the profile of
+  `protocol._TABLE_PROFILE`, so its two lines print that profile's deviation;
 - `verify --senders 3 --exhaustive --seed 7`, `table --senders 3` and
   `verify --senders 5 --trials 100 --seed 7`, in both formats, each written
   through `--out` (6), as the benchmark writes its reports;
@@ -290,6 +298,12 @@ def flip_column(pattern):
     pattern[:, 5] *= -1
 
 
+def turn_columns(pattern):
+    """SIGN_PATTERN @ G for G the 45-degree Givens rotation of columns 0 and 1: orthogonal, not +-1."""
+    c = 0.5**0.5
+    pattern[:, :2] = pattern[:, :2] @ [[c, -c], [c, c]]
+
+
 def sampler_commands() -> list[list[str]]:
     """The sampled and forced commands run under a +-1 mutant of SIGN_PATTERN."""
     out = []
@@ -331,6 +345,15 @@ def main() -> None:
                 with sign_pattern(change):
                     for argv in sampler_commands():
                         lines.append((" ".join(argv) + f" [sign pattern {tag}]", *run(argv)))
+                    for n in (4, 5):
+                        for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "7"],
+                                     ["table", "--senders", str(n)]):
+                            lines.append((" ".join(argv) + f" [sign pattern {tag}]", *run(argv)))
+            with sign_pattern(turn_columns):
+                for n in (2, 3):
+                    for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "7"],
+                                 ["table", "--senders", str(n)]):
+                        lines.append((" ".join(argv) + " [sign pattern columns turned]", *run(argv)))
             with negated_layout_entry():
                 for argv in (
                     *(["verify", "--senders", str(n), "--exhaustive", "--seed", "1"] for n in (2, 3)),

@@ -12,19 +12,23 @@ The two-sender protocol is the N = 2 case with one share row, so every path
 takes the phase input as a PhaseProfile or as PhaseShares, and
 `measurement_bases` alone turns it into bases.
 
-The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through
-every measurement: measuring a triple in basis row b multiplies it entrywise
-by conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). Exhaustive runs and `table`
-walk every branch, `_walk`; a phase sender's rows for k differ by signs alone,
-so sampled and forced runs read each step from one table per op, `_step_table`,
-and collapse only their own branches. `run_branches` returns a run as one
-batched `Branches` record of the corrected 8-vectors and their fidelities,
-which verify reports from; the parity expansion is an isometry, so it keeps
-them. `transcripts` expands the states into one transcript per branch, the row
-view of `run_two_sender`, `run_n_sender` and `run`. The test oracle is the dense
-chain over all 3(N+1) qubits, `_dense_branch`; `_collapse_branches` is the
-tests' reference walk.
+The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through every
+measurement: measuring a triple in basis row b multiplies it entrywise by
+conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). A phase sender's rows for k
+are its row 0 times +-1 signs. A +-1 factor commutes with a complex product
+and with division by a positive real, and keeps every bit of |.|^2: so
+`_class_grid` walks one branch per k, and every branch of k has its steps bit
+for bit and its state negated by the XOR of its rows' sign masks, exact up to
+the sign of zero. Exhaustive runs and `table` correct each (k, mask) class
+once, `_every_branch`; sampled and forced runs read their steps from the
+grid's table and collapse only their own branches. `run_branches` returns a
+run as one batched `Branches` record of the corrected 8-vectors and their
+fidelities, which verify reports from; the parity expansion is an isometry, so
+it keeps them. `transcripts` expands the states into one transcript per
+branch, the row view of `run_two_sender`, `run_n_sender` and `run`. The test
+oracle is the dense chain over all 3(N+1) qubits, `_dense_branch`;
+`_collapse_branches` is the tests' reference walk.
 
 Runs and `table` take each correction from the digits, as a Pauli frame; a
 branch the frame misses is an oracle failure, a defective layout. The
@@ -98,8 +102,17 @@ _CHI_INDEX = np.array(CHI_SUPPORT)
 _CHANNEL_AMPLITUDE = 1.0 / (2.0 * np.sqrt(2.0))
 _CHANNEL = np.full(8, _CHANNEL_AMPLITUDE, dtype=complex)
 
-# build_correction_table corrects and checks every branch of the profile of this seed.
-_TABLE_SEED = 7043
+# `table`'s profile, written out so that a table draws no random numbers: row 0 the magnitudes, rows 1-4 the shares
+# of bases.random_inputs(5, 7043). N senders take rows 1..N-1, the bits of random_inputs(N, 7043) (N = 2: delta).
+_TABLE_PROFILE = np.array([
+    0.36598210100651096, 0.10157532695210196, 0.494857033296043, 0.39249124263034796, 0.301474985882037,
+    0.5691772100239295, 0.012891053086067712, 0.2044276228411696, 0.0, 3.147842848187958, 0.1440980502129142,
+    4.199449641362581, 3.1516670735407875, 5.482024709101525, 2.2925583583848868, 2.7456587053616226, 0.0,
+    4.52153357347193, 1.656416342303085, 1.0966028886786712, 3.3886771292999294, 0.8816802646162013, 0.5399853316725112,
+    2.4424419260766506, 0.0, 5.901864368023648, 5.395839849676644, 4.887312044385722, 4.468708404344465,
+    1.91923811454032, 2.7400478936933093, 2.3216581372123324, 0.0, 0.13005660585641762, 1.1820629218796006,
+    3.5757003276958343, 0.684102186176436, 5.352024201527792, 4.843033730618248, 3.4536020488348917,
+]).reshape(5, 8)
 
 # Trials per sampler chunk: bounds its gathers of CDF and basis rows (64 and 160 KiB at N = 5).
 _SAMPLE_CHUNK = 256
@@ -221,9 +234,7 @@ def prepare_channel(n_senders: int) -> StateVector:
     return StateVector(amps)
 
 
-def _dense_branch(
-    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, outcome
-) -> tuple[StateVector, list[float]]:
+def _dense_branch(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, outcome) -> tuple[StateVector, list[float]]:
     """Test oracle: the receiver's collapsed state and each party's step
     probability, simulated on the full 3(N+1)-qubit register.
 
@@ -285,7 +296,7 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     it, so `steps[b, p]` is party p's outcome probability given the outcomes
     before it, and a prefix of the senders leaves the state that the next
     sender measures. No run calls it: it gathers one row per branch, and the
-    tests hold `_walk`, `_step_table` and `_collapse_drawn` to it bit for bit.
+    tests hold `_class_grid` and `_collapse_drawn` to it.
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -297,63 +308,63 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     return state, steps
 
 
-def _sum8(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1) of a C-contiguous (..., 8) float array, bit for bit and faster: numpy
-    adds an axis of 8 as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) onto +0.0 (checked on numpy 2.4)."""
-    a = a[..., ::2] + a[..., 1::2]
-    a = a[..., ::2] + a[..., 1::2]
-    return a[..., 0] + a[..., 1] + 0.0
-
-
-def _walk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_collapse_branches` of every branch in lexicographic order, bit for bit, for `rows`
-    (n, 8, 8, 8): states (8**n, 8) and steps (8**n, n). From the channel's diagonal, party p
-    measures each of its states with all eight rows of the state's basis for its k (the magnitude
-    sender, with no k yet, row d of basis d) and keeps every child. Every elementwise operation is
-    `_collapse_branches`'s, in order, each sum over 8 by `_sum8`."""
-    diagonal = np.arange(8)
-    state = _CHANNEL[None]
-    taken = []
-    for p in range(len(rows)):
-        # Gathered ("clip" never clips 0..7), then multiplied in place: a fresh product is slower.
-        children = rows[0, diagonal, diagonal][None] if p == 0 else rows[p].take(k, axis=0, mode="clip")
-        children *= state[:, None, :]
-        step = _sum8(np.abs(children) ** 2).reshape(-1)
-        state = children.reshape(-1, 8)
-        k = diagonal if p == 0 else k.repeat(8)
-        state /= np.sqrt(step)[:, None]
-        taken.append(step)
-    steps = np.empty((len(state), len(rows)))
-    for p, step in enumerate(taken):  # each state's step, to every branch below it
-        steps.reshape(len(step), -1, len(rows))[:, :, p] = step[:, None]
-    return state, steps
-
-
-def _step_table(rows: np.ndarray, classes: slice) -> np.ndarray:
-    """(n, C, 8) table for `rows` (n, 8, 8, 8): [p, c, j] is party p's step for digit j on every branch of
-    the c-th k in `classes` (party 0's, whose digit is k, the root's on every c), from `_walk`'s operations on
-    one representative per k, which carries its row-0 child. A middle party's rows for k must be its row 0 up to
-    entrywise signs, or ValueError: a sign changes no bit of a magnitude, so every branch of k has these steps."""
+def _class_grid(rows: np.ndarray, classes: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Walk one representative branch per k in `classes` on `rows` (n, 8, 8, 8), which takes every phase sender's
+    row 0. Returns the (n, C, 8) step table, [p, c, j] party p's step for digit j on every branch of the c-th k
+    (party 0's, whose digit is k, the root's on every c), and the representative's final state per k (C, 8). A
+    middle sender's rows for k must be its row 0 up to entrywise signs, or ValueError. A +-1 factor commutes with
+    a complex product and with division by a positive real, and changes no bit of |.|^2: so every branch of k has
+    its digits' table steps, bit for bit, and if the last sender's rows are signed too, the representative's state
+    negated where its rows' sign masks (`_every_branch`) XOR to 1, exact up to the sign of zero."""
     middle, first = rows[1:-1, classes], rows[1:-1, classes, :1]
     if len(rows) > 2 and not ((middle == first) | (middle == -first)).all():
         raise ValueError("a middle sender's basis rows must equal its row 0 up to entrywise signs")
     root = rows[0].diagonal().T * _CHANNEL  # row d of basis d
     state = root[classes]
     table = np.empty((len(rows), *state.shape))
-    # np.sum over these few rows: `_sum8`'s bits, and faster than it at this size.
-    table[0] = np.sum(np.abs(root) ** 2, axis=-1)
+    # np.add.reduce, np.sum's own reduction without its Python wrapper: the bits of `_collapse_branches`' sums.
+    table[0] = np.add.reduce(np.abs(root) ** 2, axis=-1)
     step = table[0, 0, classes, None]
     for p in range(1, len(rows)):
         state = state / np.sqrt(step)
         children = rows[p, classes] * state[:, None]
-        np.sum(np.abs(children) ** 2, axis=-1, out=table[p])
+        np.add.reduce(np.abs(children) ** 2, axis=-1, out=table[p])
         state, step = children[:, 0], table[p, :, :1]
-    return table
+    return table, state / np.sqrt(step)
+
+
+def _every_branch(rows: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every branch of `rows` (n, 8, 8, 8) in lexicographic order, from `_class_grid`: the outcomes and steps
+    (B, n), `_corrections`' triples, corrected states per class and fidelities, and each branch's class row. Each
+    phase row's code is mask << 3 | WALSH_INDEX[j], where bit m of the mask, read from the live rows, is set if
+    entry m is row 0's negated; a branch's class is its k and the XOR of its phase rows' codes, N - 2 outer XORs
+    over the digit grid, so only 8 x |codes| states are corrected and checked: 64 on the paper's layout, whose
+    codes are its Walsh indices. Every phase sender's rows must be its row 0 up to entrywise signs, or ValueError."""
+    n = len(rows)
+    table, finals = _class_grid(rows, slice(None))
+    negated = rows[1:] == -rows[1:, :, :1]
+    if not (negated[-1] | (rows[-1] == rows[-1, :, :1])).all():  # `_class_grid` checked the middle senders
+        raise ValueError("a phase sender's basis rows must equal its row 0 up to entrywise signs")
+    codes = negated @ (8 << np.arange(8)) | bases.WALSH_INDEX
+    # Party p's [k, digit] arrays are viewed along axes 0 and p of the (8,) * n grid of branches.
+    along = [(8,) + (1,) * (n - 1)] + [(8,) + (1,) * (p - 1) + (8,) + (1,) * (n - 1 - p) for p in range(1, n)]
+    code = functools.reduce(np.bitwise_xor, [c.reshape(shape) for c, shape in zip(codes, along[1:])])
+    live = np.bincount(code.reshape(-1), minlength=2048).nonzero()[0]  # the distinct codes, ascending
+    slot = np.empty(2048, dtype=np.intp)
+    slot[live] = np.arange(len(live))
+    outcomes = _all_outcomes(n)
+    row = slot[code].reshape(-1) + len(live) * outcomes[:, 0]  # class k * len(live) + slot
+    states = np.where(live[:, None] >> np.arange(3, 11) & 1, -finals[:, None], finals[:, None]).reshape(-1, 8)
+    classes = np.arange(8).repeat(len(live)), (bases.WALSH_INDEX[:, None] ^ live & 7).reshape(-1), row
+    steps = np.empty((8,) * n + (n,))
+    for p, shape in enumerate(along):  # party 0's digit is k: the diagonal of her table
+        steps[..., p] = (table[0].diagonal() if p == 0 else table[p]).reshape(shape)
+    return outcomes, steps.reshape(-1, n), *_corrections(outcomes, states, target3, classes), row
 
 
 def _collapse_drawn(rows: np.ndarray, outcomes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """`_collapse_branches`'s states of `outcomes`, bit for bit, in one pass
-    that reads their `steps` (from a `_step_table`) instead of summing them."""
+    that reads their `steps` (from a `_class_grid` table) instead of summing them."""
     drawn = rows[np.arange(outcomes.shape[1]), outcomes[:, :1], outcomes]
     state = _CHANNEL
     for row, norm in zip(drawn.transpose(1, 0, 2), np.sqrt(steps).T[..., None]):
@@ -377,13 +388,12 @@ def _forced_branch(rows: np.ndarray, alice_k: int, bob_j) -> tuple[np.ndarray, n
         raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {len(rows)}")
     if ((outcome < 0) | (outcome > 7)).any():
         raise ValueError("outcome digits must be in 0..7")
-    steps = _step_table(rows, slice(outcome[0, 0], outcome[0, 0] + 1))[np.arange(len(rows)), 0, outcome[0]][None]
+    steps = _class_grid(rows, slice(outcome[0, 0], outcome[0, 0] + 1))[0][np.arange(len(rows)), 0, outcome[0]][None]
     return outcome, _collapse_drawn(rows, outcome, steps), steps
 
 
-def _collapse_branch(
-    x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int, bob_j
-) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
+def _collapse_branch(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int,
+                     bob_j) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
     """Force the branch (alice_k, bob_j) and return the receiver's collapsed
     3-qubit state, the joint branch probability, and the step records."""
     sets = measurement_bases(x, phases, 1 + len(bob_j))
@@ -416,20 +426,23 @@ def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
     return functools.reduce(np.bitwise_xor, bases.WALSH_INDEX[outcomes.T])
 
 
-def _corrections(outcomes: np.ndarray, states: np.ndarray,
-                 target3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray,
+                 classes: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each branch's correction as the search picks it, its corrected state and its fidelity |corrected .
     conj(target3)|^2, a one-row batch padded to two so that its bits are those of any batch. On the paper's
     layout the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX:
-    its ties are the frame XOR the target's own, and the search takes the least. A fidelity below
-    1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the first such branch; it sums in another order
-    than the search's, so a value within an ulp or two of the threshold could flip."""
-    z = _walsh_xor(outcomes)
+    its ties are the frame XOR the target's own, and the search takes the least. With `classes` = (k, z, row),
+    `states` holds one state per class, which it corrects by the class's frame, and branch b takes class
+    row[b]'s triple and fidelity. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the
+    first such branch; it sums in another order than the search's, so a value within an ulp or two of the
+    threshold could flip."""
+    k, z, row = (outcomes[:, 0], _walsh_xor(outcomes), slice(None)) if classes is None else classes
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
-    found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[outcomes[:, 0]] + 2 * _SPREAD[z]]
+    found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[k] + 2 * _SPREAD[z]]
     corrected = _apply_corrections(states, found)
     padded = corrected.repeat(2, axis=0) if len(corrected) == 1 else corrected
     fidelities = (np.abs(padded @ target3.conj()) ** 2)[: len(corrected)]
+    found, fidelities = found[row], fidelities[row]
     missed = (~(fidelities >= 1.0 - FIDELITY_TOL)).nonzero()[0]
     if missed.size:
         b = missed[0]
@@ -502,13 +515,13 @@ class CorrectionTable:
 
 def build_correction_table(n_senders: int) -> CorrectionTable:
     """The corrections of all 8**n_senders outcomes, at any sender count in 2..MAX_SENDERS, each
-    checked on every branch of the generic profile of _TABLE_SEED. That profile has no ties, so
+    checked on every branch of the generic profile of _TABLE_PROFILE. That profile has no ties, so
     the frame's triples are the ones the search derives there, as on any generic profile."""
     _require_senders(n_senders)
-    x, phases = bases.random_inputs(n_senders, _TABLE_SEED)
-    states, _ = _walk(measurement_bases(x, phases, n_senders).vectors.conj())
-    outcomes = _all_outcomes(n_senders)
-    found, _, fidelities = _corrections(outcomes, states, _target_amps(x, phases))
+    x, rows = AmplitudeProfile(_TABLE_PROFILE[0]), _TABLE_PROFILE[1:n_senders]
+    phases = PhaseProfile(rows[0]) if n_senders == 2 else PhaseShares(rows)
+    outcomes, _, found, _, fidelities, _ = _every_branch(measurement_bases(x, phases, n_senders).vectors.conj(),
+                                                         _target_amps(x, phases))
     return CorrectionTable(n_senders, outcomes, found, fidelities)
 
 
@@ -517,12 +530,12 @@ def _sampled_outcomes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw `trials` branches from the true joint outcome distribution, and return their outcomes,
     states and steps, in chunks of _SAMPLE_CHUNK. Each digit is `Generator.choice(8, p=q)` unrolled
-    over q, row [p, k] of the op's `_step_table`: one uniform u per (trial, party), in the row-major
+    over q, row [p, k] of the op's `_class_grid` table: one uniform u per (trial, party), in the row-major
     order of a trial-by-trial loop, and the index is the number of entries of cumsum(q) / cumsum(q)[-1]
     that are <= u, as one `rng.choice` per trial and party draws. Zero or NaN steps raise ValueError
     only at a drawn k, and never warn."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = _step_table(rows, slice(None))
+        table = _class_grid(rows, slice(None))[0]
         cdf = (table / table.sum(axis=-1)[..., None]).cumsum(axis=-1)
         cdf /= cdf[..., -1:]
     finite = np.isfinite(cdf).all(axis=(0, 2))
@@ -557,16 +570,15 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
     n_senders = len(sets.vectors)
-    rows = sets.vectors.conj()
+    rows, target3 = sets.vectors.conj(), _target_amps(x, phases)
     if force is not None:
         outcomes, states, steps = _forced_branch(rows, *force)
     elif mode == "sampled":
         outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
     else:
-        outcomes = _all_outcomes(n_senders)
-        states, steps = _walk(rows)
-
-    return Branches(sets.labels, outcomes, steps, *_corrections(outcomes, states, _target_amps(x, phases)))
+        outcomes, steps, found, corrected, fidelities, row = _every_branch(rows, target3)
+        return Branches(sets.labels, outcomes, steps, found, corrected[row], fidelities)
+    return Branches(sets.labels, outcomes, steps, *_corrections(outcomes, states, target3))
 
 
 def transcripts(run: Branches) -> list[ProtocolTranscript]:
@@ -583,28 +595,16 @@ def transcripts(run: Branches) -> list[ProtocolTranscript]:
     ]
 
 
-def run_two_sender(
-    x: AmplitudeProfile,
-    delta: PhaseProfile,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    trials: int = 1,
-    force: tuple[int, tuple[int, ...]] | None = None,
-) -> list[ProtocolTranscript]:
+def run_two_sender(x: AmplitudeProfile, delta: PhaseProfile, mode: str = "exhaustive", seed: int | None = None,
+                   trials: int = 1, force: tuple[int, tuple[int, ...]] | None = None) -> list[ProtocolTranscript]:
     """Run the two-sender protocol. Every branch carries probability 1/64
     and final fidelity 1 up to tolerance."""
     return transcripts(run_branches(x, delta, measurement_bases(x, delta, 2), mode, seed, trials, force))
 
 
-def run_n_sender(
-    n_senders: int,
-    x: AmplitudeProfile,
-    shares: PhaseShares,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    trials: int = 1,
-    force: tuple[int, tuple[int, ...]] | None = None,
-) -> list[ProtocolTranscript]:
+def run_n_sender(n_senders: int, x: AmplitudeProfile, shares: PhaseShares, mode: str = "exhaustive",
+                 seed: int | None = None, trials: int = 1,
+                 force: tuple[int, tuple[int, ...]] | None = None) -> list[ProtocolTranscript]:
     """Run the N-sender protocol; the target phases are the composed shares."""
     return transcripts(run_branches(x, shares, measurement_bases(x, shares, n_senders), mode, seed, trials, force))
 

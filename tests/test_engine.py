@@ -1,16 +1,18 @@
 """The reduced GHZ-diagonal engine against the dense statevector oracle.
 
-Exhaustive runs and tables walk every branch from the channel's 8-term
-diagonal (`_walk`). Sampled and forced runs read each party's step
-probabilities from a step table, walked on one representative branch per
-announced k (`_step_table`), and collapse only their own branches in one
-pass. Then the runners correct and expand the receiver's 8-vectors
-batched, with the Pauli frame of each branch's digits, which must pick the
-search's triple on every profile and never search; a layout the frame misses
-is an oracle failure.
+Every run and table walks one representative branch per announced k from
+the channel's 8-term diagonal (`_class_grid`): its step table holds every
+branch's step probabilities, and its final states, negated by each branch's
+XOR of sign masks, every branch's state up to the sign of zero. Exhaustive
+runs and tables correct one state per (k, mask) class and gather it to the
+branches (`_every_branch`); sampled and forced runs collapse only their own
+branches in one pass. The runners correct and expand the receiver's
+8-vectors batched, with the Pauli frame of each branch's digits, which must
+pick the search's triple on every profile and never search; a layout the
+frame misses is an oracle failure.
 `_collapse_branches`, which gathers one row per branch, is the
-reference that the walk, the table and the pass equal bit for bit in every
-mode, and no run calls it. `_dense_branch` measures the full register with the dense engine, and
+reference that the grid, the classes and the pass equal in every mode, and
+no run calls it. `_dense_branch` measures the full register with the dense engine, and
 `_TRIPLE_MATRIX`, Kronecker products of 2x2 Paulis, and `parity_expand`
 are the dense correction and expansion. Both paths renormalize after every
 measurement, so states and step probabilities agree to rounding, entrywise
@@ -50,7 +52,6 @@ from chi_jrsp.protocol import (
     _expand_parity,
     _sampled_outcomes,
     _search_corrections,
-    _walk,
     _walsh_xor,
     build_correction_table,
     compressed_target,
@@ -84,6 +85,11 @@ def dense_search(collapsed: StateVector, target3: StateVector):
 
 def sender_rows(x, phases, n_senders):
     return measurement_bases(x, phases, n_senders).vectors.conj()
+
+
+def walked(rows):
+    """The reference's states and steps of every branch of `rows`, in lexicographic order."""
+    return _collapse_branches(rows, _all_outcomes(rows.shape[-4]))
 
 
 def assert_matches_oracle(x, phases, outcomes):
@@ -409,7 +415,7 @@ def tied_profiles(n_senders):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_step_table_is_every_branch_step(n_senders, data):
-    # Entry [p, k, j] of the table is, bit for bit, the exhaustive walk's step
+    # Entry [p, k, j] of the grid's table is, bit for bit, the reference's step
     # at party p of every branch with announced k and digit j (party 0's
     # digit is k, on every row of hers), on random and tied profiles, under
     # the paper's sign pattern and two +-1 mutants of it. A table of one k is
@@ -422,15 +428,52 @@ def test_step_table_is_every_branch_step(n_senders, data):
             change(pattern)
             patch.setattr(bases, "SIGN_PATTERN", pattern)
         rows = sender_rows(x, phases, n_senders)
-    table = protocol._step_table(rows, slice(None))
-    _, steps = _walk(rows)
+    table = protocol._class_grid(rows, slice(None))[0]
+    _, steps = walked(rows)
     outcomes = _all_outcomes(n_senders)
     for c in range(8):
         assert_bits_equal(table[0, c, outcomes[:, 0]], steps[:, 0])
     for p in range(1, n_senders):
         assert_bits_equal(table[p, outcomes[:, 0], outcomes[:, p]], steps[:, p])
     for k in range(8):
-        assert_bits_equal(protocol._step_table(rows, slice(k, k + 1))[:, 0], table[:, k])
+        assert_bits_equal(protocol._class_grid(rows, slice(k, k + 1))[0][:, 0], table[:, k])
+
+
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_the_grid_is_the_per_branch_reference(n_senders, data):
+    # On random and tied profiles, under the paper's sign pattern and its
+    # row-swap and column-negation mutants: the grid's steps equal the
+    # reference's bit for bit and its states up to the sign of zero, and an
+    # exhaustive run's triples and fidelities are those that `_corrections`
+    # gives the reference's states, bit for bit, its corrected states up to
+    # the sign of zero; or both raise the same miss, at the first branch.
+    x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
+    change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
+    with pytest.MonkeyPatch.context() as patch:
+        if change is not None:
+            pattern = SIGN_PATTERN.copy()
+            change(pattern)
+            patch.setattr(bases, "SIGN_PATTERN", pattern)
+        rows = sender_rows(x, phases, n_senders)
+    assert_tree_equals_collapse(rows)
+    outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
+    states, steps = walked(rows)
+    try:
+        expected = protocol._corrections(outcomes, states, target3)
+    except NoCorrectionFound as exc:
+        with pytest.raises(NoCorrectionFound) as raised:
+            protocol._every_branch(rows, target3)
+        assert str(raised.value) == str(exc)
+        return
+    got_outcomes, got_steps, found, corrected, fidelities, row = protocol._every_branch(rows, target3)
+    assert np.array_equal(got_outcomes, outcomes)
+    assert_bits_equal(got_steps, steps)
+    assert np.array_equal(found, expected[0])
+    assert_bits_equal_up_to_zero_sign(corrected[row], expected[1])
+    assert_bits_equal(fidelities, expected[2])
+    assert len(corrected) == 64 or change is not None  # one class per (k, z) on the paper's layout
 
 
 @pytest.mark.filterwarnings("error")
@@ -456,20 +499,10 @@ def test_sampler_rejects_non_finite_probabilities():
         _sampled_outcomes(rows, 3, np.random.default_rng(0), 4)
 
 
-# Signed zeros, subnormals, the largest finite double (whose sums overflow),
+# Signed zeros, subnormals, the largest finite double (whose products overflow),
 # infinities of both signs and NaN.
-SUM8_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-              -1.7976931348623157e308, np.inf, -np.inf, np.nan]
-SUM8_ROWS = np.array([
-    [0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0],
-    [-0.0] * 8,
-    [5e-324, -5e-324, 5e-324, 5e-324, 2.2250738585072014e-308, -0.0, 5e-324, 0.0],
-    [1.7976931348623157e308] * 4 + [-1.7976931348623157e308] * 4,
-    [1.7976931348623157e308, 1.0, 1.7976931348623157e308, -1e308, 1e308, 1e308, -1.0, 1.0],
-    [np.inf, 1.0, -np.inf, 2.0, 3.0, 4.0, 5.0, 6.0],
-    [1.0, np.nan, 2.0, -np.nan, np.inf, 0.0, -0.0, 1e-300],
-    [1e16, 1.0, -1e16, 1.0, 1e-16, 3.0, -3.0, 0.1],
-])
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
 def assert_bits_equal_but_nan_payloads(got, expected):
@@ -483,18 +516,6 @@ def assert_bits_equal_but_nan_payloads(got, expected):
     assert np.array_equal(got.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), lead=st.lists(st.integers(1, 5), max_size=3))
-def test_sum8_is_numpy_sum(data, lead):
-    # `_walk` and the sampler sum their 8-wide axes with `_sum8`, which must
-    # add in numpy's own pairwise order, from its +0.0 start.
-    size = 8 * int(np.prod(lead))
-    values = data.draw(st.lists(st.one_of(st.sampled_from(SUM8_EDGES), st.floats()), min_size=size, max_size=size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in (np.array(values).reshape(*lead, 8), SUM8_ROWS):
-            assert_bits_equal_but_nan_payloads(protocol._sum8(a), a.sum(axis=-1))
-
-
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -505,7 +526,7 @@ def test_probabilities_are_numpy_prod(n_senders, data):
     x, phases = data.draw(profiles(n_senders))
     run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "sampled", 0, 50, None)
     rows = data.draw(st.integers(1, 40))
-    values = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(SUM8_EDGES), st.floats()),
+    values = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(FLOAT_EDGES), st.floats()),
                                 min_size=rows * n_senders, max_size=rows * n_senders))
     drawn = protocol.Branches(run.labels, None, np.array(values).reshape(rows, n_senders), None, None, None)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -513,12 +534,30 @@ def test_probabilities_are_numpy_prod(n_senders, data):
             assert_bits_equal_but_nan_payloads(branches.probabilities, np.prod(branches.steps, axis=1))
 
 
-def assert_tree_equals_collapse(rows):
+def assert_bits_equal_up_to_zero_sign(a, b):
+    """Bit for bit once -0.0 reads +0.0, in every real and imaginary part."""
+    assert_bits_equal(a + 0.0, b + 0.0)
+
+
+def grid_branches(rows):
+    """Every branch's steps and state, in lexicographic order, read from `_class_grid`: the table's entry
+    of each digit, and its k's final state negated where the sign masks of its phase rows (the entries
+    that equal their row 0's negation) XOR to 1."""
     n = rows.shape[-4]
-    states, steps = _walk(rows)
-    expected_states, expected_steps = _collapse_branches(rows, _all_outcomes(n))
-    assert_bits_equal(states, expected_states)
+    outcomes = _all_outcomes(n)
+    table, finals = protocol._class_grid(rows, slice(None))
+    negated = rows[1:] == -rows[1:, :, :1]
+    flips = np.bitwise_xor.reduce(negated[np.arange(n - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
+    states = np.where(flips, -finals[outcomes[:, 0]], finals[outcomes[:, 0]])
+    return table[np.arange(n), outcomes[:, :1], outcomes], states
+
+
+def assert_tree_equals_collapse(rows):
+    """The grid's branches are the reference's: steps bit for bit, states up to the sign of zero."""
+    steps, states = grid_branches(rows)
+    expected_states, expected_steps = walked(rows)
     assert_bits_equal(steps, expected_steps)
+    assert_bits_equal_up_to_zero_sign(states, expected_states)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -538,11 +577,17 @@ def test_tree_equals_collapse_on_degenerate_profiles(magnitudes, n_senders):
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_tree_equals_collapse_on_unnormalized_rows(n_senders):
-    # Arbitrary rows, the magnitude sender's too: a branch's k picks row k of
-    # her basis k, so a tree that read another of her bases would show.
+    # Arbitrary rows for the magnitude sender: a branch's k picks row k of her
+    # basis k, so a grid that read another of her bases would show. Each phase
+    # sender's rows for k are one arbitrary row times random signs, the form
+    # that the grid needs; arbitrary rows there are refused by every
+    # exhaustive run and table.
     gen = np.random.default_rng(20 + n_senders)
     for _ in range(3):
-        rows = gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
+        rows = arbitrary_rows(gen, n_senders)
+        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
+            protocol._every_branch(rows, rows[0, 0, 0])
+        rows[1:] = gen.choice([-1.0, 1.0], (n_senders - 1, 8, 8, 8)) * rows[1:, :, :1]
         assert_tree_equals_collapse(rows)
 
 
@@ -572,7 +617,8 @@ def test_enumerations_walk_the_tree(monkeypatch):
 
 
 # A generic profile other than the table's: its entries must not depend on the profile.
-OTHER_SEED = protocol._TABLE_SEED - 1
+TABLE_SEED = 7043  # protocol._TABLE_PROFILE is the profile of this seed
+OTHER_SEED = TABLE_SEED - 1
 
 
 @pytest.mark.parametrize("n_senders", [2, 3, 4])
@@ -580,7 +626,7 @@ def test_the_table_holds_on_another_profile(n_senders):
     # The table corrects and checks one seeded profile; every entry is the
     # one-branch oracle's on that profile and on another generic one.
     table = build_correction_table(n_senders)
-    for seed in (OTHER_SEED, protocol._TABLE_SEED):
+    for seed in (OTHER_SEED, TABLE_SEED):
         x, phases = random_inputs(n_senders, seed)
         derived = {o: derive_correction(o[0], o[1:], x, phases) for o in table.entries}
         assert derived == dict(table.entries), seed
@@ -593,7 +639,7 @@ def test_large_tables_match_derive_correction(n_senders):
     table = build_correction_table(n_senders)
     drawn = np.random.default_rng(n_senders).integers(0, 8, (18, n_senders))
     outcomes = [(0,) * n_senders, (7,) * n_senders, *map(tuple, drawn.tolist())]
-    for seed in (OTHER_SEED, protocol._TABLE_SEED):
+    for seed in (OTHER_SEED, TABLE_SEED):
         x, phases = random_inputs(n_senders, seed)
         for o in outcomes:
             assert table.entries[o] == derive_correction(o[0], o[1:], x, phases), (seed, o)
@@ -634,7 +680,7 @@ def test_fidelities_do_not_depend_on_the_batch(n_senders):
     # of the whole batch.
     x, phases = random_inputs(n_senders, 0)
     run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
-    states, _ = _walk(sender_rows(x, phases, n_senders))
+    states, _ = walked(sender_rows(x, phases, n_senders))
     rows = np.random.default_rng(n_senders).permutation(len(states))[:100]
     target3 = compressed_target(x, phases).amps
     for size in range(1, 10):
@@ -650,7 +696,7 @@ def test_fidelities_do_not_depend_on_the_batch(n_senders):
 def test_table_and_verify_agree(n_senders):
     # `table` reports the corrections and fidelities of an exhaustive run on
     # its profile, bit for bit: both take them from the one 8-vector product.
-    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
+    x, phases = random_inputs(n_senders, TABLE_SEED)
     run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
     table = build_correction_table(n_senders)
     assert np.array_equal(run.outcomes, table.outcomes)
@@ -679,9 +725,11 @@ def test_walsh_index_is_the_amplitude_layout_rows():
 
 def assert_frame_is_the_search(x, phases, n_senders):
     """The exhaustive run's triples are the search's, and its fidelities those
-    of the search's triples, bit for bit, with the search unreachable."""
+    of the search's triples, bit for bit, with the search unreachable. Its
+    corrected states are the search's up to the sign of zero: the branches of
+    a class share one state, so a zero's sign is not the branch's."""
     sets = measurement_bases(x, phases, n_senders)
-    states, _ = _walk(sets.vectors.conj())
+    states, _ = walked(sets.vectors.conj())
     target3 = compressed_target(x, phases).amps
     searched = _search_corrections(states, target3)
 
@@ -693,7 +741,7 @@ def assert_frame_is_the_search(x, phases, n_senders):
         run = run_branches(x, phases, sets, "exhaustive", None, 1, None)
     assert np.array_equal(run.triples, searched)
     corrected = _apply_corrections(states, searched)
-    assert_bits_equal(run.corrected, corrected)
+    assert_bits_equal_up_to_zero_sign(run.corrected, corrected)
     assert_bits_equal(run.fidelities, np.abs(corrected @ target3.conj()) ** 2)
 
 
@@ -741,7 +789,7 @@ def assert_one_pass_decides_as_the_search(x, phases, n_senders):
     columns). With no miss, its triples are the search's and its corrected
     states and fidelities those of the search's triples, bit for bit; a miss
     raises NoCorrectionFound, which names the first missed branch."""
-    states, _ = _walk(sender_rows(x, phases, n_senders))
+    states, _ = walked(sender_rows(x, phases, n_senders))
     outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
     frames, apply, failure = [], protocol._apply_corrections, None
     with pytest.MonkeyPatch.context() as patch:
@@ -801,8 +849,8 @@ def test_the_table_is_the_searched_table(n_senders):
     # The table's triples are those a search of every branch of its profile
     # derives, and its fidelities those triples' on that profile, in either
     # order of the conjugation.
-    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
-    states, _ = _walk(sender_rows(x, phases, n_senders))
+    x, phases = random_inputs(n_senders, TABLE_SEED)
+    states, _ = walked(sender_rows(x, phases, n_senders))
     target3 = compressed_target(x, phases).amps
     found = _search_corrections(states, target3)
     table = build_correction_table(n_senders)
@@ -903,26 +951,26 @@ def test_run_target_is_compressed_target_on_edge_profiles(n_senders):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_the_table_walks_one_basis_stack(n_senders, monkeypatch):
     # The profile's phase rows take one build and one Gram product; the rows
-    # the walk reads are its basis stack, conjugated, each basis bit for bit
+    # the grid reads are its basis stack, conjugated, each basis bit for bit
     # the one built alone.
-    x, phases = random_inputs(n_senders, protocol._TABLE_SEED)
+    x, phases = random_inputs(n_senders, TABLE_SEED)
     expected = measurement_bases(x, phases, n_senders).vectors.conj()
     for k in range(8):
         assert_bits_equal(expected[0, k], x.basis.vectors.conj())
         for l in range(1, n_senders):
             single = bases.phase_basis(k, phases) if n_senders == 2 else bases.share_basis(k, l, phases)
             assert_bits_equal(expected[l, k], single.vectors.conj())
-    walked, builds, grams, targets = [], [], [], []
-    walk, build, gram = protocol._walk, bases.phase_bases_from_rows, bases.gram_deviation
+    gridded, builds, grams, targets = [], [], [], []
+    grid, build, gram = protocol._class_grid, bases.phase_bases_from_rows, bases.gram_deviation
     corrections = protocol._corrections
-    monkeypatch.setattr(protocol, "_walk", lambda rows, *args: walked.append(rows) or walk(rows, *args))
+    monkeypatch.setattr(protocol, "_class_grid", lambda rows, *args: gridded.append(rows) or grid(rows, *args))
     monkeypatch.setattr(bases, "phase_bases_from_rows", lambda rows, lab: builds.append(len(rows)) or build(rows, lab))
     monkeypatch.setattr(bases, "gram_deviation", lambda vectors: grams.append(vectors.shape) or gram(vectors))
-    monkeypatch.setattr(protocol, "_corrections", lambda o, s, t: targets.append(t) or corrections(o, s, t))
+    monkeypatch.setattr(protocol, "_corrections", lambda o, s, t, *c: targets.append(t) or corrections(o, s, t, *c))
     build_correction_table(n_senders)
     assert builds == [n_senders - 1] and grams == [(n_senders - 1, 8, 8, 8)]
-    assert len(walked) == 1
-    assert_bits_equal(walked[0], expected)
+    assert len(gridded) == 1 and len(targets) == 1
+    assert_bits_equal(gridded[0], expected)
     assert_bits_equal(targets[0], composed_target(x, phases))
 
 

@@ -463,17 +463,18 @@ class TestCmdTable:
         assert len((tmp_path / "t4.tsv").read_text().splitlines()) == 1 + 8**4
 
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
-        # The frame of row 5, outcome (0, 5), takes one more Z on the last
-        # receiver qubit, which the table's profile rejects. The outcome
-        # prints as plain ints.
-        real = protocol._walsh_xor
+        # The frame of outcome (0, 5), the one branch of its class at two
+        # senders, takes one more Z on the last receiver qubit, which the
+        # table's profile rejects. The outcome prints as plain ints.
+        real = protocol._corrections
 
-        def shifted(outcomes):
-            z = real(outcomes)
-            z[5] ^= 1
-            return z
+        def shifted(outcomes, states, target3, classes):
+            k, z, row = classes
+            z = z.copy()
+            z[row[5]] ^= 1
+            return real(outcomes, states, target3, (k, z, row))
 
-        monkeypatch.setattr(protocol, "_walsh_xor", shifted)
+        monkeypatch.setattr(protocol, "_corrections", shifted)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""

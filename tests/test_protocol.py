@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +18,7 @@ from chi_jrsp.bases import (
     random_phase_shares,
 )
 from chi_jrsp.protocol import (
-    _TABLE_SEED,
+    _TABLE_PROFILE,
     CHI_SUPPORT,
     NoCorrectionFound,
     _all_outcomes,
@@ -34,6 +39,15 @@ from chi_jrsp.qstate import StateVector, basis_state, fidelity_up_to_phase, ket_
 
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 TOL = 1e-10
+TABLE_SEED = 7043  # protocol._TABLE_PROFILE is the profile of this seed
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs one command in a fresh interpreter and prints its exit code and whether numpy.random was imported.
+IMPORT_PROBE = """
+import sys
+from chi_jrsp.harness import main
+code = main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
 
 
 def seeded_inputs(seed, n_senders=2):
@@ -331,13 +345,34 @@ class TestCorrectionTable:
         assert table.fidelities.min() >= 1 - TOL
         assert table.entries[(0, 0, 0, 0)] == ("I", "I", "I")
         assert table.entries[(0, 1, 0, 0)] == ("I", "I", "Z")
-        for seed in (_TABLE_SEED - 1, _TABLE_SEED):
+        for seed in (TABLE_SEED - 1, TABLE_SEED):
             x, shares = random_inputs(4, seed)
             assert derive_correction(0, (0, 0, 0), x, shares) == ("I", "I", "I")
             assert derive_correction(0, (1, 0, 0), x, shares) == ("I", "I", "Z")
         for n_senders in (1, 6):  # the table checks the range before it draws its profiles
             with pytest.raises(ValueError, match=rf"^n_senders must be in 2\.\.5, got {n_senders}$"):
                 build_correction_table(n_senders)
+
+    @pytest.mark.parametrize("n_senders", [2, 3, 4, 5])
+    def test_profile_is_the_seeded_profile(self, n_senders):
+        # The written-out profile is random_inputs(N, TABLE_SEED)'s, bit for bit.
+        x, phases = random_inputs(n_senders, TABLE_SEED)
+        rows = phases.delta[None] if n_senders == 2 else phases.shares
+        assert np.array_equal(_TABLE_PROFILE[0].view(np.uint64), x.x.view(np.uint64))
+        assert np.array_equal(_TABLE_PROFILE[1:n_senders].view(np.uint64), rows.view(np.uint64))
+
+    def test_table_does_not_import_numpy_random(self, tmp_path):
+        # A table op draws no random numbers, so it never imports numpy.random
+        # and the modules it pulls in; a verify op on a seeded profile does,
+        # which shows that the probe sees the import.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        out = str(tmp_path / "report.out")
+        runs = [(["table", "--senders", str(n), "--out", out], "0 False") for n in range(2, 6)]
+        runs.append((["verify", "--senders", "3", "--exhaustive", "--out", out], "0 True"))
+        for argv, expected in runs:
+            result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True,
+                                    text=True, timeout=120)
+            assert (result.stdout.strip(), result.stderr) == (expected, ""), argv
 
     def test_deterministic(self):
         a = build_correction_table(2)
