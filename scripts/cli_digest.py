@@ -1,5 +1,5 @@
 """Print the exit code and the stdout and stderr digests of a fixed set of
-591 CLI commands, and the digest of the file that each `--out` command writes.
+595 CLI commands, and the digest of the file that each `--out` command writes.
 
 Each line is `<command>\t<exit code>\t<sha256 of stdout>\t<sha256 of
 stderr>`, and for the `--out` commands also `\t<sha256 of the written
@@ -59,8 +59,8 @@ The set:
 - `verify --trials 30 --seed 7`, `verify --trials 257 --seed 7` and forced
   runs at the digit corners 0:0,... and 7:7,..., N = 2, 3, 5, under those
   swapped rows and under column 5 of `bases.SIGN_PATTERN` negated (24): both
-  mutants keep every basis orthonormal and every middle sender's rows equal
-  to its row 0 up to signs, so the sampler's step table holds. Under the
+  mutants keep every basis orthonormal and every phase sender's rows equal
+  to its row 0 up to signs, so the class grid takes them. Under the
   swap every `verify` exits 3 and the corners, whose digits it keeps, pass;
   under the flip N = 2 exits 3, and N = 3, 5 pass, as their even number of
   phase senders cancel each other's signs;
@@ -68,10 +68,12 @@ The set:
   (8): the class grid keys its classes by the live rows' sign masks, so the
   swap misses on some branches and exits 3, and the flip passes at N = 5
   and misses at N = 4, where the three phase senders' signs do not cancel;
-- `verify --exhaustive` and `table`, N = 2, 3, with columns 0 and 1 of
-  `bases.SIGN_PATTERN` turned by 45 degrees (4): the bases stay orthonormal,
-  but a phase sender's rows are no longer its row 0 up to signs, which the
-  class grid refuses, so each exits 4;
+- `verify --exhaustive`, `verify --trials 30 --seed 7` and `table`, N = 2,
+  3, and forced runs at the digit corners 0:0 and 7:7, with columns 0 and 1
+  of `bases.SIGN_PATTERN` turned by 45 degrees (8): the bases stay
+  orthonormal, but a phase sender's rows are no longer its row 0 up to
+  signs, which the class grid refuses in every mode as an oracle failure,
+  so each exits 3;
 - with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
   `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
   `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis
@@ -352,8 +354,12 @@ def main() -> None:
             with sign_pattern(turn_columns):
                 for n in (2, 3):
                     for argv in (["verify", "--senders", str(n), "--exhaustive", "--seed", "7"],
-                                 ["table", "--senders", str(n)]):
+                                 ["table", "--senders", str(n)],
+                                 ["verify", "--senders", str(n), "--trials", "30", "--seed", "7"]):
                         lines.append((" ".join(argv) + " [sign pattern columns turned]", *run(argv)))
+                for forced in ("0:0", "7:7"):
+                    argv = ["run", "--senders", "2", "--force-outcome", forced]
+                    lines.append((" ".join(argv) + " [sign pattern columns turned]", *run(argv)))
             with negated_layout_entry():
                 for argv in (
                     *(["verify", "--senders", str(n), "--exhaustive", "--seed", "1"] for n in (2, 3)),

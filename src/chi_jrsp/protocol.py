@@ -20,18 +20,20 @@ are its row 0 times +-1 signs. A +-1 factor commutes with a complex product
 and with division by a positive real, and keeps every bit of |.|^2: so
 `_class_grid` walks one branch per k, and every branch of k has its steps bit
 for bit and its state negated by the XOR of its rows' sign masks, exact up to
-the sign of zero. Exhaustive runs and `table` correct each (k, mask) class
-once, `_every_branch`; sampled and forced runs read their steps from the
-grid's table and collapse only their own branches. `run_branches` returns a
-run as one batched `Branches` record of the corrected 8-vectors and their
-fidelities, which verify reports from; the parity expansion is an isometry, so
-it keeps them. `transcripts` expands the states into one transcript per
-branch, the row view of `run_two_sender`, `run_n_sender` and `run`. The test
-oracle is the dense chain over all 3(N+1) qubits, `_dense_branch`;
-`_collapse_branches` is the tests' reference walk.
+the sign of zero. Every run and `table` take one path: a mode names its
+branches (all of them, the drawn trials, or the forced one), and
+`_corrections` corrects each (k, mask) class among them once and gathers the
+results back in branch order. `run_branches` returns a run as one batched
+`Branches` record of the corrected 8-vectors and their fidelities, which
+verify reports from; the parity expansion is an isometry, so it keeps them.
+`transcripts` expands the states into one transcript per branch, the row view
+of `run_two_sender`, `run_n_sender` and `run`. The test oracle is the dense
+chain over all 3(N+1) qubits, `_dense_branch`; `_collapse_branches` is the
+tests' reference walk.
 
 Runs and `table` take each correction from the digits, as a Pauli frame; a
-branch the frame misses is an oracle failure, a defective layout. The
+branch the frame misses, or a phase row that is not its row 0 up to signs, is
+an oracle failure, a defective layout. The
 independent oracle, `derive_correction`, searches all 64 per-qubit Pauli
 triples for the one that maps the receiver's collapsed state onto the target.
 """
@@ -114,7 +116,7 @@ _TABLE_PROFILE = np.array([
     3.5757003276958343, 0.684102186176436, 5.352024201527792, 4.843033730618248, 3.4536020488348917,
 ]).reshape(5, 8)
 
-# Trials per sampler chunk: bounds its gathers of CDF and basis rows (64 and 160 KiB at N = 5).
+# Trials per sampler chunk: bounds its gather of CDF rows (64 KiB at N = 5) and its comparison masks.
 _SAMPLE_CHUNK = 256
 
 CorrectionTriple = tuple[str, str, str]
@@ -296,7 +298,7 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     it, so `steps[b, p]` is party p's outcome probability given the outcomes
     before it, and a prefix of the senders leaves the state that the next
     sender measures. No run calls it: it gathers one row per branch, and the
-    tests hold `_class_grid` and `_collapse_drawn` to it.
+    tests hold `_class_grid` and every run to it.
     """
     k = outcomes[:, 0]
     state = np.full((len(outcomes), 8), _CHANNEL_AMPLITUDE, dtype=complex)
@@ -308,69 +310,46 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     return state, steps
 
 
-def _class_grid(rows: np.ndarray, classes: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Walk one representative branch per k in `classes` on `rows` (n, 8, 8, 8), which takes every phase sender's
-    row 0. Returns the (n, C, 8) step table, [p, c, j] party p's step for digit j on every branch of the c-th k
-    (party 0's, whose digit is k, the root's on every c), and the representative's final state per k (C, 8). A
-    middle sender's rows for k must be its row 0 up to entrywise signs, or ValueError. A +-1 factor commutes with
-    a complex product and with division by a positive real, and changes no bit of |.|^2: so every branch of k has
-    its digits' table steps, bit for bit, and if the last sender's rows are signed too, the representative's state
-    negated where its rows' sign masks (`_every_branch`) XOR to 1, exact up to the sign of zero."""
-    middle, first = rows[1:-1, classes], rows[1:-1, classes, :1]
-    if len(rows) > 2 and not ((middle == first) | (middle == -first)).all():
-        raise ValueError("a middle sender's basis rows must equal its row 0 up to entrywise signs")
+def _class_grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk one representative branch per k on `rows` (n, 8, 8, 8), which takes every phase sender's row 0.
+    Returns the (n, 8, 8) step table, [p, k, j] party p's step for digit j on every branch of k (party 0's,
+    whose digit is k, the root's on every k), each k's final state (8, 8), and each phase row's code (n - 1, 8,
+    8), mask << 3 | WALSH_INDEX[j], where bit m of the mask is set if entry m of the row is row 0's negated.
+    A phase row that is not its row 0 up to entrywise signs raises NoCorrectionFound, naming the first such
+    sender and k. A +-1 factor commutes with a complex product and with division by a positive real, and
+    changes no bit of |.|^2: so every branch of k has its digits' table steps, bit for bit, and k's final state
+    negated where the sign masks of its rows' codes XOR to 1, exact up to the sign of zero. A zero step (never
+    of orthonormal bases) leaves NaN on its k without a warning."""
+    phase, first = rows[1:], rows[1:, :, :1]
+    negated = phase == -first
+    bad = ~(negated | (phase == first)).all(axis=(2, 3))
+    if bad.any():
+        p, k = np.argwhere(bad)[0].tolist()
+        raise NoCorrectionFound(f"phase sender {p + 1}'s basis rows for k={k} are not its row 0 up to entrywise signs")
     root = rows[0].diagonal().T * _CHANNEL  # row d of basis d
-    state = root[classes]
-    table = np.empty((len(rows), *state.shape))
+    table = np.empty((len(rows), 8, 8))
     # np.add.reduce, np.sum's own reduction without its Python wrapper: the bits of `_collapse_branches`' sums.
     table[0] = np.add.reduce(np.abs(root) ** 2, axis=-1)
-    step = table[0, 0, classes, None]
-    for p in range(1, len(rows)):
-        state = state / np.sqrt(step)
-        children = rows[p, classes] * state[:, None]
-        np.add.reduce(np.abs(children) ** 2, axis=-1, out=table[p])
-        state, step = children[:, 0], table[p, :, :1]
-    return table, state / np.sqrt(step)
+    state, step = root, table[0, 0, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(1, len(rows)):
+            state = rows[p, :, 0] * (state / np.sqrt(step))
+            table[p] = step = np.add.reduce(np.abs(state) ** 2, axis=-1)[:, None]
+        return table, state / np.sqrt(step), negated @ (8 << np.arange(8)) | bases.WALSH_INDEX
 
 
-def _every_branch(rows: np.ndarray, target3: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every branch of `rows` (n, 8, 8, 8) in lexicographic order, from `_class_grid`: the outcomes and steps
-    (B, n), `_corrections`' triples, corrected states per class and fidelities, and each branch's class row. Each
-    phase row's code is mask << 3 | WALSH_INDEX[j], where bit m of the mask, read from the live rows, is set if
-    entry m is row 0's negated; a branch's class is its k and the XOR of its phase rows' codes, N - 2 outer XORs
-    over the digit grid, so only 8 x |codes| states are corrected and checked: 64 on the paper's layout, whose
-    codes are its Walsh indices. Every phase sender's rows must be its row 0 up to entrywise signs, or ValueError."""
-    n = len(rows)
-    table, finals = _class_grid(rows, slice(None))
-    negated = rows[1:] == -rows[1:, :, :1]
-    if not (negated[-1] | (rows[-1] == rows[-1, :, :1])).all():  # `_class_grid` checked the middle senders
-        raise ValueError("a phase sender's basis rows must equal its row 0 up to entrywise signs")
-    codes = negated @ (8 << np.arange(8)) | bases.WALSH_INDEX
-    # Party p's [k, digit] arrays are viewed along axes 0 and p of the (8,) * n grid of branches.
-    along = [(8,) + (1,) * (n - 1)] + [(8,) + (1,) * (p - 1) + (8,) + (1,) * (n - 1 - p) for p in range(1, n)]
-    code = functools.reduce(np.bitwise_xor, [c.reshape(shape) for c, shape in zip(codes, along[1:])])
-    live = np.bincount(code.reshape(-1), minlength=2048).nonzero()[0]  # the distinct codes, ascending
-    slot = np.empty(2048, dtype=np.intp)
-    slot[live] = np.arange(len(live))
-    outcomes = _all_outcomes(n)
-    row = slot[code].reshape(-1) + len(live) * outcomes[:, 0]  # class k * len(live) + slot
-    states = np.where(live[:, None] >> np.arange(3, 11) & 1, -finals[:, None], finals[:, None]).reshape(-1, 8)
-    classes = np.arange(8).repeat(len(live)), (bases.WALSH_INDEX[:, None] ^ live & 7).reshape(-1), row
-    steps = np.empty((8,) * n + (n,))
-    for p, shape in enumerate(along):  # party 0's digit is k: the diagonal of her table
-        steps[..., p] = (table[0].diagonal() if p == 0 else table[p]).reshape(shape)
-    return outcomes, steps.reshape(-1, n), *_corrections(outcomes, states, target3, classes), row
+def _every_code(codes: np.ndarray) -> np.ndarray:
+    """Every branch's code in lexicographic order, the XOR of its phase rows' `codes`: N - 2 outer XORs, party
+    p's [k, digit] array viewed along axes 0 and p of the (8,) * N grid of branches."""
+    n = len(codes) + 1
+    along = [(8,) + (1,) * (p - 1) + (8,) + (1,) * (n - 1 - p) for p in range(1, n)]
+    return functools.reduce(np.bitwise_xor, [c.reshape(shape) for c, shape in zip(codes, along)]).reshape(-1)
 
 
-def _collapse_drawn(rows: np.ndarray, outcomes: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """`_collapse_branches`'s states of `outcomes`, bit for bit, in one pass
-    that reads their `steps` (from a `_class_grid` table) instead of summing them."""
-    drawn = rows[np.arange(outcomes.shape[1]), outcomes[:, :1], outcomes]
-    state = _CHANNEL
-    for row, norm in zip(drawn.transpose(1, 0, 2), np.sqrt(steps).T[..., None]):
-        state = row * state
-        state /= norm
-    return state
+def _drawn(table: np.ndarray, codes: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps (B, n) and codes (B,) of the branches `outcomes` names, gathered from `_class_grid`'s arrays."""
+    k, n = outcomes[:, :1], len(table)
+    return table[np.arange(n), k, outcomes], np.bitwise_xor.reduce(codes[np.arange(n - 1), k, outcomes[:, 1:]], axis=1)
 
 
 def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
@@ -380,26 +359,31 @@ def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[fl
     )
 
 
-def _forced_branch(rows: np.ndarray, alice_k: int, bob_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outcome row (alice_k, *bob_j) as a (1, n) array, checked (a negative digit would index the
-    bases from the end and run a branch), and its states (1, 8) and steps (1, n), tabulating its k alone."""
+def _forced_outcome(n_senders: int, alice_k: int, bob_j) -> np.ndarray:
+    """The outcome row (alice_k, *bob_j), (1, n), checked: a negative digit would index the bases from the end."""
     outcome = np.array([[alice_k, *bob_j]], dtype=np.intp)
-    if outcome.shape[1] != len(rows):
-        raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {len(rows)}")
+    if outcome.shape[1] != n_senders:
+        raise ValueError(f"forced outcome lists {outcome.shape[1]} digits, expected {n_senders}")
     if ((outcome < 0) | (outcome > 7)).any():
         raise ValueError("outcome digits must be in 0..7")
-    steps = _class_grid(rows, slice(outcome[0, 0], outcome[0, 0] + 1))[0][np.arange(len(rows)), 0, outcome[0]][None]
-    return outcome, _collapse_drawn(rows, outcome, steps), steps
+    return outcome
 
 
 def _collapse_branch(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, alice_k: int,
                      bob_j) -> tuple[StateVector, float, tuple[MeasurementRecord, ...]]:
     """Force the branch (alice_k, bob_j) and return the receiver's collapsed
-    3-qubit state, the joint branch probability, and the step records."""
+    3-qubit state, the joint branch probability, and the step records. The
+    oracle's one branch is walked on its own rows, with the grid's steps, so
+    its state keeps every bit, the signs of zeros too; no run calls it."""
     sets = measurement_bases(x, phases, 1 + len(bob_j))
-    digits, states, steps = _forced_branch(sets.vectors.conj(), alice_k, bob_j)
-    records = _records(sets.labels, digits[0].tolist(), steps[0].tolist())
-    return StateVector(states[0]), float(np.prod(steps[0])), records
+    rows = sets.vectors.conj()
+    outcome = _forced_outcome(len(rows), alice_k, bob_j)[0]
+    steps = _class_grid(rows)[0][np.arange(len(rows)), alice_k, outcome]
+    state = _CHANNEL
+    for row, norm in zip(rows[np.arange(len(rows)), alice_k, outcome], np.sqrt(steps)):
+        state = row * state
+        state /= norm
+    return StateVector(state), float(np.prod(steps)), _records(sets.labels, outcome.tolist(), steps.tolist())
 
 
 def _correction_weights(target3: np.ndarray) -> np.ndarray:
@@ -421,34 +405,34 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     return hit.argmax(axis=1)
 
 
-def _walsh_xor(outcomes: np.ndarray) -> np.ndarray:
-    """s(k) ^ s(j_1) ^ ... of each outcome row, for s = bases.WALSH_INDEX, one XOR per column."""
-    return functools.reduce(np.bitwise_xor, bases.WALSH_INDEX[outcomes.T])
-
-
-def _corrections(outcomes: np.ndarray, states: np.ndarray, target3: np.ndarray,
-                 classes: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each branch's correction as the search picks it, its corrected state and its fidelity |corrected .
-    conj(target3)|^2, a one-row batch padded to two so that its bits are those of any batch. On the paper's
-    layout the branch is the target under the frame Z^z X^k, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX:
-    its ties are the frame XOR the target's own, and the search takes the least. With `classes` = (k, z, row),
-    `states` holds one state per class, which it corrects by the class's frame, and branch b takes class
-    row[b]'s triple and fidelity. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound for the
-    first such branch; it sums in another order than the search's, so a value within an ulp or two of the
-    threshold could flip."""
-    k, z, row = (outcomes[:, 0], _walsh_xor(outcomes), slice(None)) if classes is None else classes
+def _corrections(outcomes: np.ndarray, finals: np.ndarray, code: np.ndarray,
+                 target3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each branch's correction as the search picks it and its fidelity |corrected . conj(target3)|^2, from the
+    8 x |codes| class states of `_class_grid`'s `finals` and the distinct codes among the branches' `code`:
+    64 on the paper's layout, whose codes are its Walsh indices, and at least 8, so a branch gets the bits it
+    gets in any batch. On the paper's layout the branch is the target under the frame Z^z X^k, z = s(k) ^
+    s(j_1) ^ ... for s = bases.WALSH_INDEX, the code's low bits: its ties are the frame XOR the target's own,
+    and the search takes the least. Returns the triples in branch order, the corrected class states, the
+    fidelities in branch order and each branch's class row. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound
+    for the first such branch; it sums in another order than the search's, so a value within an ulp or two of
+    the threshold could flip."""
+    live = np.bincount(code, minlength=2048).nonzero()[0]  # the distinct codes, ascending
+    slot = np.empty(2048, dtype=np.intp)
+    slot[live] = np.arange(len(live))
+    row = slot[code] + len(live) * outcomes[:, 0]  # class k * len(live) + slot
+    k, z = np.arange(8).repeat(len(live)), (bases.WALSH_INDEX[:, None] ^ live & 7).reshape(-1)
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
     found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[k] + 2 * _SPREAD[z]]
+    states = np.where(live[:, None] >> np.arange(3, 11) & 1, -finals[:, None], finals[:, None]).reshape(-1, 8)
     corrected = _apply_corrections(states, found)
-    padded = corrected.repeat(2, axis=0) if len(corrected) == 1 else corrected
-    fidelities = (np.abs(padded @ target3.conj()) ** 2)[: len(corrected)]
+    fidelities = np.abs(corrected @ target3.conj()) ** 2
     found, fidelities = found[row], fidelities[row]
     missed = (~(fidelities >= 1.0 - FIDELITY_TOL)).nonzero()[0]
     if missed.size:
         b = missed[0]
         raise NoCorrectionFound(f"correction {_TRIPLES[found[b]]} for outcome {tuple(outcomes[b].tolist())}"
                                 f" misses the target (fidelity {float(fidelities[b])!r})")
-    return found, corrected, fidelities
+    return found, corrected, fidelities, row
 
 
 def _search_correction(collapsed: StateVector, target3: StateVector) -> CorrectionTriple:
@@ -520,39 +504,32 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     _require_senders(n_senders)
     x, rows = AmplitudeProfile(_TABLE_PROFILE[0]), _TABLE_PROFILE[1:n_senders]
     phases = PhaseProfile(rows[0]) if n_senders == 2 else PhaseShares(rows)
-    outcomes, _, found, _, fidelities, _ = _every_branch(measurement_bases(x, phases, n_senders).vectors.conj(),
-                                                         _target_amps(x, phases))
+    _, finals, codes = _class_grid(measurement_bases(x, phases, n_senders).vectors.conj())
+    outcomes = _all_outcomes(n_senders)
+    found, _, fidelities, _ = _corrections(outcomes, finals, _every_code(codes), _target_amps(x, phases))
     return CorrectionTable(n_senders, outcomes, found, fidelities)
 
 
-def _sampled_outcomes(
-    rows: np.ndarray, n_senders: int, rng: np.random.Generator, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw `trials` branches from the true joint outcome distribution, and return their outcomes,
-    states and steps, in chunks of _SAMPLE_CHUNK. Each digit is `Generator.choice(8, p=q)` unrolled
-    over q, row [p, k] of the op's `_class_grid` table: one uniform u per (trial, party), in the row-major
-    order of a trial-by-trial loop, and the index is the number of entries of cumsum(q) / cumsum(q)[-1]
-    that are <= u, as one `rng.choice` per trial and party draws. Zero or NaN steps raise ValueError
-    only at a drawn k, and never warn."""
+def _sampled_outcomes(table: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw `trials` branches from the true joint outcome distribution, in chunks of _SAMPLE_CHUNK, and return
+    their outcomes. Each digit is `Generator.choice(8, p=q)` unrolled over q, row [p, k] of the op's
+    `_class_grid` table: one uniform u per (trial, party), in the row-major order of a trial-by-trial loop, and
+    the index is the number of entries of cumsum(q) / cumsum(q)[-1] that are <= u, as one `rng.choice` per
+    trial and party draws. Zero or NaN steps raise ValueError only at a drawn k, and never warn."""
+    n_senders = len(table)
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = _class_grid(rows, slice(None))[0]
         cdf = (table / table.sum(axis=-1)[..., None]).cumsum(axis=-1)
         cdf /= cdf[..., -1:]
     finite = np.isfinite(cdf).all(axis=(0, 2))
     outcomes = np.empty((trials, n_senders), dtype=np.intp)
-    states = np.empty((trials, 8), dtype=complex)
-    steps = np.empty((trials, n_senders))
     for start in range(0, trials, _SAMPLE_CHUNK):
         u = rng.random((min(_SAMPLE_CHUNK, trials - start), n_senders))
-        chunk = slice(start, start + len(u))
-        drawn = outcomes[chunk]
+        drawn = outcomes[start : start + len(u)]
         k = (cdf[0, 0] <= u[:, :1]).sum(axis=1, out=drawn[:, 0])
         if not finite[k].all():
             raise ValueError("probabilities contain NaN")
         (cdf[1:].take(k, axis=1) <= u.T[1:, :, None]).sum(axis=2, out=drawn[:, 1:].T)
-        steps[chunk] = table[np.arange(n_senders), k[:, None], drawn]
-        states[chunk] = _collapse_drawn(rows, drawn, steps[chunk])
-    return outcomes, states, steps
+    return outcomes
 
 
 def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: MeasurementBases, mode: str,
@@ -565,20 +542,21 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
     Exhaustive mode computes all 8**n_senders branches in
     outcome-lexicographic order; sampled mode draws `trials` branches
     from the true distribution; `force` runs the one branch it names, in
-    either mode and whatever `trials` says.
+    either mode and whatever `trials` says. Every mode corrects by class.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    n_senders = len(sets.vectors)
-    rows, target3 = sets.vectors.conj(), _target_amps(x, phases)
-    if force is not None:
-        outcomes, states, steps = _forced_branch(rows, *force)
-    elif mode == "sampled":
-        outcomes, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+    n = len(sets.vectors)
+    table, finals, codes = _class_grid(sets.vectors.conj())
+    if force is None and mode == "exhaustive":  # every step depends on k alone, the outermost digit
+        outcomes, code = _all_outcomes(n), _every_code(codes)
+        steps = np.column_stack((table[0, 0], *table[1:, :, 0])).repeat(8 ** (n - 1), axis=0)
     else:
-        outcomes, steps, found, corrected, fidelities, row = _every_branch(rows, target3)
-        return Branches(sets.labels, outcomes, steps, found, corrected[row], fidelities)
-    return Branches(sets.labels, outcomes, steps, *_corrections(outcomes, states, target3))
+        outcomes = (_forced_outcome(n, *force) if force is not None
+                    else _sampled_outcomes(table, np.random.default_rng(seed), trials))
+        steps, code = _drawn(table, codes, outcomes)
+    found, corrected, fidelities, row = _corrections(outcomes, finals, code, _target_amps(x, phases))
+    return Branches(sets.labels, outcomes, steps, found, corrected[row], fidelities)
 
 
 def transcripts(run: Branches) -> list[ProtocolTranscript]:

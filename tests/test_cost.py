@@ -40,9 +40,12 @@ print(tracemalloc.get_traced_memory()[1])
 
 # Command -> ceiling in bytes: the traced peak of one op, measured with numpy 2.4 on x86-64, plus 2%.
 CEILINGS = {
-    "table --senders 3": 160_065,  # measured 156_927
+    "table --senders 3": 160_000,  # measured 156_863
     "table --senders 5": 10_723_495,  # measured 10_513_231
-    "verify --senders 5 --exhaustive --seed 7": 15_814_345,  # measured 15_504_260
+    "verify --senders 3 --exhaustive --seed 7": 284_769,  # measured 279_186
+    "verify --senders 5 --exhaustive --seed 7": 15_814_345,  # measured 15_504_292; the ceiling is 15_504_260 + 2%
+    "verify --senders 5 --trials 100 --seed 7": 152_037,  # measured 149_056
+    "verify --senders 5 --trials 10000 --seed 7": 4_864_725,  # measured 4_769_339
 }
 
 

@@ -3,15 +3,15 @@
 Every run and table walks one representative branch per announced k from
 the channel's 8-term diagonal (`_class_grid`): its step table holds every
 branch's step probabilities, and its final states, negated by each branch's
-XOR of sign masks, every branch's state up to the sign of zero. Exhaustive
-runs and tables correct one state per (k, mask) class and gather it to the
-branches (`_every_branch`); sampled and forced runs collapse only their own
-branches in one pass. The runners correct and expand the receiver's
-8-vectors batched, with the Pauli frame of each branch's digits, which must
-pick the search's triple on every profile and never search; a layout the
-frame misses is an oracle failure.
+XOR of sign masks, every branch's state up to the sign of zero. Every mode
+(exhaustive, sampled, forced) and every table correct one state per (k, mask)
+class among the branches they name and gather it back (`_corrections`). The
+runners correct and expand the receiver's 8-vectors batched, with the Pauli
+frame of each branch's digits, which must pick the search's triple on every
+profile and never search; a layout the frame misses, or whose phase rows are
+not their row 0 up to signs, is an oracle failure.
 `_collapse_branches`, which gathers one row per branch, is the
-reference that the grid, the classes and the pass equal in every mode, and
+reference that the grid and the classes equal in every mode, and
 no run calls it. `_dense_branch` measures the full register with the dense engine, and
 `_TRIPLE_MATRIX`, Kronecker products of 2x2 Paulis, and `parity_expand`
 are the dense correction and expansion. Both paths renormalize after every
@@ -52,7 +52,6 @@ from chi_jrsp.protocol import (
     _expand_parity,
     _sampled_outcomes,
     _search_corrections,
-    _walsh_xor,
     build_correction_table,
     compressed_target,
     derive_correction,
@@ -237,15 +236,31 @@ class BoundaryRng:
         return u
 
 
-def assert_sampler_matches_reference(rows, n_senders, seed, trials):
+def reference_table(rows):
+    """The step table from `_collapse_branches`: [p, k, j] is party p's step for digit j after k and zero
+    digits between (party 0's, whose digit is k, the root's for digit j on every k). On rows whose middle
+    parties' rows are their row 0 up to signs, every branch of k has these steps, the last party's rows
+    arbitrary too: a sign changes no bit of |.|^2."""
+    n = rows.shape[-4]
+    table = np.empty((n, 8, 8))
+    for p in range(n):
+        outcomes = np.zeros((64, n), dtype=np.intp)
+        outcomes[:, 0], outcomes[:, p] = np.arange(64) // 8, np.arange(64) % 8
+        table[p] = _collapse_branches(rows, outcomes)[1][:, p].reshape(8, 8)
+    return table
+
+
+def assert_sampler_matches_reference(rows, table, seed, trials):
+    """The sampler, drawing from `table`, draws what the replaying reference draws on `rows`."""
+    n_senders = rows.shape[-4]
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn, _, _ = _sampled_outcomes(rows, n_senders, rng, trials)
+    drawn = _sampled_outcomes(table, rng, trials)
     assert np.array_equal(drawn, replaying_sampler(rows, n_senders, reference_rng, trials))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     boundary = BoundaryRng()
     expected = replaying_sampler(rows, n_senders, boundary, trials)
-    assert np.array_equal(_sampled_outcomes(rows, n_senders, boundary, trials)[0], expected)
+    assert np.array_equal(_sampled_outcomes(table, boundary, trials), expected)
     assert boundary.served == trials * n_senders
 
 
@@ -253,7 +268,8 @@ def assert_sampler_matches_reference(rows, n_senders, seed, trials):
 def test_sampler_matches_replaying_reference(n_senders):
     for seed in range(25):
         x, phases = random_inputs(n_senders, seed)
-        assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=20)
+        rows = sender_rows(x, phases, n_senders)
+        assert_sampler_matches_reference(rows, protocol._class_grid(rows)[0], seed, trials=20)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -261,7 +277,8 @@ def test_sampler_matches_replaying_reference(n_senders):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_sampler_matches_replaying_reference_on_random_profiles(n_senders, data, seed):
     x, phases = data.draw(profiles(n_senders))
-    assert_sampler_matches_reference(sender_rows(x, phases, n_senders), n_senders, seed, trials=10)
+    rows = sender_rows(x, phases, n_senders)
+    assert_sampler_matches_reference(rows, protocol._class_grid(rows)[0], seed, trials=10)
 
 
 def arbitrary_rows(gen, n_senders):
@@ -269,11 +286,11 @@ def arbitrary_rows(gen, n_senders):
 
 
 def skewed_rows(gen, n_senders):
-    """Arbitrary rows for the magnitude sender and the last party, which the
-    step table reads as given; each middle party's rows for k are random +-1
-    signs times one arbitrary complex row, the form that a sign pattern gives
-    and the table needs. Then the same rows with the magnitude sender's bases
-    all equal to her basis 0, the form that `measurement_bases` gives."""
+    """Arbitrary rows for the magnitude sender and the last party, whose steps
+    `reference_table` reads as given; each middle party's rows for k are
+    random +-1 signs times one arbitrary complex row, the form that a sign
+    pattern gives. Then the same rows with the magnitude sender's bases all
+    equal to her basis 0, the form that `measurement_bases` gives."""
     rows = arbitrary_rows(gen, n_senders)
     rows[1:-1] = gen.choice([-1.0, 1.0], (n_senders - 2, 8, 8, 8)) * rows[1:-1, :, :1]
     same = rows.copy()
@@ -288,25 +305,27 @@ def test_sampler_matches_replaying_reference_on_skewed_rows(n_senders):
     # the last party make their steps count, and the middle parties' rows
     # differ from one k to the next. With
     # the magnitude sender's rows depending on k, her branch d must use row d
-    # of basis d, as the reference does.
+    # of basis d, as the reference does. The run's grid refuses an arbitrary
+    # last party, so the sampler draws from the reference's table here.
     gen = np.random.default_rng(n_senders)
     for seed in range(20):
         for rows in skewed_rows(gen, n_senders):
-            assert_sampler_matches_reference(rows, n_senders, seed, trials=20)
+            assert_sampler_matches_reference(rows, reference_table(rows), seed, trials=20)
 
 
 def test_sampler_walks_each_trial_once(monkeypatch):
-    # The sampler replays no prefix, and a sampled run takes its states and
-    # steps from the sampler instead of collapsing the drawn branches again.
-    # A forced five-sender run takes the same walk.
+    # The sampler replays no prefix, and a sampled run takes its steps from
+    # the grid's table and its states from their classes instead of
+    # collapsing the drawn branches. A forced five-sender run takes the same
+    # path.
     def refuse(*args):
         raise AssertionError("a sampled or forced run called _collapse_branches")
 
     x, phases = random_inputs(5, 0)
     sets = measurement_bases(x, phases, 5)
-    rows = sets.vectors.conj()
+    table = protocol._class_grid(sets.vectors.conj())[0]
     monkeypatch.setattr(protocol, "_collapse_branches", refuse)
-    assert _sampled_outcomes(rows, 5, np.random.default_rng(0), 10)[0].shape == (10, 5)
+    assert _sampled_outcomes(table, np.random.default_rng(0), 10).shape == (10, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, None).outcomes.shape == (300, 5)
     assert run_branches(x, phases, sets, "sampled", 0, 300, (7, (7, 7, 7, 7))).outcomes.tolist() == [[7] * 5]
 
@@ -337,13 +356,12 @@ def test_sampler_draws_do_not_depend_on_chunk_size(n_senders, monkeypatch):
     # 20 trials in chunks of 7 are three chunks, the last one short.
     default = protocol._SAMPLE_CHUNK
     for rows in skewed_rows(np.random.default_rng(10 + n_senders), n_senders):
+        table = reference_table(rows)
         monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", default)
-        whole = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
+        whole = _sampled_outcomes(table, np.random.default_rng(3), 20)
         monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 7)
-        chunked = _sampled_outcomes(rows, n_senders, np.random.default_rng(3), 20)
-        for got, expected in zip(chunked, whole):
-            assert np.array_equal(got, expected)
-        assert_sampler_matches_reference(rows, n_senders, seed=3, trials=20)
+        assert np.array_equal(_sampled_outcomes(table, np.random.default_rng(3), 20), whole)
+        assert_sampler_matches_reference(rows, table, seed=3, trials=20)
 
 
 def assert_bits_equal(a, b):
@@ -351,49 +369,73 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_sampler_collapses_as_engine(rows, n_senders, seed, trials):
-    drawn, states, steps = _sampled_outcomes(rows, n_senders, np.random.default_rng(seed), trials)
+def assert_drawn_branches_are_the_reference(rows, seed, trials):
+    """The sampler's draws on `rows` take the reference's steps bit for bit, and their class states are the
+    reference's states up to the sign of zero: the grid's table gathered at each drawn outcome, and its k's
+    final state negated by the sign masks of the outcome's code."""
+    table, finals, codes = protocol._class_grid(rows)
+    drawn = _sampled_outcomes(table, np.random.default_rng(seed), trials)
+    steps, code = protocol._drawn(table, codes, drawn)
+    states = np.where(code[:, None] >> np.arange(3, 11) & 1, -finals[drawn[:, 0]], finals[drawn[:, 0]])
     expected_states, expected_steps = _collapse_branches(rows, drawn)
-    assert_bits_equal(states, expected_states)
     assert_bits_equal(steps, expected_steps)
+    assert_bits_equal_up_to_zero_sign(states, expected_states)
 
 
 @pytest.mark.parametrize("chunk", [protocol._SAMPLE_CHUNK, 7])
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
-    # The sampler's states and steps are those of the drawn branches, bit for
-    # bit, on real profiles and on both kinds of skewed rows above. 300 trials
-    # end in a short chunk at either chunk size: 256 + 44, and 42 * 7 + 6.
+    # A sampled run's steps, triples and fidelities are the reference's of
+    # its drawn branches, bit for bit, and its corrected states up to the
+    # sign of zero, on real profiles; on both kinds of skewed rows above,
+    # with each phase party's rows signed copies of its row 0 (the grid
+    # refuses any other), the drawn branches' steps and class states are the
+    # reference's. 300 trials end in a short chunk at either chunk size:
+    # 256 + 44, and 42 * 7 + 6.
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", chunk)
     gen = np.random.default_rng(n_senders)
     for seed in range(8):
         x, phases = random_inputs(n_senders, seed)
-        assert_sampler_collapses_as_engine(sender_rows(x, phases, n_senders), n_senders, seed, trials=300)
+        sets = measurement_bases(x, phases, n_senders)
+        run = run_branches(x, phases, sets, "sampled", seed, 300, None)
+        expected = per_branch_reference(sets.vectors.conj(), run.outcomes, compressed_target(x, phases).amps)
+        assert_run_is(run, expected, np.arange(300))
         for rows in skewed_rows(gen, n_senders):
-            assert_sampler_collapses_as_engine(rows, n_senders, seed, trials=300)
+            rows[-1] = gen.choice([-1.0, 1.0], (8, 8, 8)) * rows[-1, :, :1]
+            assert_drawn_branches_are_the_reference(rows, seed, trials=300)
 
 
-@pytest.mark.parametrize("n_senders", range(3, MAX_SENDERS + 1))
+@pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_middle_rows_off_their_signs_raise(n_senders):
-    # The step table holds every branch's steps only if each middle party's
-    # rows for k are its row 0 up to entrywise signs. Arbitrary rows there,
-    # in both of the old skewed forms, raise from the sampler and from a
-    # forced run; so does one entry of a paper basis turned by a unit phase,
-    # which keeps every magnitude.
+    # The step table holds every branch's steps, and the classes its states,
+    # only if each phase party's rows for k are its row 0 up to entrywise
+    # signs. Arbitrary rows, in both of the old skewed forms, are an oracle
+    # failure in every mode, a forced run and `_collapse_branch` too, which
+    # names the first such party and k; so is one entry of a paper basis
+    # turned by a unit phase, which keeps every magnitude, at the last phase
+    # sender or, from three senders on, a middle one.
     x, phases = random_inputs(n_senders, 0)
     sets = measurement_bases(x, phases, n_senders)
-    turned = sets.vectors.copy()
-    turned[n_senders - 2, 3, 5, 2] *= 1j
     arbitrary = arbitrary_rows(np.random.default_rng(30 + n_senders), n_senders)
     same = arbitrary.copy()
     same[0] = same[0, 0]
+    cases = [(arbitrary, 1, 0), (same, 1, 0)]
+    for party in {n_senders - 1, max(n_senders - 2, 1)}:
+        turned = sets.vectors.copy()
+        turned[party, 3, 5, 2] *= 1j
+        cases.append((turned.conj(), party, 3))
     force = (3, (5,) * (n_senders - 1))
-    for rows in (arbitrary, same, turned.conj()):
-        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
-            _sampled_outcomes(rows, n_senders, np.random.default_rng(0), 20)
+    for rows, party, k in cases:
+        message = f"phase sender {party}'s basis rows for k={k} are not its row 0 up to entrywise signs"
         broken = protocol.MeasurementBases(rows.conj(), sets.labels, sets.deviations)
-        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
-            run_branches(x, phases, broken, "sampled", 0, 1, force)
+        for mode, trials, forced in (("exhaustive", 1, None), ("sampled", 20, None), ("sampled", 1, force)):
+            with pytest.raises(NoCorrectionFound) as raised:
+                run_branches(x, phases, broken, mode, 0, trials, forced)
+            assert str(raised.value) == message
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "measurement_bases", lambda *args: broken)
+        with pytest.raises(NoCorrectionFound, match="row 0 up to entrywise signs"):
+            protocol._collapse_branch(x, phases, *force)
 
 
 def flip_column(pattern):
@@ -418,8 +460,7 @@ def test_step_table_is_every_branch_step(n_senders, data):
     # Entry [p, k, j] of the grid's table is, bit for bit, the reference's step
     # at party p of every branch with announced k and digit j (party 0's
     # digit is k, on every row of hers), on random and tied profiles, under
-    # the paper's sign pattern and two +-1 mutants of it. A table of one k is
-    # that k's row of the full table.
+    # the paper's sign pattern and two +-1 mutants of it.
     x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
     change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
     with pytest.MonkeyPatch.context() as patch:
@@ -428,27 +469,58 @@ def test_step_table_is_every_branch_step(n_senders, data):
             change(pattern)
             patch.setattr(bases, "SIGN_PATTERN", pattern)
         rows = sender_rows(x, phases, n_senders)
-    table = protocol._class_grid(rows, slice(None))[0]
+    table = protocol._class_grid(rows)[0]
     _, steps = walked(rows)
     outcomes = _all_outcomes(n_senders)
     for c in range(8):
         assert_bits_equal(table[0, c, outcomes[:, 0]], steps[:, 0])
     for p in range(1, n_senders):
         assert_bits_equal(table[p, outcomes[:, 0], outcomes[:, p]], steps[:, p])
-    for k in range(8):
-        assert_bits_equal(protocol._class_grid(rows, slice(k, k + 1))[0][:, 0], table[:, k])
+
+
+def per_branch_reference(rows, outcomes, target3):
+    """Each branch of `outcomes` by the per-branch reference: `_collapse_branches`' steps and states, the
+    Pauli frame Z^z X^k of its digits, z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX, with the search's tie
+    rule (the least of the frame XOR each triple that fixes the target), `_apply_corrections`' corrected states
+    and their fidelities, in one product over the batch (numpy takes another product path for one row, so
+    give it two or more), and the mask of branches whose frame misses. With no miss, the frame's triples are
+    the search's."""
+    states, steps = _collapse_branches(rows, outcomes)
+    k, z = outcomes[:, 0], np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
+    frame = sum(((k >> b & 1) + 2 * (z >> b & 1)) * 4**b for b in range(3))  # receiver qubit 0 is bit 2
+    fixes = np.abs(np.einsum("i,tij,j->t", target3.conj(), _TRIPLE_MATRIX, target3)) ** 2 >= 1.0 - FIDELITY_TOL
+    found = (frame[:, None] ^ fixes.nonzero()[0]).min(axis=1)
+    corrected = _apply_corrections(states, found)
+    fidelities = np.abs(corrected @ target3.conj()) ** 2
+    missed = ~(fidelities >= 1.0 - FIDELITY_TOL)
+    if not missed.any():
+        assert np.array_equal(found, _search_corrections(states, target3))
+    return steps, found, corrected, fidelities, missed
+
+
+def assert_run_is(run, expected, b):
+    """`run`'s branches are rows `b` of a `per_branch_reference`: steps, triples and fidelities bit for bit,
+    corrected states up to the sign of zero, as the branches of a class share one state."""
+    steps, found, corrected, fidelities, _ = expected
+    assert_bits_equal(run.steps, steps[b])
+    assert np.array_equal(run.triples, found[b])
+    assert_bits_equal_up_to_zero_sign(run.corrected, corrected[b])
+    assert_bits_equal(run.fidelities, fidelities[b])
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_the_grid_is_the_per_branch_reference(n_senders, data):
-    # On random and tied profiles, under the paper's sign pattern and its
-    # row-swap and column-negation mutants: the grid's steps equal the
-    # reference's bit for bit and its states up to the sign of zero, and an
-    # exhaustive run's triples and fidelities are those that `_corrections`
-    # gives the reference's states, bit for bit, its corrected states up to
-    # the sign of zero; or both raise the same miss, at the first branch.
+    # Every mode takes one class path from the grid. On random profiles
+    # (zero magnitudes among them) and tied ones, under the paper's sign
+    # pattern and its row-swap and column-negation mutants: an exhaustive
+    # run, sampled runs at two chunk sizes and forced runs (the digit corners
+    # and one drawn outcome) take the per-branch reference's steps, triples
+    # and fidelities bit for bit and its corrected states up to the sign of
+    # zero, or raise the reference's first miss among their branches, in
+    # their order. A forced or sampled branch's fidelity has the bits of its
+    # exhaustive row.
     x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
     change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
     with pytest.MonkeyPatch.context() as patch:
@@ -456,37 +528,56 @@ def test_the_grid_is_the_per_branch_reference(n_senders, data):
             pattern = SIGN_PATTERN.copy()
             change(pattern)
             patch.setattr(bases, "SIGN_PATTERN", pattern)
-        rows = sender_rows(x, phases, n_senders)
+        sets = measurement_bases(x, phases, n_senders)
+    rows, target3, outcomes = sets.vectors.conj(), compressed_target(x, phases).amps, _all_outcomes(n_senders)
     assert_tree_equals_collapse(rows)
-    outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
-    states, steps = walked(rows)
-    try:
-        expected = protocol._corrections(outcomes, states, target3)
-    except NoCorrectionFound as exc:
-        with pytest.raises(NoCorrectionFound) as raised:
-            protocol._every_branch(rows, target3)
-        assert str(raised.value) == str(exc)
-        return
-    got_outcomes, got_steps, found, corrected, fidelities, row = protocol._every_branch(rows, target3)
-    assert np.array_equal(got_outcomes, outcomes)
-    assert_bits_equal(got_steps, steps)
-    assert np.array_equal(found, expected[0])
-    assert_bits_equal_up_to_zero_sign(corrected[row], expected[1])
-    assert_bits_equal(fidelities, expected[2])
-    assert len(corrected) == 64 or change is not None  # one class per (k, z) on the paper's layout
+    expected = per_branch_reference(rows, outcomes, target3)
+    _, found, _, fidelities, missed = expected
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    drawn = _sampled_outcomes(protocol._class_grid(rows)[0], np.random.default_rng(seed), 300)
+    digits = st.lists(st.integers(0, 7), min_size=n_senders, max_size=n_senders)
+    cases = [("exhaustive", 1, None, protocol._SAMPLE_CHUNK, outcomes),
+             *(("sampled", 300, None, chunk, drawn) for chunk in (protocol._SAMPLE_CHUNK, 7))]
+    for o in ([0] * n_senders, [7] * n_senders, data.draw(digits)):
+        cases.append(("sampled", 1, (o[0], tuple(o[1:])), protocol._SAMPLE_CHUNK, np.array([o])))
+    every = None
+    for mode, trials, force, chunk, named in cases:
+        b = np.ravel_multi_index(named.T, (8,) * n_senders)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_SAMPLE_CHUNK", chunk)
+            if missed[b].any():
+                first = b[missed[b].argmax()]
+                with pytest.raises(NoCorrectionFound) as raised:
+                    run_branches(x, phases, sets, mode, seed, trials, force)
+                assert str(raised.value) == (f"correction {_TRIPLES[found[first]]} for outcome"
+                                             f" {tuple(outcomes[first].tolist())} misses the target"
+                                             f" (fidelity {float(fidelities[first])!r})")
+                continue
+            run = run_branches(x, phases, sets, mode, seed, trials, force)
+        assert np.array_equal(run.outcomes, named)
+        assert_run_is(run, expected, b)
+        every = run if mode == "exhaustive" else every
+        if every is not None:
+            assert_bits_equal(run.fidelities, every.fidelities[b])
+    assert every is not None or missed.any()
+    assert change is not None or len(np.unique(protocol._every_code(protocol._class_grid(rows)[2]))) == 8
 
 
 @pytest.mark.filterwarnings("error")
 def test_an_undrawn_zero_class_is_silent():
     # Row 3 of the magnitude sender's basis 3 is zero, so k = 3 has
-    # probability 0 and its table rows are 0/0. No trial draws it, so the
-    # sampler neither warns nor raises, and the drawn branches collapse as
-    # the reference collapses them.
+    # probability 0 and its table rows, final state and class states are
+    # 0/0. No trial draws it, so a sampled run neither warns nor raises, and
+    # its drawn branches are the reference's.
     x, phases = random_inputs(3, 0)
-    rows = sender_rows(x, phases, 3).copy()
+    sets = measurement_bases(x, phases, 3)
+    rows = sets.vectors.conj().copy()
     rows[0, 3, 3] = 0.0
-    assert 3 not in _sampled_outcomes(rows, 3, np.random.default_rng(0), 300)[0][:, 0]
-    assert_sampler_collapses_as_engine(rows, 3, 0, 300)
+    assert 3 not in _sampled_outcomes(protocol._class_grid(rows)[0], np.random.default_rng(0), 300)[:, 0]
+    assert_drawn_branches_are_the_reference(rows, 0, 300)
+    broken = protocol.MeasurementBases(rows.conj(), sets.labels, sets.deviations)
+    run = run_branches(x, phases, broken, "sampled", 0, 300, None)
+    assert_run_is(run, per_branch_reference(rows, run.outcomes, compressed_target(x, phases).amps), np.arange(300))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -496,7 +587,7 @@ def test_sampler_rejects_non_finite_probabilities():
     with pytest.raises(ValueError):
         replaying_sampler(rows, 3, np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
-        _sampled_outcomes(rows, 3, np.random.default_rng(0), 4)
+        _sampled_outcomes(protocol._class_grid(rows)[0], np.random.default_rng(0), 4)
 
 
 # Signed zeros, subnormals, the largest finite double (whose products overflow),
@@ -545,7 +636,7 @@ def grid_branches(rows):
     that equal their row 0's negation) XOR to 1."""
     n = rows.shape[-4]
     outcomes = _all_outcomes(n)
-    table, finals = protocol._class_grid(rows, slice(None))
+    table, finals, _ = protocol._class_grid(rows)
     negated = rows[1:] == -rows[1:, :, :1]
     flips = np.bitwise_xor.reduce(negated[np.arange(n - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
     states = np.where(flips, -finals[outcomes[:, 0]], finals[outcomes[:, 0]])
@@ -580,13 +671,13 @@ def test_tree_equals_collapse_on_unnormalized_rows(n_senders):
     # Arbitrary rows for the magnitude sender: a branch's k picks row k of her
     # basis k, so a grid that read another of her bases would show. Each phase
     # sender's rows for k are one arbitrary row times random signs, the form
-    # that the grid needs; arbitrary rows there are refused by every
-    # exhaustive run and table.
+    # that the grid needs; arbitrary rows there are refused by the grid, so
+    # by every run and table.
     gen = np.random.default_rng(20 + n_senders)
     for _ in range(3):
         rows = arbitrary_rows(gen, n_senders)
-        with pytest.raises(ValueError, match="row 0 up to entrywise signs"):
-            protocol._every_branch(rows, rows[0, 0, 0])
+        with pytest.raises(NoCorrectionFound, match="row 0 up to entrywise signs"):
+            protocol._class_grid(rows)
         rows[1:] = gen.choice([-1.0, 1.0], (n_senders - 1, 8, 8, 8)) * rows[1:, :, :1]
         assert_tree_equals_collapse(rows)
 
@@ -675,20 +766,22 @@ def test_run_branches_agree_across_modes(n_senders):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_fidelities_do_not_depend_on_the_batch(n_senders):
     # numpy takes another product path for a one-row matrix than for two or
-    # more rows; `_corrections` pads a one-row batch, so every chunk size, and
-    # the short tail of 100 rows in chunks of 3, 6, 7, 8 or 9, gives the bits
-    # of the whole batch.
+    # more rows; `_corrections` corrects the 8 x |codes| class states of the
+    # branches it is given, at least 8 rows, so every chunk size, and the
+    # short tail of 100 rows in chunks of 3, 6, 7, 8 or 9, gives the bits of
+    # the whole run, one branch (a forced run's batch) too.
     x, phases = random_inputs(n_senders, 0)
     run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
-    states, _ = walked(sender_rows(x, phases, n_senders))
-    rows = np.random.default_rng(n_senders).permutation(len(states))[:100]
+    _, finals, codes = protocol._class_grid(sender_rows(x, phases, n_senders))
+    code = protocol._every_code(codes)
+    rows = np.random.default_rng(n_senders).permutation(len(code))[:100]
     target3 = compressed_target(x, phases).amps
     for size in range(1, 10):
         for start in range(0, len(rows), size):
             b = rows[start : start + size]
-            found, corrected, fidelities = protocol._corrections(run.outcomes[b], states[b], target3)
+            found, corrected, fidelities, row = protocol._corrections(run.outcomes[b], finals, code[b], target3)
             assert np.array_equal(found, run.triples[b])
-            assert_bits_equal(corrected, run.corrected[b])
+            assert_bits_equal(corrected[row], run.corrected[b])
             assert_bits_equal(fidelities, run.fidelities[b])
 
 
@@ -784,22 +877,29 @@ def refuse_search(*args):
 
 
 def assert_one_pass_decides_as_the_search(x, phases, n_senders):
-    """`_corrections` corrects once with the frame and never searches. Its miss
-    mask is the one the frame's weight columns give (`einsum` over the (8, B)
-    columns). With no miss, its triples are the search's and its corrected
-    states and fidelities those of the search's triples, bit for bit; a miss
-    raises NoCorrectionFound, which names the first missed branch."""
-    states, _ = walked(sender_rows(x, phases, n_senders))
+    """`_corrections` corrects each class once with the frame and never
+    searches. Its miss mask is the one that each branch's class frame gives
+    the reference's states (`einsum` over the (8, B) columns). With no miss,
+    its triples are the search's, its fidelities those of the search's
+    triples bit for bit, and its corrected states theirs up to the sign of
+    zero; a miss raises NoCorrectionFound, which names the first missed
+    branch."""
+    rows = sender_rows(x, phases, n_senders)
+    states, _ = walked(rows)
     outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
+    _, finals, codes = protocol._class_grid(rows)
+    code = protocol._every_code(codes)
     frames, apply, failure = [], protocol._apply_corrections, None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_apply_corrections", lambda s, f: frames.append(f.copy()) or apply(s, f))
         patch.setattr(protocol, "_search_corrections", refuse_search)
         try:
-            found, corrected, fidelities = protocol._corrections(outcomes, states, target3)
+            found, corrected, fidelities, row = protocol._corrections(outcomes, finals, code, target3)
         except NoCorrectionFound as exc:
             failure = str(exc)
-    (frame,) = frames
+    (classes,) = frames  # class k * |codes| + the code's rank among the distinct codes
+    live = np.unique(code)
+    frame = classes[outcomes[:, 0] * len(live) + np.searchsorted(live, code)]
     weights = protocol._correction_weights(target3)
     einsum_missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, frame])) ** 2 >= 1.0 - FIDELITY_TOL)
     frame_fidelities = np.abs(_apply_corrections(states, frame) @ target3.conj()) ** 2
@@ -812,7 +912,7 @@ def assert_one_pass_decides_as_the_search(x, phases, n_senders):
         assert failure is None
         searched = _search_corrections(states, target3)
         assert np.array_equal(found, searched)
-        assert_bits_equal(corrected, _apply_corrections(states, searched))
+        assert_bits_equal_up_to_zero_sign(corrected[row], _apply_corrections(states, searched))
         assert_bits_equal(fidelities, frame_fidelities)
     return einsum_missed.sum()
 
@@ -918,7 +1018,7 @@ def assert_run_target_is_compressed_target(x, phases, n_senders):
     seen, real = [], protocol._corrections
     sets = measurement_bases(x, phases, n_senders)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_corrections", lambda o, s, t: seen.append(t) or real(o, s, t))
+        patch.setattr(protocol, "_corrections", lambda o, f, c, t: seen.append(t) or real(o, f, c, t))
         run_branches(x, phases, sets, "sampled", None, 1, (0, (0,) * (n_senders - 1)))
     assert len(seen) == 1
     assert_bits_equal(seen[0], compressed_target(x, phases).amps)
@@ -963,10 +1063,10 @@ def test_the_table_walks_one_basis_stack(n_senders, monkeypatch):
     gridded, builds, grams, targets = [], [], [], []
     grid, build, gram = protocol._class_grid, bases.phase_bases_from_rows, bases.gram_deviation
     corrections = protocol._corrections
-    monkeypatch.setattr(protocol, "_class_grid", lambda rows, *args: gridded.append(rows) or grid(rows, *args))
+    monkeypatch.setattr(protocol, "_class_grid", lambda rows: gridded.append(rows) or grid(rows))
     monkeypatch.setattr(bases, "phase_bases_from_rows", lambda rows, lab: builds.append(len(rows)) or build(rows, lab))
     monkeypatch.setattr(bases, "gram_deviation", lambda vectors: grams.append(vectors.shape) or gram(vectors))
-    monkeypatch.setattr(protocol, "_corrections", lambda o, s, t, *c: targets.append(t) or corrections(o, s, t, *c))
+    monkeypatch.setattr(protocol, "_corrections", lambda o, f, c, t: targets.append(t) or corrections(o, f, c, t))
     build_correction_table(n_senders)
     assert builds == [n_senders - 1] and grams == [(n_senders - 1, 8, 8, 8)]
     assert len(gridded) == 1 and len(targets) == 1
@@ -1003,9 +1103,20 @@ def test_flat_gathers_are_the_fancy_index_and_scatter_bit_for_bit(rows):
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_walsh_xor_is_the_xor_reduce(n_senders):
+    # A branch's code holds the XOR of its phase digits' Walsh indices in its
+    # low 3 bits and the XOR of its phase rows' sign masks above them, in the
+    # grid's layout over every branch and gathered for a batch of 1 to 9
+    # drawn ones; so the frame's z is s(k) XOR the low bits.
+    x, phases = random_inputs(n_senders, n_senders)
+    rows = sender_rows(x, phases, n_senders)
+    table, _, codes = protocol._class_grid(rows)
+    masks = (rows[1:] == -rows[1:, :, :1]) @ (1 << np.arange(8))
     rng = np.random.default_rng(n_senders)
-    for outcomes in (_all_outcomes(n_senders), *(rng.integers(0, 8, (rows, n_senders)) for rows in range(1, 10))):
-        expected = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
-        got = _walsh_xor(outcomes)
-        assert got.dtype == expected.dtype
-        assert_bits_equal(got, expected)
+    every = protocol._every_code(codes)
+    for outcomes in (_all_outcomes(n_senders), *(rng.integers(0, 8, (b, n_senders)) for b in range(1, 10))):
+        walsh = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes[:, 1:]], axis=1)
+        mask = np.bitwise_xor.reduce(masks[np.arange(n_senders - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
+        code = protocol._drawn(table, codes, outcomes)[1]
+        assert code.dtype == walsh.dtype
+        assert_bits_equal(code, mask << 3 | walsh)
+        assert_bits_equal(every[np.ravel_multi_index(outcomes.T, (8,) * n_senders)], code)

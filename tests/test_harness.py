@@ -464,15 +464,15 @@ class TestCmdTable:
 
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
         # The frame of outcome (0, 5), the one branch of its class at two
-        # senders, takes one more Z on the last receiver qubit, which the
-        # table's profile rejects. The outcome prints as plain ints.
+        # senders, takes one more Z on the last receiver qubit (its code's
+        # Walsh bits XOR 1, its sign mask kept), which the table's profile
+        # rejects. The outcome prints as plain ints.
         real = protocol._corrections
 
-        def shifted(outcomes, states, target3, classes):
-            k, z, row = classes
-            z = z.copy()
-            z[row[5]] ^= 1
-            return real(outcomes, states, target3, (k, z, row))
+        def shifted(outcomes, finals, code, target3):
+            code = code.copy()
+            code[5] ^= 1
+            return real(outcomes, finals, code, target3)
 
         monkeypatch.setattr(protocol, "_corrections", shifted)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
