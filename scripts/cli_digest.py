@@ -54,26 +54,26 @@ The set:
   so each exits 4 and names the first, `phase[k=0]` or `share[l=1,k=0]`;
 - `verify --exhaustive` and `table`, N = 2, 3, with rows 1 and 2 of
   `bases.SIGN_PATTERN` swapped (4): the bases stay orthonormal but relabel
-  the phase senders' outcomes, so the Pauli frame misses on some branches,
-  and each exits 3 and names the first as an oracle failure;
+  the phase senders' outcomes, so phase sender 1's rows for k = 0 are not
+  its row 0 times the paper's Walsh signs, which the class grid refuses:
+  each exits 3 and names that sender and k as an oracle failure;
 - `verify --trials 30 --seed 7`, `verify --trials 257 --seed 7` and forced
   runs at the digit corners 0:0,... and 7:7,..., N = 2, 3, 5, under those
-  swapped rows and under column 5 of `bases.SIGN_PATTERN` negated (24): both
-  mutants keep every basis orthonormal and every phase sender's rows equal
-  to its row 0 up to signs, so the class grid takes them. Under the
-  swap every `verify` exits 3 and the corners, whose digits it keeps, pass;
-  under the flip N = 2 exits 3, and N = 3, 5 pass, as their even number of
-  phase senders cancel each other's signs;
+  swapped rows and under column 5 of `bases.SIGN_PATTERN` negated (24):
+  both mutants keep every basis orthonormal. The grid refuses the swap in
+  every mode, the corners too, so each exits 3. The flip negates row 0
+  with every other row, so the grid takes it: N = 2 exits 3, as the frame
+  misses, and N = 3, 5 pass, as their even number of phase senders cancel
+  each other's signs;
 - `verify --exhaustive` and `table`, N = 4, 5, under the same two mutants
-  (8): the class grid keys its classes by the live rows' sign masks, so the
-  swap misses on some branches and exits 3, and the flip passes at N = 5
-  and misses at N = 4, where the three phase senders' signs do not cancel;
+  (8): the swap is refused and exits 3, and the flip passes at N = 5 and
+  misses at N = 4, where the three phase senders' signs do not cancel;
 - `verify --exhaustive`, `verify --trials 30 --seed 7` and `table`, N = 2,
   3, and forced runs at the digit corners 0:0 and 7:7, with columns 0 and 1
   of `bases.SIGN_PATTERN` turned by 45 degrees (8): the bases stay
-  orthonormal, but a phase sender's rows are no longer its row 0 up to
-  signs, which the class grid refuses in every mode as an oracle failure,
-  so each exits 3;
+  orthonormal, but a phase sender's rows are no longer its row 0 times the
+  Walsh signs, which the class grid refuses in every mode as an oracle
+  failure, so each exits 3;
 - with entry (1, 0) of `bases.amplitude_basis_matrix` negated,
   `verify --exhaustive` and `run`, N = 2, 3, `table`, N = 2, 3, and
   `verify --exhaustive` of `delta2.json` (7): the magnitude sender's basis

